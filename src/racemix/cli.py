@@ -51,12 +51,13 @@ from .model import (
 )
 from .predictive import (
     SyntheticSpec,
-    posterior_predictive_race,
+    posterior_predictive_race,  # noqa: F401 -- perfbench/tracing.py wraps it by this name
     ppc_report,
     simulate_dataset,
+    write_histograms_csv,
     write_ppc_csv,
 )
-from .sampler import SamplerError, load_chain, run_chains, save_chain
+from .sampler import SCALAR_COLUMNS, SamplerError, load_chain, run_chains, save_chain
 
 ENV_OUT_ROOT = "RACEMIX_OUT_ROOT"
 
@@ -198,6 +199,14 @@ def _find_chains(fit_dir):
     return pairs
 
 
+def _load_indexed_chain(fit_dir, index):
+    """The index-th (1-based) chain of a fit directory, and its chain count."""
+    pairs = _find_chains(fit_dir)
+    if index > len(pairs):
+        raise DataError(f"chain index {index} out of range; found {len(pairs)} chain(s)")
+    return load_chain(*pairs[index - 1]), len(pairs)
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="racemix")
 def main():
@@ -239,6 +248,12 @@ def fit(ctx, data, covariates, rainfall, sex, response, windspeed, seed, burn_in
     """Fit the model by MCMC and write chain, summary and manifest files."""
     config = _merged_config(ctx, config_path, response, windspeed, seed,
                             burn_in, iterations, thin, d_bar, w_bar)
+    # fail before sampling: summaries need 2 draws per chain, split R-hat 4
+    if config.mcmc.n_stored < (4 if chains > 1 else 2):
+        raise ConfigError(
+            f"--iterations {config.mcmc.iterations} / --thin {config.mcmc.thin} stores "
+            f"{config.mcmc.n_stored} draw(s) per chain; need at least 2 "
+            f"(4 with --chains > 1)")
     if out_dir is None:
         out_dir = os.path.join(_out_root(), "fit")
     os.makedirs(out_dir, exist_ok=True)
@@ -254,15 +269,12 @@ def fit(ctx, data, covariates, rainfall, sex, response, windspeed, seed, burn_in
     outputs = run_chains(design, config, chains, max_workers=workers)
 
     artifacts = ["manifest.json"]
-    per_chain_summaries = []
     for i, chain in enumerate(outputs, start=1):
         chain_path, meta_path = _chain_paths(out_dir, i, chains)
         save_chain(chain, chain_path, meta_path)
-        summaries = summarize(chain)
-        per_chain_summaries.append(summaries)
         summary_path = (os.path.join(out_dir, "summary.csv") if chains == 1
                         else os.path.join(out_dir, f"summary_{i:02d}.csv"))
-        write_summary_csv(summaries, summary_path)
+        write_summary_csv(summarize(chain), summary_path)
         artifacts += [os.path.basename(p) for p in (chain_path, meta_path, summary_path)]
 
     if chains > 1:
@@ -271,12 +283,7 @@ def fit(ctx, data, covariates, rainfall, sex, response, windspeed, seed, burn_in
             fh.write("parameter,split_rhat,ess_total\n")
             for j, name in enumerate(outputs[0].columns):
                 cols = [c.draws[:, j] for c in outputs]
-                if all(np.all(col == col[0]) for col in cols):
-                    rhat, ess = 1.0, float(sum(c.size for c in cols))
-                else:
-                    rhat = split_rhat(cols)
-                    ess = multichain_ess(cols)
-                fh.write(f"{name},{repr(rhat)},{repr(ess)}\n")
+                fh.write(f"{name},{repr(split_rhat(cols))},{repr(multichain_ess(cols))}\n")
         artifacts.append("crosschain.csv")
 
     snapshot = {"model": config.to_dict(), "sex": sex, "chains": chains}
@@ -298,22 +305,17 @@ def fit(ctx, data, covariates, rainfall, sex, response, windspeed, seed, burn_in
 @_cli_errors
 def summarize_cmd(fit_dir, index, out_path):
     """Recompute posterior summaries from a stored chain."""
-    pairs = _find_chains(fit_dir)
-    if index > len(pairs):
-        raise DataError(f"chain index {index} out of range; found {len(pairs)} chain(s)")
-    chain = load_chain(*pairs[index - 1])
+    chain, n_chains = _load_indexed_chain(fit_dir, index)
     summaries = summarize(chain)
     if out_path is None:
-        base = "summary.csv" if len(pairs) == 1 else f"summary_{index:02d}.csv"
+        base = "summary.csv" if n_chains == 1 else f"summary_{index:02d}.csv"
         out_path = os.path.join(fit_dir, base)
     write_summary_csv(summaries, out_path)
-    scalar = {"intercept", "gamma_dist", "lambda_wind", "rho_cur", "rho_prev",
-              "m_rho", "phi", "tau_obs", "tau_athlete", "tau_course", "tau_season"}
     click.echo(f"{'parameter':<12} {'mean':>12} {'median':>12} "
                f"{'ci95_low':>12} {'ci95_high':>12} {'ess':>9}")
     shown = 0
     for s in summaries:
-        if s.name in scalar:
+        if s.name in SCALAR_COLUMNS:
             click.echo(f"{s.name:<12} {s.mean:>12.6f} {s.median:>12.6f} "
                        f"{s.ci95_low:>12.6f} {s.ci95_high:>12.6f} {s.ess:>9.1f}")
             shown += 1
@@ -398,10 +400,7 @@ def _parse_race_filter(races_arg, design):
 @_cli_errors
 def ppc(fit_dir, races, index, seed, bins, data, covariates, rainfall, out_dir):
     """Posterior predictive checks: per-race five-number summaries."""
-    pairs = _find_chains(fit_dir)
-    if index > len(pairs):
-        raise DataError(f"chain index {index} out of range; found {len(pairs)} chain(s)")
-    chain = load_chain(*pairs[index - 1])
+    chain, _ = _load_indexed_chain(fit_dir, index)
     manifest = _read_manifest(fit_dir)
     design, observations, paths = _reingest_from_manifest(
         fit_dir, manifest, chain.meta, data, covariates, rainfall)
@@ -415,34 +414,13 @@ def ppc(fit_dir, races, index, seed, bins, data, covariates, rainfall, out_dir):
         out_dir = os.path.join(fit_dir, "ppc")
     os.makedirs(out_dir, exist_ok=True)
 
-    master = np.random.default_rng(seed)
-    report_rng, hist_rng = master.spawn(2)
-    reports = ppc_report(chain, design, selected, report_rng)
+    # the noise comes from the seed's first spawned child: that stream is
+    # what makes a given --seed reproduce the same ppc.csv
+    reports = ppc_report(chain, design, selected,
+                         np.random.default_rng(seed).spawn(1)[0], bins)
     ppc_path = os.path.join(out_dir, "ppc.csv")
     write_ppc_csv(reports, ppc_path)
-
-    hist_path = os.path.join(out_dir, "histograms.csv")
-    ordered = [(r.course, r.season) for r in reports]
-    children = hist_rng.spawn(len(ordered))
-    obs_by_race = {}
-    for o in selected:
-        obs_by_race.setdefault((o.course, o.season), []).append(o.finish_time)
-    with open(hist_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("course,season,bin_left,bin_right,predicted_count,observed_count\n")
-        for (course, season), child in zip(ordered, children):
-            pred = posterior_predictive_race(chain, design, course, season, child)
-            obs = np.asarray(obs_by_race[(course, season)], dtype=float)
-            lo = min(float(pred.min()), float(obs.min()))
-            hi = max(float(pred.max()), float(obs.max()))
-            if hi <= lo:
-                hi = lo + 1.0
-            edges = np.linspace(lo, hi, bins + 1)
-            pred_counts, _ = np.histogram(pred.ravel(), bins=edges)
-            obs_counts, _ = np.histogram(obs, bins=edges)
-            for b in range(bins):
-                fh.write(f"{course},{season},{repr(float(edges[b]))},"
-                         f"{repr(float(edges[b + 1]))},{int(pred_counts[b])},"
-                         f"{int(obs_counts[b])}\n")
+    write_histograms_csv(reports, os.path.join(out_dir, "histograms.csv"))
 
     flagged = sum(1 for r in reports if r.low_power)
     _write_manifest(out_dir, "ppc",
@@ -499,20 +477,17 @@ def simulate(spec_path, seed, out_dir):
 @_cli_errors
 def diagnose(fit_dir, index, max_lag, out_root):
     """Export tidy traces and per-parameter ESS/autocorrelation tables."""
-    pairs = _find_chains(fit_dir)
-    if index > len(pairs):
-        raise DataError(f"chain index {index} out of range; found {len(pairs)} chain(s)")
-    chain = load_chain(*pairs[index - 1])
+    chain, n_chains = _load_indexed_chain(fit_dir, index)
     if out_root is None:
         out_root = fit_dir
     os.makedirs(out_root, exist_ok=True)
 
-    trace_path = os.path.join(out_root, "trace.csv" if len(pairs) == 1
+    trace_path = os.path.join(out_root, "trace.csv" if n_chains == 1
                               else f"trace_{index:02d}.csv")
     write_trace_csv(chain, trace_path)
 
     lag = min(max_lag, chain.n_stored - 1)
-    diag_path = os.path.join(out_root, "diagnostics.csv" if len(pairs) == 1
+    diag_path = os.path.join(out_root, "diagnostics.csv" if n_chains == 1
                              else f"diagnostics_{index:02d}.csv")
     summaries = summarize(chain)
     with open(diag_path, "w", encoding="utf-8", newline="") as fh:

@@ -79,6 +79,13 @@ def _geyer_ess(x: np.ndarray) -> float:
     return float(min(n / tau, n))
 
 
+def _column_ess(x: np.ndarray) -> float:
+    """Geyer ESS, or N for a constant column or one shorter than 10 draws."""
+    if _is_constant(x) or x.size < 10:
+        return float(x.size)
+    return _geyer_ess(x)
+
+
 def effective_sample_size(chain) -> float:
     """Effective sample size N / (1 + 2·Σρ_k), Geyer-truncated.
 
@@ -125,16 +132,11 @@ def summarize(chain_output: ChainOutput) -> list[ParameterSummary]:
     out = []
     for j, name in enumerate(chain_output.columns):
         col = draws[:, j]
-        degenerate = _is_constant(col)
-        if degenerate or n < 10:
-            ess = float(n)
-        else:
-            ess = _geyer_ess(col)
         out.append(ParameterSummary(
             name=name, mean=float(means[j]),
             lq=float(qs[1, j]), median=float(qs[2, j]), uq=float(qs[3, j]),
             ci95_low=float(qs[0, j]), ci95_high=float(qs[4, j]),
-            ess=ess, degenerate=degenerate))
+            ess=_column_ess(col), degenerate=_is_constant(col)))
     return out
 
 
@@ -200,11 +202,4 @@ def split_rhat(chains) -> float:
 
 def multichain_ess(chains) -> float:
     """Total ESS across independent chains (sum of per-chain ESS)."""
-    total = 0.0
-    for c in chains:
-        x = np.asarray(c, dtype=float)
-        if _is_constant(x) or x.size < 10:
-            total += float(x.size)
-        else:
-            total += _geyer_ess(x)
-    return total
+    return sum((_column_ess(np.asarray(c, dtype=float)) for c in chains), 0.0)

@@ -216,9 +216,7 @@ class DesignMatrixView:
     """Per-observation dense indices, centred covariates and responses.
 
     Index 0 of each grouping factor is the corner-constrained baseline
-    level.  `y` holds the active response (log time, or log pace); the raw
-    times are retained so the log-time response can always be recovered
-    exactly regardless of the fitted variant.
+    level.  `y` holds the active response (log time, or log pace).
     """
 
     athlete_idx: np.ndarray
@@ -229,7 +227,6 @@ class DesignMatrixView:
     rain_cur: np.ndarray
     rain_prev: np.ndarray
     y: np.ndarray
-    time_min: np.ndarray
     dist: np.ndarray
     athletes: tuple[str, ...]
     courses: tuple[str, ...]
@@ -241,10 +238,6 @@ class DesignMatrixView:
     @property
     def n_obs(self) -> int:
         return self.y.size
-
-    def log_time_response(self) -> np.ndarray:
-        """log(time) for every observation, identical under both variants."""
-        return np.log(self.time_min)
 
     def races(self) -> list[tuple[str, str]]:
         """Distinct (course, season) pairs present, in index order."""
@@ -340,6 +333,6 @@ def build_design(observations, contexts, rainfall, config: ModelConfig) -> Desig
         athlete_idx=athlete_idx, course_idx=course_idx, season_idx=season_idx,
         x_dist=dist - d_bar, x_wind=wind - w_bar,
         rain_cur=rain_cur, rain_prev=rain_prev,
-        y=y, time_min=time_min, dist=dist,
+        y=y, dist=dist,
         athletes=tuple(athletes), courses=tuple(courses), seasons=tuple(seasons),
         d_bar=d_bar, w_bar=w_bar, response=config.response)

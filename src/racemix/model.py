@@ -308,20 +308,6 @@ def linear_predictor_all(state: ParameterState, design: "DesignMatrixView") -> n
     return mu
 
 
-def linear_predictor(state: ParameterState, obs_idx: int, design: "DesignMatrixView") -> float:
-    """Model mean for a single observation."""
-    mu = (state.intercept
-          + state.athlete_effects[design.athlete_idx[obs_idx]]
-          + state.course_effects[design.course_idx[obs_idx]]
-          + state.season_effects[design.season_idx[obs_idx]]
-          + state.gamma_dist * design.x_dist[obs_idx]
-          + state.rho_cur * design.rain_cur[obs_idx]
-          + state.rho_prev * design.rain_prev[obs_idx])
-    if state.lambda_wind is not None:
-        mu += state.lambda_wind * design.x_wind[obs_idx]
-    return float(mu)
-
-
 def log_likelihood(state: ParameterState, design: "DesignMatrixView") -> float:
     """Sum of Normal log densities of the responses given the state."""
     if state.tau_obs <= 0.0:

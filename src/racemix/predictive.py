@@ -354,24 +354,18 @@ def posterior_predictive_race(chain: ChainOutput, design, course: str,
     mask = design.race_mask(course, season)
     rows = np.nonzero(mask)[0]
     meta = chain.meta
-    colmap = {name: j for j, name in enumerate(chain.columns)}
-    a_cols = np.array([colmap[f"athlete[{a}]"] for a in design.athletes])
-    c_cols = np.array([colmap[f"course[{c}]"] for c in design.courses])
-    s_cols = np.array([colmap[f"season[{s}]"] for s in design.seasons])
-
-    draws = chain.draws
-    mu = (draws[:, [colmap["intercept"]]]
-          + draws[:, a_cols[design.athlete_idx[rows]]]
-          + draws[:, c_cols[design.course_idx[rows]]]
-          + draws[:, s_cols[design.season_idx[rows]]]
-          + np.outer(draws[:, colmap["gamma_dist"]], design.x_dist[rows])
-          + np.outer(draws[:, colmap["rho_cur"]], design.rain_cur[rows])
-          + np.outer(draws[:, colmap["rho_prev"]], design.rain_prev[rows]))
+    mu = (chain.column("intercept")[:, None]
+          + chain.effects("athlete")[:, design.athlete_idx[rows]]
+          + chain.effects("course")[:, design.course_idx[rows]]
+          + chain.effects("season")[:, design.season_idx[rows]]
+          + np.outer(chain.column("gamma_dist"), design.x_dist[rows])
+          + np.outer(chain.column("rho_cur"), design.rain_cur[rows])
+          + np.outer(chain.column("rho_prev"), design.rain_prev[rows]))
     if meta.include_windspeed:
-        mu = mu + np.outer(draws[:, colmap["lambda_wind"]], design.x_wind[rows])
+        mu = mu + np.outer(chain.column("lambda_wind"), design.x_wind[rows])
 
-    sd = 1.0 / np.sqrt(draws[:, colmap["tau_obs"]])
-    n_draws = draws.shape[0]
+    sd = 1.0 / np.sqrt(chain.column("tau_obs"))
+    n_draws = chain.n_stored
     n_chunks = (n_draws + PPC_CHUNK - 1) // PPC_CHUNK
     out = np.empty_like(mu)
     for j, child in enumerate(rng.spawn(n_chunks)):
@@ -387,7 +381,8 @@ def posterior_predictive_race(chain: ChainOutput, design, course: str,
 
 @dataclass(frozen=True)
 class PpcRaceReport:
-    """Observed vs predicted five-number summary for one race (minutes)."""
+    """Observed vs predicted five-number summary for one race (minutes),
+    plus predicted and observed counts over shared histogram bins."""
 
     course: str
     season: str
@@ -396,14 +391,19 @@ class PpcRaceReport:
     predicted: tuple[float, float, float, float, float]
     discrepancy: tuple[float, float, float, float, float]
     low_power: bool  # fewer than 5 finishers: quartiles are unstable
+    bin_edges: np.ndarray = field(compare=False, repr=False)
+    predicted_counts: np.ndarray = field(compare=False, repr=False)
+    observed_counts: np.ndarray = field(compare=False, repr=False)
 
 
-def ppc_report(chain: ChainOutput, design, observed, rng) -> list[PpcRaceReport]:
+def ppc_report(chain: ChainOutput, design, observed, rng,
+               bins: int = 30) -> list[PpcRaceReport]:
     """One report per observed race, in the design's race order.
 
     The predicted summary is the mean over posterior draws of each order
     statistic of that draw's simulated field; discrepancies are observed
-    minus predicted.
+    minus predicted.  The histograms bin the same simulated fields and
+    the observed times into `bins` equal-width bins spanning both.
     """
     _check_chain_matches_design(chain, design)
     if not observed:
@@ -427,12 +427,18 @@ def ppc_report(chain: ChainOutput, design, observed, rng) -> list[PpcRaceReport]
         pred = posterior_predictive_race(chain, design, course, season, child)
         pred_summary = np.quantile(pred, FIVE_NUMBER_QS, axis=1).mean(axis=1)
         disc = obs_summary - pred_summary
+        lo = min(float(pred.min()), float(obs_times.min()))
+        hi = max(float(pred.max()), float(obs_times.max()))
+        edges = np.linspace(lo, hi if hi > lo else lo + 1.0, bins + 1)
         reports.append(PpcRaceReport(
             course=course, season=season, n_finishers=obs_times.size,
             observed=tuple(float(v) for v in obs_summary),
             predicted=tuple(float(v) for v in pred_summary),
             discrepancy=tuple(float(v) for v in disc),
-            low_power=obs_times.size < 5))
+            low_power=obs_times.size < 5,
+            bin_edges=edges,
+            predicted_counts=np.histogram(pred, bins=edges)[0],
+            observed_counts=np.histogram(obs_times, bins=edges)[0]))
     return reports
 
 
@@ -450,6 +456,19 @@ def write_ppc_csv(reports, path) -> None:
             cells += [repr(v) for v in r.predicted]
             cells.append("1" if r.low_power else "0")
             fh.write(",".join(cells) + "\n")
+
+
+HISTOGRAM_HEADER = "course,season,bin_left,bin_right,predicted_count,observed_count"
+
+
+def write_histograms_csv(reports, path) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(HISTOGRAM_HEADER + "\n")
+        for r in reports:
+            for b in range(r.predicted_counts.size):
+                fh.write(f"{r.course},{r.season},{repr(float(r.bin_edges[b]))},"
+                         f"{repr(float(r.bin_edges[b + 1]))},{int(r.predicted_counts[b])},"
+                         f"{int(r.observed_counts[b])}\n")
 
 
 def effect_on_time(base_time: float, coefficient: float, delta: float) -> float:

@@ -20,6 +20,7 @@ SeedSequence-spawned child seeds.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -38,9 +39,13 @@ SLICE_MAX_STEPS = 50
 # smallest positive normal float64; floor for underflowing Gamma draws
 TINY_PRECISION = float(np.finfo(float).tiny)
 
-SCALAR_UPDATES = ("intercept", "gamma_dist", "lambda_wind", "rho_cur", "rho_prev")
-BLOCK_UPDATES = ("athlete_effects", "course_effects", "season_effects")
-TAIL_UPDATES = ("m_rho", "phi", "tau_athlete", "tau_course", "tau_season", "tau_obs")
+# The draws-row layout: these scalars in this order (lambda_wind only when
+# the windspeed term is fitted), then each effect block's levels in level
+# order.  Scalar names are ParameterState fields; block b is the state's
+# `b_effects`, the metadata's `bs` levels and the columns `b[level]`.
+SCALAR_COLUMNS = ("intercept", "gamma_dist", "lambda_wind", "rho_cur", "rho_prev",
+                  "m_rho", "phi", "tau_obs", "tau_athlete", "tau_course", "tau_season")
+EFFECT_BLOCKS = ("athlete", "course", "season")
 
 
 class SamplerError(Exception):
@@ -169,19 +174,6 @@ def slice_update_phi(phi_current, rho_prev, m_rho, v_rho_prev, a_phi, b_phi, rng
     raise SamplerError(f"slice shrinkage failed to accept near phi={phi_current}")
 
 
-@dataclass(frozen=True)
-class SweepPlan:
-    """The ordered update schedule for one full sweep."""
-
-    steps: tuple[str, ...]
-
-    @classmethod
-    def for_config(cls, config: ModelConfig) -> "SweepPlan":
-        scalars = [s for s in SCALAR_UPDATES
-                   if s != "lambda_wind" or config.include_windspeed]
-        return cls(steps=tuple(scalars) + BLOCK_UPDATES + TAIL_UPDATES)
-
-
 @dataclass
 class ChainMeta:
     """Fit metadata stored alongside the draws."""
@@ -216,17 +208,36 @@ class ChainMeta:
             seasons=tuple(d["seasons"]), version=d.get("version", "unknown"))
 
 
+@functools.cache  # state_row runs once per stored draw
+def _scalar_columns(include_windspeed: bool) -> tuple[str, ...]:
+    return tuple(name for name in SCALAR_COLUMNS
+                 if include_windspeed or name != "lambda_wind")
+
+
+def _block_slices(meta: ChainMeta) -> dict[str, slice]:
+    """Where each effect block sits in a draws row."""
+    slices = {}
+    start = len(_scalar_columns(meta.include_windspeed))
+    for block in EFFECT_BLOCKS:
+        stop = start + len(getattr(meta, f"{block}s"))
+        slices[block] = slice(start, stop)
+        start = stop
+    return slices
+
+
 def parameter_columns(meta: ChainMeta) -> tuple[str, ...]:
     """Column names for the draws matrix, constrained levels included."""
-    cols = ["intercept", "gamma_dist"]
-    if meta.include_windspeed:
-        cols.append("lambda_wind")
-    cols += ["rho_cur", "rho_prev", "m_rho", "phi",
-             "tau_obs", "tau_athlete", "tau_course", "tau_season"]
-    cols += [f"athlete[{a}]" for a in meta.athletes]
-    cols += [f"course[{c}]" for c in meta.courses]
-    cols += [f"season[{s}]" for s in meta.seasons]
-    return tuple(cols)
+    return _scalar_columns(meta.include_windspeed) + tuple(
+        f"{block}[{level}]" for block in EFFECT_BLOCKS
+        for level in getattr(meta, f"{block}s"))
+
+
+def state_row(state: ParameterState) -> np.ndarray:
+    """`state` as one draws row, in parameter_columns order."""
+    scalars = [getattr(state, name)
+               for name in _scalar_columns(state.lambda_wind is not None)]
+    return np.concatenate([scalars] + [getattr(state, f"{block}_effects")
+                                       for block in EFFECT_BLOCKS])
 
 
 @dataclass
@@ -252,28 +263,16 @@ class ChainOutput:
         except KeyError:
             raise KeyError(f"no parameter column {name!r}") from None
 
+    def effects(self, block: str) -> np.ndarray:
+        """(n_stored, n_levels) draws of one of EFFECT_BLOCKS."""
+        return self.draws[:, _block_slices(self.meta)[block]]
+
     def _unpack(self, row: np.ndarray) -> ParameterState:
-        m = self.meta
-        k = 3 if m.include_windspeed else 2
-        scalars = row[:k + 8]
-        off = k + 8
-        la, lc, ls = len(m.athletes), len(m.courses), len(m.seasons)
+        names = _scalar_columns(self.meta.include_windspeed)
         return ParameterState(
-            intercept=float(scalars[0]),
-            gamma_dist=float(scalars[1]),
-            lambda_wind=float(scalars[2]) if m.include_windspeed else None,
-            rho_cur=float(scalars[k]),
-            rho_prev=float(scalars[k + 1]),
-            m_rho=float(scalars[k + 2]),
-            phi=float(scalars[k + 3]),
-            tau_obs=float(scalars[k + 4]),
-            tau_athlete=float(scalars[k + 5]),
-            tau_course=float(scalars[k + 6]),
-            tau_season=float(scalars[k + 7]),
-            athlete_effects=row[off:off + la].copy(),
-            course_effects=row[off + la:off + la + lc].copy(),
-            season_effects=row[off + la + lc:off + la + lc + ls].copy(),
-        )
+            **{name: float(v) for name, v in zip(names, row)},
+            **{f"{block}_effects": row[where].copy()
+               for block, where in _block_slices(self.meta).items()})
 
     def state_at(self, i: int) -> ParameterState:
         return self._unpack(self.draws[i])
@@ -285,16 +284,6 @@ class ChainOutput:
         precisions and phi is automatic.
         """
         return self._unpack(self.draws.mean(axis=0))
-
-
-def _pack_row(out, state_scalars, a_eff, c_eff, s_eff):
-    k = len(state_scalars)
-    out[:k] = state_scalars
-    la = a_eff.size
-    lc = c_eff.size
-    out[k:k + la] = a_eff
-    out[k + la:k + la + lc] = c_eff
-    out[k + la + lc:] = s_eff
 
 
 def run_chain(design: DesignMatrixView, config: ModelConfig, rng_seed=None) -> ChainOutput:
@@ -421,11 +410,7 @@ def run_chain(design: DesignMatrixView, config: ModelConfig, rng_seed=None) -> C
                                   float(e @ e), n, rng)
 
             if sweep > sched.burn_in and (sweep - sched.burn_in) % sched.thin == 0:
-                scalars = [intercept, gamma]
-                if use_wind:
-                    scalars.append(lam_w)
-                scalars += [rho_c, rho_p, m_rho, phi, tau, tau_a, tau_c, tau_s]
-                _pack_row(draws[row], scalars, a_eff, c_eff, s_eff)
+                draws[row] = state_row(current_state())
                 row += 1
     except SamplerError as exc:
         raise SamplerError(f"sweep {sweep}: {exc}") from exc

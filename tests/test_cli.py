@@ -145,6 +145,18 @@ def test_fit_missing_input_exits_2(dataset_dir, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("iterations,chains", [(3, 2), (1, 1)])
+def test_fit_too_few_stored_draws_exits_2_before_sampling(dataset_dir, tmp_path,
+                                                          iterations, chains):
+    out = tmp_path / "out"
+    result = _run(["fit", *_data_args(dataset_dir), "--burn-in", "0",
+                   "--iterations", str(iterations), "--thin", "1",
+                   "--chains", str(chains), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "--iterations" in result.output and "--thin" in result.output
+    assert not list(tmp_path.rglob("chain*.csv"))
+
+
 def test_fit_sampler_failure_exits_3(dataset_dir, tmp_path, monkeypatch):
     def explode(*args, **kwargs):
         raise SamplerError("sweep 3: slice bracket failure")

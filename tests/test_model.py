@@ -15,7 +15,6 @@ from racemix.model import (
     ParameterState,
     PriorConfig,
     gamma_logpdf,
-    linear_predictor,
     linear_predictor_all,
     log_likelihood,
     log_posterior,
@@ -143,22 +142,20 @@ def test_linear_predictor_zero_case():
     state.gamma_dist = 0.0
     state.rho_cur = state.rho_prev = 0.0
     state.intercept = 3.8
-    assert linear_predictor(state, 0, design) == pytest.approx(3.8, abs=1e-12)
+    assert linear_predictor_all(state, design)[0] == pytest.approx(3.8, abs=1e-12)
 
 
 def test_linear_predictor_hand_sum():
     design = example_design(50.0, 40.0)
-    mu = linear_predictor(example_state(), 1, design)
+    mu = linear_predictor_all(example_state(), design)[1]
     assert mu == pytest.approx(3.80 + 0.150 + 0.045 + 0.0224 + 0.05 + 0.04, abs=1e-9)
     assert mu == pytest.approx(4.1074, abs=1e-9)
 
 
 def test_linear_predictor_no_rain():
     design = example_design(0.0, 0.0)
-    mu = linear_predictor(example_state(), 1, design)
+    mu = linear_predictor_all(example_state(), design)[1]
     assert mu == pytest.approx(4.0174, abs=1e-9)
-    all_mu = linear_predictor_all(example_state(), design)
-    assert all_mu[1] == pytest.approx(mu, abs=1e-12)
 
 
 ### likelihood and prior worked examples
@@ -201,7 +198,7 @@ def test_log_likelihood_empty_dataset_is_zero():
         season_idx=np.empty(0, dtype=np.int64),
         x_dist=np.empty(0), x_wind=np.empty(0),
         rain_cur=np.empty(0), rain_prev=np.empty(0),
-        y=np.empty(0), time_min=np.empty(0), dist=np.empty(0),
+        y=np.empty(0), dist=np.empty(0),
         athletes=("A1",), courses=("Alnwick",), seasons=("17/18",),
         d_bar=6.0, w_bar=0.0, response="log_time")
     assert log_likelihood(flat_state(3.8, 1.0), empty) == 0.0
@@ -264,8 +261,7 @@ def test_likelihood_decomposes_over_partitions(toy_design, toy_state):
             season_idx=toy_design.season_idx[keep],
             x_dist=toy_design.x_dist[keep], x_wind=toy_design.x_wind[keep],
             rain_cur=toy_design.rain_cur[keep], rain_prev=toy_design.rain_prev[keep],
-            y=toy_design.y[keep], time_min=toy_design.time_min[keep],
-            dist=toy_design.dist[keep],
+            y=toy_design.y[keep], dist=toy_design.dist[keep],
             athletes=toy_design.athletes, courses=toy_design.courses,
             seasons=toy_design.seasons,
             d_bar=toy_design.d_bar, w_bar=toy_design.w_bar,

@@ -10,7 +10,6 @@ from racemix.model import McmcSchedule, ModelConfig
 from racemix.sampler import (
     ChainOutput,
     SamplerError,
-    SweepPlan,
     gibbs_hypermean,
     gibbs_precision,
     gibbs_random_effect,
@@ -22,6 +21,7 @@ from racemix.sampler import (
     save_chain,
     slice_update_phi,
     spawn_chain_seeds,
+    state_row,
 )
 
 
@@ -211,20 +211,7 @@ def test_slice_rejects_nonpositive_phi():
         slice_update_phi(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, np.random.default_rng(0))
 
 
-### sweep plan and chain driver
-
-
-def test_sweep_plan_lists_every_parameter_once():
-    plan = SweepPlan.for_config(ModelConfig(include_windspeed=True))
-    assert len(plan.steps) == len(set(plan.steps))
-    assert "lambda_wind" in plan.steps
-    plan2 = SweepPlan.for_config(ModelConfig())
-    assert "lambda_wind" not in plan2.steps
-    for required in ("intercept", "gamma_dist", "rho_cur", "rho_prev",
-                     "athlete_effects", "course_effects", "season_effects",
-                     "m_rho", "phi", "tau_athlete", "tau_course",
-                     "tau_season", "tau_obs"):
-        assert required in plan2.steps
+### chain driver
 
 
 def small_config(**kwargs):
@@ -278,7 +265,7 @@ def test_run_chain_rejects_empty_design():
     design = make_toy_design()
     import dataclasses
     empty = dataclasses.replace(
-        design, y=np.empty(0), time_min=np.empty(0), dist=np.empty(0),
+        design, y=np.empty(0), dist=np.empty(0),
         athlete_idx=np.empty(0, dtype=np.int64),
         course_idx=np.empty(0, dtype=np.int64),
         season_idx=np.empty(0, dtype=np.int64),
@@ -299,6 +286,20 @@ def test_chain_output_accessors():
     assert mean_state.gamma_dist == pytest.approx(chain.column("gamma_dist").mean())
     with pytest.raises(KeyError):
         chain.column("no_such_parameter")
+
+
+@pytest.mark.parametrize("include_windspeed", [False, True])
+def test_draw_layout_round_trips(include_windspeed):
+    design = make_toy_design(include_windspeed=include_windspeed)
+    cfg = small_config()
+    cfg.include_windspeed = include_windspeed
+    chain = run_chain(design, cfg)
+    for i in range(chain.n_stored):
+        assert np.array_equal(state_row(chain.state_at(i)), chain.draws[i])
+    for block, levels in (("athlete", design.athletes), ("course", design.courses),
+                          ("season", design.seasons)):
+        named = np.column_stack([chain.column(f"{block}[{level}]") for level in levels])
+        assert np.array_equal(chain.effects(block), named)
 
 
 def test_windspeed_variant_has_lambda_column():

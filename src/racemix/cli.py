@@ -65,7 +65,11 @@ RESPONSE_FLAGS = {"log-time": RESPONSE_LOG_TIME, "log-pace": RESPONSE_LOG_PACE}
 
 
 def _cli_errors(fn):
-    """Map exceptions to the documented exit codes."""
+    """Map exceptions to the documented exit codes.
+
+    Only the input and configuration errors exit 2; anything else is a bug
+    and surfaces with its traceback rather than posing as bad input.
+    """
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
@@ -73,8 +77,7 @@ def _cli_errors(fn):
         except SamplerError as exc:
             click.echo(f"sampler error: {exc}", err=True)
             sys.exit(3)
-        except (DataError, ConfigError, ValueError, KeyError, OSError,
-                json.JSONDecodeError) as exc:
+        except (DataError, ConfigError, OSError, json.JSONDecodeError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
     return wrapper
@@ -122,7 +125,10 @@ def _read_manifest(fit_dir) -> dict:
     if not os.path.exists(path):
         raise DataError(f"no manifest.json in {fit_dir}; is this a fit directory?")
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path} is not a JSON object")
+    return manifest
 
 
 def _explicit_params(ctx) -> set:
@@ -204,7 +210,11 @@ def _load_indexed_chain(fit_dir, index):
     pairs = _find_chains(fit_dir)
     if index > len(pairs):
         raise DataError(f"chain index {index} out of range; found {len(pairs)} chain(s)")
-    return load_chain(*pairs[index - 1]), len(pairs)
+    chain = load_chain(*pairs[index - 1])
+    if chain.n_stored < 2:
+        raise DataError(f"{pairs[index - 1][0]} holds {chain.n_stored} draw(s); "
+                        f"need at least 2")
+    return chain, len(pairs)
 
 
 @click.group()
@@ -338,12 +348,16 @@ def _reingest_from_manifest(fit_dir, manifest, meta, data, covariates, rainfall)
         recorded = manifest.get("inputs", {}).get(role)
         if recorded is None:
             raise DataError(f"manifest records no {role!r} input; pass --{role}")
-        path = recorded["path"]
+        try:
+            path, recorded_digest = recorded["path"], recorded["sha256"]
+        except (KeyError, TypeError):
+            raise DataError(f"manifest input {role!r} lacks a path or sha256; "
+                            f"pass --{role}") from None
         if not os.path.exists(path):
             raise DataError(f"recorded {role} input {path} no longer exists; "
                             f"pass --{role}")
         digest = _sha256(path)
-        if digest != recorded["sha256"]:
+        if digest != recorded_digest:
             raise DataError(f"{role} input {path} changed since the fit "
                             f"(sha256 mismatch); pass --{role} to override")
         paths[role] = path

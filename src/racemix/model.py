@@ -113,7 +113,10 @@ class PriorConfig:
         unknown = set(d) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise ConfigError(f"unknown prior fields: {sorted(unknown)}")
-        cfg = cls(**{k: float(v) for k, v in d.items()})
+        try:
+            cfg = cls(**{k: float(v) for k, v in d.items()})
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"prior values must be numbers: {exc}") from None
         cfg.validate()
         return cfg
 
@@ -149,7 +152,10 @@ class McmcSchedule:
         unknown = set(d) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise ConfigError(f"unknown mcmc fields: {sorted(unknown)}")
-        sched = cls(**{k: int(v) for k, v in d.items()})
+        try:
+            sched = cls(**{k: int(v) for k, v in d.items()})
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"mcmc values must be integers: {exc}") from None
         sched.validate()
         return sched
 
@@ -190,13 +196,17 @@ class ModelConfig:
         unknown = set(d) - {"response", "include_windspeed", "priors", "mcmc", "d_bar", "w_bar"}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        try:
+            d_bar = None if d.get("d_bar") is None else float(d["d_bar"])
+            w_bar = None if d.get("w_bar") is None else float(d["w_bar"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"d_bar and w_bar must be numbers: {exc}") from None
         cfg = cls(
             response=d.get("response", RESPONSE_LOG_TIME),
             include_windspeed=bool(d.get("include_windspeed", False)),
             priors=PriorConfig.from_dict(d.get("priors", {})),
             mcmc=McmcSchedule.from_dict(d.get("mcmc", {})),
-            d_bar=None if d.get("d_bar") is None else float(d["d_bar"]),
-            w_bar=None if d.get("w_bar") is None else float(d["w_bar"]),
+            d_bar=d_bar, w_bar=w_bar,
         )
         cfg.validate()
         return cfg

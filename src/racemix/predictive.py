@@ -31,7 +31,7 @@ from .ingest import (
     parse_month,
     previous_month,
 )
-from .model import RESPONSE_LOG_PACE, RESPONSE_LOG_TIME, ParameterState
+from .model import RESPONSE_LOG_PACE, RESPONSE_LOG_TIME, ConfigError, ParameterState
 from .sampler import ChainOutput
 
 PPC_CHUNK = 2048
@@ -90,33 +90,38 @@ class SyntheticSpec:
         for name in ("n_athletes", "n_courses", "n_seasons", "n_races",
                      "mean_finishers"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.n_races > self.n_courses * self.n_seasons:
-            raise ValueError(
+            raise ConfigError(
                 f"n_races={self.n_races} exceeds the {self.n_courses}x"
                 f"{self.n_seasons} distinct (course, season) pairs")
         if self.n_seasons > 80:
-            raise ValueError("season labels support at most 80 seasons")
+            raise ConfigError("season labels support at most 80 seasons")
         for name in ("distance_range", "windspeed_range", "rainfall_range"):
+            if len(getattr(self, name)) != 2:
+                raise ConfigError(f"{name} must be a (low, high) pair")
             lo, hi = getattr(self, name)
             if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
-                raise ValueError(f"bad {name}: ({lo}, {hi})")
+                raise ConfigError(f"bad {name}: ({lo}, {hi})")
         if self.distance_range[0] <= 0.0:
-            raise ValueError("distances must be positive")
+            raise ConfigError("distances must be positive")
         if self.windspeed_range[0] < 0.0 or self.rainfall_range[0] < 0.0:
-            raise ValueError("windspeed and rainfall must be nonnegative")
+            raise ConfigError("windspeed and rainfall must be nonnegative")
         if self.response not in (RESPONSE_LOG_TIME, RESPONSE_LOG_PACE):
-            raise ValueError(f"unknown response {self.response!r}")
+            raise ConfigError(f"unknown response {self.response!r}")
         if self.sex not in ("M", "F"):
-            raise ValueError(f"sex must be M or F, got {self.sex!r}")
-        self.truth.validate()
+            raise ConfigError(f"sex must be M or F, got {self.sex!r}")
+        try:
+            self.truth.validate()
+        except ValueError as exc:
+            raise ConfigError(f"truth: {exc}") from None
         for name, want in (("athlete_effects", self.n_athletes),
                            ("course_effects", self.n_courses),
                            ("season_effects", self.n_seasons)):
             vec = getattr(self.truth, name)
             if vec.size not in (0, want):
-                raise ValueError(f"truth.{name} must be empty or length {want}, "
-                                 f"got {vec.size}")
+                raise ConfigError(f"truth.{name} must be empty or length {want}, "
+                                  f"got {vec.size}")
 
     def to_dict(self) -> dict:
         return {
@@ -133,21 +138,26 @@ class SyntheticSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticSpec":
         base = cls()
-        spec = cls(
-            n_athletes=int(d.get("n_athletes", base.n_athletes)),
-            n_courses=int(d.get("n_courses", base.n_courses)),
-            n_seasons=int(d.get("n_seasons", base.n_seasons)),
-            n_races=int(d.get("n_races", base.n_races)),
-            mean_finishers=int(d.get("mean_finishers", base.mean_finishers)),
-            truth=(ParameterState.from_dict(d["truth"]) if "truth" in d
-                   else _default_truth()),
-            distance_range=tuple(d.get("distance_range", base.distance_range)),
-            windspeed_range=tuple(d.get("windspeed_range", base.windspeed_range)),
-            rainfall_range=tuple(d.get("rainfall_range", base.rainfall_range)),
-            seed=int(d.get("seed", base.seed)),
-            sex=d.get("sex", base.sex),
-            response=d.get("response", base.response),
-        )
+        try:
+            spec = cls(
+                n_athletes=int(d.get("n_athletes", base.n_athletes)),
+                n_courses=int(d.get("n_courses", base.n_courses)),
+                n_seasons=int(d.get("n_seasons", base.n_seasons)),
+                n_races=int(d.get("n_races", base.n_races)),
+                mean_finishers=int(d.get("mean_finishers", base.mean_finishers)),
+                truth=(ParameterState.from_dict(d["truth"]) if "truth" in d
+                       else _default_truth()),
+                distance_range=tuple(d.get("distance_range", base.distance_range)),
+                windspeed_range=tuple(d.get("windspeed_range", base.windspeed_range)),
+                rainfall_range=tuple(d.get("rainfall_range", base.rainfall_range)),
+                seed=int(d.get("seed", base.seed)),
+                sex=d.get("sex", base.sex),
+                response=d.get("response", base.response),
+            )
+        except KeyError as exc:
+            raise ConfigError(f"spec is missing field {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad spec value: {exc}") from None
         spec.validate()
         return spec
 

@@ -1,22 +1,28 @@
-"""MCMC engine: conjugate Gibbs updates plus slice sampling for phi.
+"""MCMC engine: one exact Gaussian block for the locations, then Gibbs and slice.
 
-Every parameter except the rainfall carryover ratio phi has a closed-form
-Normal or Gamma full conditional, so a sweep is almost entirely direct
-Gibbs draws.  phi's conditional (gamma prior kernel times the Normal
-likelihood of the previous-month rainfall coefficient) is nonstandard and
-is updated by slice sampling with stepping out and shrinkage.
+Every covariate except the athlete is constant within a race, so the
+race-level location parameters beta = (intercept, gamma_dist,
+lambda_wind when fitted, rho_cur, rho_prev, course[1:], season[1:])
+enter the likelihood only through the R distinct races.  Given the
+precisions, m_rho and phi, beta and the free athlete effects are jointly
+Gaussian.  A sweep visits, in order:
 
-A sweep visits, in order: intercept, fixed effects (distance, windspeed
-when enabled, current rainfall, previous rainfall), the athlete, course
-and season blocks, the rainfall hyper-mean, phi, and finally the four
-precisions with the observation precision last.  Sweep order does not
-affect the stationary distribution; this one just groups the cheap scalar
-refreshes together.
+1. the location block: beta from its conditional with the free athletes
+   integrated out (one Cholesky factorisation of a p x p precision built
+   from race-level statistics), then the athletes given beta;
+2. the rainfall hyper-mean m_rho (Normal) and the carryover ratio phi,
+   whose conditional is nonstandard and is updated by slice sampling with
+   stepping out and shrinkage;
+3. the athlete, course, season and observation precisions (Gamma), the
+   last from the residual sum of squares recomputed from the new state.
 
-Residuals are carried incrementally through the sweep and recomputed from
-scratch every RESIDUAL_REFRESH sweeps to bound floating-point drift.
-Chains are deterministic given a seed; independent chains get
-SeedSequence-spawned child seeds.
+The race-level statistics are built once per chain (LocationBlock), and
+no residual vector is carried between sweeps.  Drawing beta and the
+athletes together removes the strong posterior correlations between the
+intercept, the uncentred rainfall coefficients and the athlete effects
+that single-site updates mix slowly through.  Chains are deterministic
+given a seed; independent chains get SeedSequence-spawned child seeds,
+recorded in each chain's metadata so any one chain can be replayed alone.
 """
 from __future__ import annotations
 
@@ -29,10 +35,11 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .ingest import DesignMatrixView
-from .model import ModelConfig, ParameterState, linear_predictor_all
+from .ingest import DataError, DesignMatrixView
+from .model import ModelConfig, ParameterState
+# not called by the sweep; perfbench/tracing.py wraps it by this name here
+from .model import linear_predictor_all  # noqa: F401
 
-RESIDUAL_REFRESH = 1000
 SLICE_WIDTH = 0.5
 SLICE_MAX_STEPS = 50
 
@@ -58,6 +65,10 @@ def gibbs_scalar_normal(prior_mean, prior_var, xs, residuals, tau_obs, rng) -> f
     `residuals` must exclude this coefficient's own contribution; `xs` is
     the covariate it multiplies (all ones for the intercept).  With no
     data the draw comes from the prior.
+
+    The sweep draws the coefficients jointly (LocationBlock); this
+    single-coordinate conditional stays because the grid oracles check
+    it and perfbench/tracing.py wraps it by name.
     """
     if prior_var <= 0.0:
         raise SamplerError(f"prior variance must be positive, got {prior_var}")
@@ -174,6 +185,131 @@ def slice_update_phi(phi_current, rho_prev, m_rho, v_rho_prev, a_phi, b_phi, rng
     raise SamplerError(f"slice shrinkage failed to accept near phi={phi_current}")
 
 
+class LocationBlock:
+    """The joint conditional of every location parameter, from race statistics.
+
+    A race is a (course, season) pair, whose observations share the
+    centred distance, centred windspeed and both rainfalls; X is the
+    R x p design of the races for beta = (intercept, gamma_dist,
+    [lambda_wind], rho_cur, rho_prev, course[1:], season[1:]).  With N the
+    race sizes, S_yr the race sums of y, M the race x athlete count matrix,
+    G = M'X, and n_a / S_ya the athletes' counts and sums of y, the free
+    athletes integrate out of the joint Gaussian in closed form:
+
+        Q = tau X'NX + P0 - G~'G~,   b = tau X'S_yr + P0 m0 - G~'(w S_ya)
+
+    where w = tau / sqrt(tau n_a + tau_athlete) over the free athletes, G~
+    is G scaled row-wise by w, and P0, m0 are beta's prior precisions and
+    means.  Athletes with the same count n_a share w, so G~'G~ and
+    G~'(w S_ya) are sums over the distinct counts of w^2 times fixed
+    moments of [G | S_ya].  Q and b are therefore one fixed basis
+    (`basis`) times a short coefficient vector, built in O(R p^2) whatever
+    the number of observations or athletes.
+
+    The basis is kept in units of the columns' weighted norms sqrt(X'NX),
+    so Q is well scaled however different the covariates' scales are
+    (rainfall in mm against indicators); `unit` converts back.
+    """
+
+    def __init__(self, design: DesignMatrixView, config: ModelConfig):
+        pr = config.priors
+        la = len(design.athletes)
+        lc, ls = len(design.courses), len(design.seasons)
+        covariates = [design.x_dist] + ([design.x_wind] if config.include_windspeed else [])
+        covariates = np.column_stack(covariates + [design.rain_cur, design.rain_prev])
+        keys, first, race_idx = np.unique(design.course_idx * ls + design.season_idx,
+                                          return_index=True, return_inverse=True)
+        self.race_idx = race_idx
+        if not np.array_equal(covariates, covariates[first][race_idx]):
+            raise DataError("race covariates differ between observations of one race")
+        n_races = keys.size
+        course = np.eye(lc)[keys // ls, 1:]
+        season = np.eye(ls)[keys % ls, 1:]
+        self.x = np.column_stack([np.ones(n_races), covariates[first], course, season])
+        k = 1 + covariates.shape[1]  # first course[1:] column
+        self.scalars = _scalar_columns(config.include_windspeed)[:k]
+        self.course = slice(k, k + lc - 1)
+        self.season = slice(k + lc - 1, self.x.shape[1])
+        p = self.x.shape[1]
+
+        race_n = np.bincount(self.race_idx, minlength=n_races).astype(float)
+        race_y = np.bincount(self.race_idx, weights=design.y, minlength=n_races)
+        athlete_race = np.bincount(design.athlete_idx * n_races + self.race_idx,
+                                   minlength=la * n_races).reshape(la, n_races)  # M'
+        self.g = athlete_race @ self.x
+        self.n_a = athlete_race.sum(axis=1).astype(float)
+        self.s_ya = np.bincount(design.athlete_idx, weights=design.y, minlength=la)
+
+        # each basis matrix is (p + 1) x (p + 1): Q in [:p, :p], b in [p, :p]
+        x1 = np.column_stack([self.x, np.zeros(n_races)])
+        data = x1.T @ (race_n[:, None] * x1)  # coefficient tau
+        data[p] = x1.T @ race_y
+        # coefficient -w^2 for each distinct count of the free athletes
+        self.distinct_counts, group = np.unique(self.n_a[1:], return_inverse=True)
+        stats = np.column_stack([self.g, self.s_ya])[1:]
+        moments = [stats[group == j].T @ stats[group == j]
+                   for j in range(self.distinct_counts.size)]
+        # prior terms, coefficients (1, tau_course, tau_season, m_rho, phi m_rho)
+        prior = np.zeros((5, p + 1, p + 1))
+        fixed = [(pr.m_intercept, pr.v_intercept), (pr.m_gamma_dist, pr.v_gamma_dist)]
+        if config.include_windspeed:
+            fixed.append((pr.m_lambda_wind, pr.v_lambda_wind))
+        for j, (mean, var) in enumerate(fixed):
+            prior[0, j, j] = 1.0 / var
+            prior[0, p, j] = mean / var
+        j = len(fixed)  # rho_cur ~ N(m_rho, v_rho_cur), rho_prev ~ N(phi m_rho, v_rho_prev)
+        prior[0, j, j] = prior[3, p, j] = 1.0 / pr.v_rho_cur
+        prior[0, j + 1, j + 1] = prior[4, p, j + 1] = 1.0 / pr.v_rho_prev
+        levels = np.arange(p)
+        prior[1, levels[self.course], levels[self.course]] = 1.0
+        prior[2, levels[self.season], levels[self.season]] = 1.0
+        basis = np.concatenate([[data], -np.array(moments).reshape(-1, p + 1, p + 1), prior])
+        norms = np.sqrt(data.diagonal()[:p])
+        self.unit = 1.0 / np.where(norms > 0.0, norms, 1.0)
+        unit = np.append(self.unit, 1.0)
+        self.basis = (basis * unit[:, None] * unit).reshape(basis.shape[0], -1)
+
+    def precision(self, state: ParameterState) -> tuple[np.ndarray, np.ndarray]:
+        """Q and b of the conditional N(Q^-1 b, Q^-1) of beta / unit.
+
+        The free athletes are integrated out.  In beta's own units these
+        are Q / (unit unit') and b / unit.
+        """
+        tau = state.tau_obs
+        coef = np.concatenate((
+            [tau], tau * tau / (tau * self.distinct_counts + state.tau_athlete),
+            [1.0, state.tau_course, state.tau_season, state.m_rho, state.phi * state.m_rho]))
+        p = self.x.shape[1]
+        qb = (coef @ self.basis).reshape(p + 1, p + 1)
+        return qb[:p, :p], qb[p, :p]
+
+    def draw(self, state: ParameterState, rng) -> np.ndarray:
+        """Redraw beta and the athlete effects of `state` jointly; returns X beta.
+
+        beta = Q^-1 (b + L z) with L L' = Q is N(Q^-1 b, Q^-1): one
+        Cholesky factorisation and one solve, in the scaled units.  The
+        athletes are then drawn from their conditional given beta.
+        """
+        q, b = self.precision(state)
+        try:
+            if not q.diagonal().min() > 0.0:  # NaN included
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            chol = np.linalg.cholesky(q)
+            beta = self.unit * np.linalg.solve(q, b + chol @ rng.standard_normal(b.size))
+        except np.linalg.LinAlgError as exc:
+            raise SamplerError(
+                f"location block precision is not positive definite ({exc}) at "
+                f"tau_obs={state.tau_obs!r} tau_athlete={state.tau_athlete!r} "
+                f"tau_course={state.tau_course!r} tau_season={state.tau_season!r}") from exc
+        for name, value in zip(self.scalars, beta.tolist()):
+            setattr(state, name, value)
+        state.course_effects[1:] = beta[self.course]
+        state.season_effects[1:] = beta[self.season]
+        state.athlete_effects = gibbs_random_effect(self.s_ya - self.g @ beta, self.n_a,
+                                                    state.tau_obs, state.tau_athlete, rng)
+        return self.x @ beta
+
+
 @dataclass
 class ChainMeta:
     """Fit metadata stored alongside the draws."""
@@ -190,22 +326,30 @@ class ChainMeta:
     courses: tuple[str, ...]
     seasons: tuple[str, ...]
     version: str = __version__
+    # this chain's own SeedSequence: SeedSequence(seed_entropy,
+    # spawn_key=seed_spawn_key) replays it alone (None in older metadata)
+    seed_entropy: int | None = None
+    seed_spawn_key: tuple[int, ...] | None = None
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        for key in ("athletes", "courses", "seasons"):
-            d[key] = list(d[key])
+        for key in ("athletes", "courses", "seasons", "seed_spawn_key"):
+            if d[key] is not None:
+                d[key] = list(d[key])
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChainMeta":
+        entropy, spawn_key = d.get("seed_entropy"), d.get("seed_spawn_key")
         return cls(
             seed=int(d["seed"]), burn_in=int(d["burn_in"]),
             iterations=int(d["iterations"]), thin=int(d["thin"]),
             response=d["response"], include_windspeed=bool(d["include_windspeed"]),
             d_bar=float(d["d_bar"]), w_bar=float(d["w_bar"]),
             athletes=tuple(d["athletes"]), courses=tuple(d["courses"]),
-            seasons=tuple(d["seasons"]), version=d.get("version", "unknown"))
+            seasons=tuple(d["seasons"]), version=d.get("version", "unknown"),
+            seed_entropy=None if entropy is None else int(entropy),
+            seed_spawn_key=None if spawn_key is None else tuple(int(k) for k in spawn_key))
 
 
 @functools.cache  # state_row runs once per stored draw
@@ -298,119 +442,60 @@ def run_chain(design: DesignMatrixView, config: ModelConfig, rng_seed=None) -> C
 
     pr = config.priors
     sched = config.mcmc
-    seed = sched.seed if rng_seed is None else rng_seed
-    rng = np.random.default_rng(seed)
+    seed_seq = (rng_seed if isinstance(rng_seed, np.random.SeedSequence)
+                else np.random.SeedSequence(sched.seed if rng_seed is None else rng_seed))
+    rng = np.random.default_rng(seed_seq)
 
     y = design.y
     n = y.size
     a_idx = design.athlete_idx
-    c_idx = design.course_idx
-    s_idx = design.season_idx
     la, lc, ls = len(design.athletes), len(design.courses), len(design.seasons)
-    n_a = np.bincount(a_idx, minlength=la).astype(float)
-    n_c = np.bincount(c_idx, minlength=lc).astype(float)
-    n_s = np.bincount(s_idx, minlength=ls).astype(float)
-    ones = np.ones(n)
-    xd = design.x_dist
-    xw = design.x_wind
-    rc = design.rain_cur
-    rp = design.rain_prev
-    use_wind = config.include_windspeed
+    block = LocationBlock(design, config)
 
-    # deterministic start: data mean intercept, everything else flat
-    intercept = float(np.mean(y))
-    gamma = 0.0
-    lam_w = 0.0 if use_wind else None
-    rho_c = 0.0
-    rho_p = 0.0
-    m_rho = 0.0
-    phi = pr.a_phi / pr.b_phi
-    tau = tau_a = tau_c = tau_s = 1.0
-    a_eff = np.zeros(la)
-    c_eff = np.zeros(lc)
-    s_eff = np.zeros(ls)
-
-    def current_state():
-        return ParameterState(
-            intercept=intercept, athlete_effects=a_eff, course_effects=c_eff,
-            season_effects=s_eff, gamma_dist=gamma, rho_cur=rho_c, rho_prev=rho_p,
-            m_rho=m_rho, phi=phi, tau_obs=tau, tau_athlete=tau_a,
-            tau_course=tau_c, tau_season=tau_s, lambda_wind=lam_w)
-
-    e = y - linear_predictor_all(current_state(), design)
+    # deterministic start; the first block draw replaces every location value
+    state = ParameterState(
+        intercept=0.0, athlete_effects=np.zeros(la),
+        course_effects=np.zeros(lc), season_effects=np.zeros(ls),
+        gamma_dist=0.0, rho_cur=0.0, rho_prev=0.0, m_rho=0.0, phi=pr.a_phi / pr.b_phi,
+        tau_obs=1.0, tau_athlete=1.0, tau_course=1.0, tau_season=1.0,
+        lambda_wind=0.0 if config.include_windspeed else None)
 
     total = sched.burn_in + sched.iterations
-    n_stored = sched.n_stored
     meta = ChainMeta(
-        seed=int(seed) if isinstance(seed, (int, np.integer)) else sched.seed,
+        seed=int(rng_seed) if isinstance(rng_seed, (int, np.integer)) else sched.seed,
+        seed_entropy=seed_seq.entropy,
+        seed_spawn_key=tuple(seed_seq.spawn_key),
         burn_in=sched.burn_in, iterations=sched.iterations, thin=sched.thin,
-        response=design.response, include_windspeed=use_wind,
+        response=design.response, include_windspeed=config.include_windspeed,
         d_bar=design.d_bar, w_bar=design.w_bar,
         athletes=design.athletes, courses=design.courses, seasons=design.seasons)
     columns = parameter_columns(meta)
-    draws = np.empty((n_stored, len(columns)))
+    draws = np.empty((sched.n_stored, len(columns)))
     row = 0
 
     try:
         for sweep in range(1, total + 1):
-            if sweep % RESIDUAL_REFRESH == 0:
-                e = y - linear_predictor_all(current_state(), design)
+            race_means = block.draw(state, rng)
 
-            e += intercept
-            intercept = gibbs_scalar_normal(pr.m_intercept, pr.v_intercept,
-                                            ones, e, tau, rng)
-            e -= intercept
+            state.m_rho = gibbs_hypermean(state.rho_cur, state.rho_prev, state.phi,
+                                          pr.v_rho_cur, pr.v_rho_prev, pr.v_m_rho, rng)
+            state.phi = slice_update_phi(state.phi, state.rho_prev, state.m_rho,
+                                         pr.v_rho_prev, pr.a_phi, pr.b_phi, rng)
 
-            e += gamma * xd
-            gamma = gibbs_scalar_normal(pr.m_gamma_dist, pr.v_gamma_dist,
-                                        xd, e, tau, rng)
-            e -= gamma * xd
-
-            if use_wind:
-                e += lam_w * xw
-                lam_w = gibbs_scalar_normal(pr.m_lambda_wind, pr.v_lambda_wind,
-                                            xw, e, tau, rng)
-                e -= lam_w * xw
-
-            e += rho_c * rc
-            rho_c = gibbs_scalar_normal(m_rho, pr.v_rho_cur, rc, e, tau, rng)
-            e -= rho_c * rc
-
-            e += rho_p * rp
-            rho_p = gibbs_scalar_normal(phi * m_rho, pr.v_rho_prev, rp, e, tau, rng)
-            e -= rho_p * rp
-
-            e += a_eff[a_idx]
-            sums = np.bincount(a_idx, weights=e, minlength=la)
-            a_eff = gibbs_random_effect(sums, n_a, tau, tau_a, rng)
-            e -= a_eff[a_idx]
-
-            e += c_eff[c_idx]
-            sums = np.bincount(c_idx, weights=e, minlength=lc)
-            c_eff = gibbs_random_effect(sums, n_c, tau, tau_c, rng)
-            e -= c_eff[c_idx]
-
-            e += s_eff[s_idx]
-            sums = np.bincount(s_idx, weights=e, minlength=ls)
-            s_eff = gibbs_random_effect(sums, n_s, tau, tau_s, rng)
-            e -= s_eff[s_idx]
-
-            m_rho = gibbs_hypermean(rho_c, rho_p, phi,
-                                    pr.v_rho_cur, pr.v_rho_prev, pr.v_m_rho, rng)
-            phi = slice_update_phi(phi, rho_p, m_rho, pr.v_rho_prev,
-                                   pr.a_phi, pr.b_phi, rng)
-
-            tau_a = gibbs_precision(pr.a_tau_athlete, pr.b_tau_athlete,
-                                    float(a_eff[1:] @ a_eff[1:]), la - 1, rng)
-            tau_c = gibbs_precision(pr.a_tau_course, pr.b_tau_course,
-                                    float(c_eff[1:] @ c_eff[1:]), lc - 1, rng)
-            tau_s = gibbs_precision(pr.a_tau_season, pr.b_tau_season,
-                                    float(s_eff[1:] @ s_eff[1:]), ls - 1, rng)
-            tau = gibbs_precision(pr.a_tau_obs, pr.b_tau_obs,
-                                  float(e @ e), n, rng)
+            a_free = state.athlete_effects[1:]
+            c_free = state.course_effects[1:]
+            s_free = state.season_effects[1:]
+            state.tau_athlete = gibbs_precision(pr.a_tau_athlete, pr.b_tau_athlete,
+                                                float(a_free @ a_free), la - 1, rng)
+            state.tau_course = gibbs_precision(pr.a_tau_course, pr.b_tau_course,
+                                               float(c_free @ c_free), lc - 1, rng)
+            state.tau_season = gibbs_precision(pr.a_tau_season, pr.b_tau_season,
+                                               float(s_free @ s_free), ls - 1, rng)
+            e = y - state.athlete_effects[a_idx] - race_means[block.race_idx]
+            state.tau_obs = gibbs_precision(pr.a_tau_obs, pr.b_tau_obs, float(e @ e), n, rng)
 
             if sweep > sched.burn_in and (sweep - sched.burn_in) % sched.thin == 0:
-                draws[row] = state_row(current_state())
+                draws[row] = state_row(state)
                 row += 1
     except SamplerError as exc:
         raise SamplerError(f"sweep {sweep}: {exc}") from exc
@@ -463,13 +548,20 @@ def load_chain(csv_path, meta_path) -> ChainOutput:
     """Reload a persisted chain; floats round-trip exactly."""
     with open(meta_path, "r", encoding="utf-8") as fh:
         meta_dict = json.load(fh)
-    meta = ChainMeta.from_dict(meta_dict)
+    try:
+        meta = ChainMeta.from_dict(meta_dict)
+    except KeyError as exc:
+        raise DataError(f"{meta_path}: missing metadata field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{meta_path}: bad metadata value: {exc}") from None
     with open(csv_path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        rows = [[float(cell) for cell in line.rstrip("\n").split(",")]
-                for line in fh if line.strip()]
-    draws = np.array(rows, dtype=float) if rows else np.empty((0, len(header)))
-    expected = parameter_columns(meta)
-    if tuple(header) != expected:
-        raise SamplerError("chain CSV columns do not match metadata")
+        try:
+            rows = [[float(cell) for cell in line.rstrip("\n").split(",")]
+                    for line in fh if line.strip()]
+            draws = np.array(rows, dtype=float) if rows else np.empty((0, len(header)))
+        except ValueError as exc:
+            raise DataError(f"{csv_path}: {exc}") from None
+    if tuple(header) != parameter_columns(meta):
+        raise DataError(f"{csv_path}: chain CSV columns do not match metadata")
     return ChainOutput(draws=draws, columns=tuple(header), meta=meta)

@@ -73,6 +73,11 @@ def conditional_ks(name, design, state, priors, n_draws, seed) -> float:
         slice_update_phi,
     )
 
+    if name == "location_block":
+        worst_ks, cov_excess = location_block_check(design, state, priors, n_draws, seed)
+        assert cov_excess < 1.0, f"whitened covariance off I by {cov_excess:.2f} x 5/sqrt(N)"
+        return worst_ks
+
     rng = np.random.default_rng(seed)
     tau = state.tau_obs
 
@@ -191,6 +196,64 @@ def conditional_ks(name, design, state, priors, n_draws, seed) -> float:
     logd = coordinate_log_posterior(state, design, priors, setter, grid)
     cdf = grid_cdf(grid, logd, left_bounded=bounded)
     return ks_to_grid(draws, grid, cdf)
+
+
+LOCATION_SCALARS = ("intercept", "gamma_dist", "lambda_wind", "rho_cur", "rho_prev")
+LOCATION_BLOCKS = ("athlete_effects[", "course_effects[", "season_effects[")
+
+
+def _location_entries(state, design, priors):
+    """analytic_gradient's (label, getter, setter, grad) for the location coordinates."""
+    return [entry for entry in analytic_gradient(state, design, priors)
+            if entry[0] in LOCATION_SCALARS or entry[0].startswith(LOCATION_BLOCKS)]
+
+
+def location_block_check(design, state, priors, n_draws, seed):
+    """The joint location draw against its exact Gaussian conditional.
+
+    The log posterior is quadratic in the location coordinates (intercept,
+    gamma_dist, lambda_wind, both rainfall coefficients, every free effect
+    level), so its gradient (analytic_gradient) and its Hessian (central
+    differences of that gradient, exact for any step) give the conditional
+    precision P and mean x + P^-1 g.  n_draws joint draws with every other
+    parameter frozen are whitened with the Cholesky factor of P.
+
+    Returns the worst KS distance of a whitened coordinate against N(0, 1),
+    and the worst entry of |whitened covariance - I| in units of 5/sqrt(N).
+    """
+    from scipy import stats as sps
+
+    from racemix.model import ModelConfig
+    from racemix.sampler import LocationBlock
+
+    entries = _location_entries(state, design, priors)
+    x0 = np.array([get(state) for _, get, _, _ in entries])
+    grad = np.array([g for *_, g in entries])
+    step = 1.0  # the gradient is affine: the difference quotient is exact
+    hessian = np.empty((x0.size, x0.size))
+    for j, (_, _, set_j, _) in enumerate(entries):
+        sides = []
+        for sign in (1.0, -1.0):
+            work = state.copy()
+            set_j(work, x0[j] + sign * step)
+            sides.append(np.array([g for *_, g in _location_entries(work, design, priors)]))
+        hessian[:, j] = (sides[0] - sides[1]) / (2.0 * step)
+    precision = -0.5 * (hessian + hessian.T)
+    mean = x0 + np.linalg.solve(precision, grad)
+
+    config = ModelConfig(include_windspeed=state.lambda_wind is not None, priors=priors)
+    block = LocationBlock(design, config)
+    rng = np.random.default_rng(seed)
+    work = state.copy()
+    draws = np.empty((n_draws, x0.size))
+    for i in range(n_draws):
+        block.draw(work, rng)
+        draws[i] = [get(work) for _, get, _, _ in entries]
+    white = (draws - mean) @ np.linalg.cholesky(precision)
+    worst_ks = max(sps.kstest(white[:, j], "norm").statistic for j in range(x0.size))
+    cov = white.T @ white / n_draws
+    cov_excess = np.abs(cov - np.eye(x0.size)).max() / (5.0 / np.sqrt(n_draws))
+    return float(worst_ks), float(cov_excess)
 
 
 def ar1_chain(n, rho, seed) -> np.ndarray:

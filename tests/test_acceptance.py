@@ -47,13 +47,18 @@ from _oracles import ar1_chain, conditional_ks
 
 NEHL_ENV = "RACEMIX_NEHL_DIR"
 
-# every conditional update type the sampler performs
+# every conditional update type the sampler performs (location_block,
+# athlete_level given it, m_rho, phi, the precisions), plus the
+# single-coordinate location conditionals
 ALL_UPDATES = (
     "intercept", "gamma_dist", "rho_cur", "rho_prev",
     "athlete_level", "course_level", "season_level",
     "m_rho", "phi",
     "tau_athlete", "tau_course", "tau_season", "tau_obs",
+    "location_block",
 )
+# also checked with the windspeed term fitted
+WIND_UPDATES = ("location_block",)
 
 RECOVERY_PARAMS = ("gamma_dist", "rho_cur", "rho_prev",
                    "tau_obs", "tau_athlete", "tau_course")
@@ -76,17 +81,18 @@ def test_effect_conversion_reproduction(capfd):
 
 
 def test_conditional_sampler_oracle(capfd):
-    design = make_toy_design()
-    state = make_toy_state()
+    cases = ([(name, False) for name in ALL_UPDATES]
+             + [(name, True) for name in WIND_UPDATES])
     worst_name, worst_ks = "", 0.0
-    for i, name in enumerate(ALL_UPDATES):
-        ks = conditional_ks(name, design, state, PriorConfig(), 100_000,
-                            seed=7000 + i)
+    for i, (name, wind) in enumerate(cases):
+        ks = conditional_ks(name, make_toy_design(include_windspeed=wind),
+                            make_toy_state(include_windspeed=wind), PriorConfig(),
+                            100_000, seed=7000 + i)
         if ks > worst_ks:
-            worst_name, worst_ks = name, ks
+            worst_name, worst_ks = name + (" (windspeed)" if wind else ""), ks
     ok = worst_ks < 0.02
     _verdict(capfd, ok, "conditional updates vs grid posterior",
-             f"{len(ALL_UPDATES)} update types x 1e5 draws, worst KS "
+             f"{len(cases)} conditionals x 1e5 draws, worst KS "
              f"{worst_ks:.4f} ({worst_name}), tol 0.02")
 
 

@@ -13,8 +13,10 @@ import pytest
 from click.testing import CliRunner
 
 from racemix.cli import main
+from racemix.ingest import build_design, parse_races, parse_rainfall, parse_results
+from racemix.model import ModelConfig
 from racemix.predictive import SyntheticSpec, simulate_dataset
-from racemix.sampler import SamplerError
+from racemix.sampler import SamplerError, run_chain, save_chain
 
 FIT_ARGS = ["--burn-in", "200", "--iterations", "1200", "--thin", "5"]
 
@@ -167,6 +169,46 @@ def test_fit_sampler_failure_exits_3(dataset_dir, tmp_path, monkeypatch):
     assert "sampler error" in result.output
 
 
+def test_fit_location_block_failure_exits_3(dataset_dir, tmp_path, monkeypatch):
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    result = _run(["fit", *_data_args(dataset_dir), *FIT_ARGS,
+                   "--out", str(tmp_path / "out")])
+    assert result.exit_code == 3
+    assert "sampler error: sweep 1: location block" in result.output
+    assert "tau_obs=" in result.output
+
+
+def test_fit_internal_value_error_is_not_an_input_error(dataset_dir, tmp_path,
+                                                        monkeypatch):
+    def bug(*args, **kwargs):
+        raise ValueError("an internal bug")
+    monkeypatch.setattr("racemix.cli.run_chains", bug)
+    result = CliRunner().invoke(main, ["fit", *_data_args(dataset_dir), *FIT_ARGS,
+                                       "--out", str(tmp_path / "out")])
+    assert result.exit_code != 2
+    assert isinstance(result.exception, ValueError)
+
+
+def test_fit_chain_replays_alone_from_its_metadata(dataset_dir, tmp_path):
+    out = tmp_path / "fit"
+    assert _run(["fit", *_data_args(dataset_dir), *FIT_ARGS, "--chains", "2",
+                 "--seed", "6", "--out", str(out)]).exit_code == 0
+    meta = json.loads((out / "metadata_02.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text())
+    config = ModelConfig.from_dict(manifest["config"]["model"])
+    design = build_design(
+        parse_results(dataset_dir / "results.csv", manifest["config"]["sex"]),
+        parse_races(dataset_dir / "races.csv"),
+        parse_rainfall(dataset_dir / "rainfall.csv"), config)
+    seed = np.random.SeedSequence(meta["seed_entropy"], spawn_key=meta["seed_spawn_key"])
+    save_chain(run_chain(design, config, rng_seed=seed),
+               tmp_path / "chain.csv", tmp_path / "metadata.json")
+    assert (tmp_path / "chain.csv").read_bytes() == (out / "chain_02.csv").read_bytes()
+    assert (tmp_path / "metadata.json").read_bytes() == (out / "metadata_02.json").read_bytes()
+
+
 def test_fit_config_file_precedence(dataset_dir, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -192,6 +234,17 @@ def test_fit_config_file_precedence(dataset_dir, tmp_path):
     assert meta2["response"] == "log_time"
     assert meta2["iterations"] == 800
     assert meta2["thin"] == 4
+
+
+@pytest.mark.parametrize("doc", [{"mcmc": {"seed": "x"}}, {"priors": {"v_rho_cur": "x"}},
+                                 {"d_bar": "x"}])
+def test_fit_non_numeric_config_value_exits_2(dataset_dir, tmp_path, doc):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    result = _run(["fit", *_data_args(dataset_dir), "--config", str(config),
+                   "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert "error" in result.output
 
 
 def test_fit_default_out_uses_env_root(dataset_dir, tmp_path):
@@ -228,6 +281,29 @@ def test_summarize_bad_index_exits_2(fit_dir):
 def test_summarize_non_fit_directory_exits_2(tmp_path):
     result = _run(["summarize", "--fit", str(tmp_path)])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("damage", ["one_draw", "bad_cell", "missing_meta_key"])
+def test_summarize_damaged_chain_exits_2(fit_dir, tmp_path, damage):
+    # with only input errors mapped to exit 2, damaged chain files must
+    # still surface as input errors, not as tracebacks
+    import shutil
+
+    copy = tmp_path / "fit"
+    shutil.copytree(fit_dir, copy)
+    chain, meta = copy / "chain.csv", copy / "metadata.json"
+    lines = chain.read_text().splitlines()
+    if damage == "one_draw":
+        chain.write_text("\n".join(lines[:2]) + "\n")
+    elif damage == "bad_cell":
+        chain.write_text("\n".join(lines[:3] + ["abc" + lines[3][1:]] + lines[4:]) + "\n")
+    else:
+        doc = json.loads(meta.read_text())
+        del doc["thin"]
+        meta.write_text(json.dumps(doc))
+    result = _run(["summarize", "--fit", str(copy)])
+    assert result.exit_code == 2
+    assert "error" in result.output
 
 
 # ---------------------------------------------------------------- ppc

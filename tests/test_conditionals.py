@@ -5,6 +5,8 @@ frozen; the resulting empirical CDF must sit within KS distance 0.02 of
 the density obtained by grid-normalizing exp(log_posterior) along that
 single coordinate.  This checks the derived conjugate updates against
 the joint density definition rather than against their own algebra.
+The joint location block is checked the same way after whitening with
+the exact Gaussian conditional taken from log_posterior.
 """
 import numpy as np
 import pytest
@@ -57,6 +59,18 @@ def test_conditional_lambda_wind_matches_grid_density():
     ks = conditional_ks("lambda_wind", design, state, PriorConfig(), N_DRAWS,
                         seed=321)
     assert ks < KS_TOL, f"lambda_wind: KS {ks:.4f}"
+
+
+@pytest.mark.parametrize("include_windspeed", [False, True])
+def test_location_block_matches_exact_gaussian(include_windspeed):
+    # the sweep's joint draw of every location parameter, whitened by the
+    # exact conditional precision from log_posterior: KS per coordinate and
+    # the whitened covariance (asserted inside the oracle)
+    design = make_toy_design(include_windspeed=include_windspeed)
+    state = make_toy_state(include_windspeed=include_windspeed)
+    ks = conditional_ks("location_block", design, state, PriorConfig(), N_DRAWS,
+                        seed=400 + include_windspeed)
+    assert ks < KS_TOL, f"location_block: KS {ks:.4f}"
 
 
 def test_phi_slice_preserves_the_stationary_distribution():

@@ -1,4 +1,5 @@
 """Unit tests for the Gibbs/slice update steps and the chain driver."""
+import json
 import math
 
 import numpy as np
@@ -6,9 +7,12 @@ import pytest
 
 from conftest import make_toy_design
 
+from racemix.ingest import build_design
 from racemix.model import McmcSchedule, ModelConfig
+from racemix.predictive import SyntheticSpec, simulate_dataset
 from racemix.sampler import (
     ChainOutput,
+    LocationBlock,
     SamplerError,
     gibbs_hypermean,
     gibbs_precision,
@@ -211,6 +215,91 @@ def test_slice_rejects_nonpositive_phi():
         slice_update_phi(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, np.random.default_rng(0))
 
 
+### location block
+
+
+def _observation_level_q_and_b(design, config, state):
+    """Q and b of beta's conditional from the full n x p observation design.
+
+    The joint precision and linear term of (beta, free athletes) are built
+    row by row from the observations, then the athletes are integrated
+    out with a dense Schur complement.
+    """
+    pr = config.priors
+    lc, ls = len(design.courses), len(design.seasons)
+    cols = [np.ones(design.n_obs), design.x_dist]
+    prec = [1.0 / pr.v_intercept, 1.0 / pr.v_gamma_dist]
+    lin = [pr.m_intercept / pr.v_intercept, pr.m_gamma_dist / pr.v_gamma_dist]
+    if config.include_windspeed:
+        cols.append(design.x_wind)
+        prec.append(1.0 / pr.v_lambda_wind)
+        lin.append(pr.m_lambda_wind / pr.v_lambda_wind)
+    cols += [design.rain_cur, design.rain_prev]
+    prec += [1.0 / pr.v_rho_cur, 1.0 / pr.v_rho_prev]
+    lin += [state.m_rho / pr.v_rho_cur, state.phi * state.m_rho / pr.v_rho_prev]
+    cols += [design.course_idx == c for c in range(1, lc)]
+    cols += [design.season_idx == s for s in range(1, ls)]
+    prec += [state.tau_course] * (lc - 1) + [state.tau_season] * (ls - 1)
+    lin += [0.0] * (lc + ls - 2)
+    p = len(cols)
+    athletes = [design.athlete_idx == a for a in range(1, len(design.athletes))]
+    z = np.column_stack(cols + athletes).astype(float)
+    joint = state.tau_obs * z.T @ z
+    joint[np.diag_indices(z.shape[1])] += prec + [state.tau_athlete] * len(athletes)
+    shift = state.tau_obs * z.T @ design.y
+    shift[:p] += lin
+    cross = joint[:p, p:]
+    q = joint[:p, :p] - cross @ np.linalg.solve(joint[p:, p:], cross.T)
+    b = shift[:p] - cross @ np.linalg.solve(joint[p:, p:], shift[p:])
+    return q, b
+
+
+def _default_spec_case(**config_args):
+    sim = simulate_dataset(SyntheticSpec(seed=0))
+    config = ModelConfig(**config_args)
+    design = build_design(sim.observations, sim.contexts, sim.rainfall, config)
+    state = sim.truth.copy()
+    if config.include_windspeed:
+        state.lambda_wind = 0.001
+    return design, config, state
+
+
+def _single_course_season_case():
+    from conftest import TOY_CONTEXTS, TOY_OBSERVATIONS, TOY_RAINFALL, make_toy_state
+
+    config = ModelConfig()
+    obs = [o for o in TOY_OBSERVATIONS if o.course == "Alnwick"]
+    design = build_design(obs, TOY_CONTEXTS[:1], TOY_RAINFALL, config)
+    return design, config, make_toy_state()
+
+
+@pytest.mark.parametrize("case", [
+    lambda: _default_spec_case(),
+    lambda: _default_spec_case(response="log_pace", include_windspeed=True),
+    _single_course_season_case,
+], ids=["default", "windspeed-log-pace", "single-course-season"])
+def test_location_block_race_statistics_match_observation_design(case):
+    design, config, state = case()
+    block = LocationBlock(design, config)
+    q, b = block.precision(state)  # for beta / unit
+    q_ref, b_ref = _observation_level_q_and_b(design, config, state)
+    assert q.shape == q_ref.shape
+    np.testing.assert_allclose(q, q_ref * block.unit[:, None] * block.unit, rtol=1e-10)
+    np.testing.assert_allclose(b, b_ref * block.unit, rtol=1e-10)
+
+
+def test_location_block_rejects_covariates_that_vary_within_a_race():
+    import dataclasses
+
+    from racemix.ingest import DataError
+
+    design = make_toy_design()
+    rain = design.rain_cur.copy()
+    rain[0] += 1.0  # observations 0-2 are one race
+    with pytest.raises(DataError, match="differ between observations of one race"):
+        LocationBlock(dataclasses.replace(design, rain_cur=rain), ModelConfig())
+
+
 ### chain driver
 
 
@@ -322,6 +411,20 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(again.draws, chain.draws)  # repr round-trips exactly
     assert again.columns == chain.columns
     assert again.meta == chain.meta
+
+
+def test_metadata_without_chain_seed_fields_loads(tmp_path):
+    # metadata written before the per-chain SeedSequence was recorded
+    chain = run_chain(make_toy_design(), small_config())
+    csv_path, meta_path = tmp_path / "chain.csv", tmp_path / "metadata.json"
+    save_chain(chain, csv_path, meta_path)
+    meta = json.loads(meta_path.read_text())
+    assert meta["seed_entropy"] == 123 and meta["seed_spawn_key"] == []
+    del meta["seed_entropy"], meta["seed_spawn_key"]
+    meta_path.write_text(json.dumps(meta))
+    again = load_chain(csv_path, meta_path)
+    assert again.meta.seed_entropy is None and again.meta.seed_spawn_key is None
+    assert np.array_equal(again.draws, chain.draws)
 
 
 def test_run_chains_parallel_equals_serial():

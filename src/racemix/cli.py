@@ -188,6 +188,21 @@ def _chain_paths(out_dir, index, n_chains):
             os.path.join(out_dir, f"metadata_{index:02d}.json"))
 
 
+def _summary_path(out_dir, index, n_chains):
+    return os.path.join(out_dir, "summary.csv" if n_chains == 1
+                        else f"summary_{index:02d}.csv")
+
+
+def _write_chain(out_dir, n_chains, index, chain) -> None:
+    """A chain's own files: draws, metadata and summary.
+
+    run_chains calls it in the process that sampled the chain, so with a
+    pool one chain's files are written while the others still sample.
+    """
+    save_chain(chain, *_chain_paths(out_dir, index, n_chains))
+    write_summary_csv(summarize(chain), _summary_path(out_dir, index, n_chains))
+
+
 def _find_chains(fit_dir):
     """All (chain CSV, metadata JSON) pairs in a fit directory."""
     single = os.path.join(fit_dir, "chain.csv")
@@ -276,16 +291,13 @@ def fit(ctx, data, covariates, rainfall, sex, response, windspeed, seed, burn_in
                f"{len(design.courses)} courses, {len(design.seasons)} seasons; "
                f"{chains} chain(s)")
 
-    outputs = run_chains(design, config, chains, max_workers=workers)
+    outputs = run_chains(design, config, chains, max_workers=workers,
+                         finish=functools.partial(_write_chain, out_dir, chains))
 
     artifacts = ["manifest.json"]
-    for i, chain in enumerate(outputs, start=1):
-        chain_path, meta_path = _chain_paths(out_dir, i, chains)
-        save_chain(chain, chain_path, meta_path)
-        summary_path = (os.path.join(out_dir, "summary.csv") if chains == 1
-                        else os.path.join(out_dir, f"summary_{i:02d}.csv"))
-        write_summary_csv(summarize(chain), summary_path)
-        artifacts += [os.path.basename(p) for p in (chain_path, meta_path, summary_path)]
+    for i in range(1, chains + 1):
+        artifacts += [os.path.basename(p) for p in (*_chain_paths(out_dir, i, chains),
+                                                    _summary_path(out_dir, i, chains))]
 
     if chains > 1:
         cross_path = os.path.join(out_dir, "crosschain.csv")
@@ -318,8 +330,7 @@ def summarize_cmd(fit_dir, index, out_path):
     chain, n_chains = _load_indexed_chain(fit_dir, index)
     summaries = summarize(chain)
     if out_path is None:
-        base = "summary.csv" if n_chains == 1 else f"summary_{index:02d}.csv"
-        out_path = os.path.join(fit_dir, base)
+        out_path = _summary_path(fit_dir, index, n_chains)
     write_summary_csv(summaries, out_path)
     click.echo(f"{'parameter':<12} {'mean':>12} {'median':>12} "
                f"{'ci95_low':>12} {'ci95_high':>12} {'ess':>9}")
@@ -419,8 +430,8 @@ def ppc(fit_dir, races, index, seed, bins, data, covariates, rainfall, out_dir):
     design, observations, paths = _reingest_from_manifest(
         fit_dir, manifest, chain.meta, data, covariates, rainfall)
 
-    wanted = _parse_race_filter(races, design)
-    selected = [o for o in observations if (o.course, o.season) in set(wanted)]
+    wanted = set(_parse_race_filter(races, design))
+    selected = [o for o in observations if (o.course, o.season) in wanted]
     if not selected:
         raise DataError("race filter matched no observations")
 

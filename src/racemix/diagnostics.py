@@ -160,13 +160,14 @@ def write_trace_csv(chain_output: ChainOutput, path) -> None:
     (burn_in + k·thin), so plots line up with the sampler schedule.
     """
     meta = chain_output.meta
+    sweeps = [f"{meta.burn_in + (i + 1) * meta.thin}," for i in range(chain_output.n_stored)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("iteration,parameter,value\n")
         for j, name in enumerate(chain_output.columns):
-            col = chain_output.draws[:, j]
-            for i in range(col.size):
-                sweep = meta.burn_in + (i + 1) * meta.thin
-                fh.write(f"{sweep},{name},{repr(float(col[i]))}\n")
+            values = chain_output.draws[:, j].astype(float, copy=False).tolist()
+            # one write per parameter; repr of the Python float, as in the chain CSV
+            fh.write("".join([f"{sweep}{name},{value!r}\n"
+                              for sweep, value in zip(sweeps, values)]))
 
 
 def split_rhat(chains) -> float:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import warnings
 from dataclasses import dataclass, field, asdict
 from concurrent.futures import ProcessPoolExecutor
 
@@ -42,6 +43,8 @@ from .model import linear_predictor_all  # noqa: F401
 
 SLICE_WIDTH = 0.5
 SLICE_MAX_STEPS = 50
+# rows of a chain CSV formatted per write
+WRITE_BLOCK_ROWS = 256
 
 # smallest positive normal float64; floor for underflowing Gamma draws
 TINY_PRECISION = float(np.finfo(float).tiny)
@@ -503,9 +506,12 @@ def run_chain(design: DesignMatrixView, config: ModelConfig, rng_seed=None) -> C
     return ChainOutput(draws=draws, columns=columns, meta=meta)
 
 
-def _chain_worker(args):
-    design, config, seed_seq = args
-    return run_chain(design, config, rng_seed=seed_seq)
+def _chain_worker(job):
+    design, config, seed_seq, finish, index = job
+    chain = run_chain(design, config, rng_seed=seed_seq)
+    if finish is not None:
+        finish(index, chain)
+    return chain
 
 
 def spawn_chain_seeds(seed: int, n_chains: int):
@@ -514,18 +520,22 @@ def spawn_chain_seeds(seed: int, n_chains: int):
 
 
 def run_chains(design: DesignMatrixView, config: ModelConfig, n_chains: int,
-               max_workers: int | None = None) -> list[ChainOutput]:
+               max_workers: int | None = None, finish=None) -> list[ChainOutput]:
     """Run n_chains independent chains, concurrently when workers allow.
 
     Chain i uses the i-th SeedSequence child of the schedule seed, so
-    results do not depend on the worker count.
+    results do not depend on the worker count.  `finish(i, chain)`, when
+    given, runs right after chain i (1-based) in the process that sampled
+    it, so each chain's own post-processing overlaps the other chains'
+    sampling; with a pool it must pickle (a module-level function or a
+    functools.partial of one).
     """
     if n_chains < 1:
         raise SamplerError(f"n_chains must be >= 1, got {n_chains}")
     seeds = spawn_chain_seeds(config.mcmc.seed, n_chains)
+    jobs = [(design, config, ss, finish, i) for i, ss in enumerate(seeds, start=1)]
     if n_chains == 1 or max_workers == 1:
-        return [run_chain(design, config, rng_seed=ss) for ss in seeds]
-    jobs = [(design, config, ss) for ss in seeds]
+        return [_chain_worker(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=max_workers or n_chains) as pool:
         return list(pool.map(_chain_worker, jobs))
 
@@ -534,14 +544,43 @@ def save_chain(chain: ChainOutput, csv_path, meta_path) -> None:
     """Write draws as CSV (exact shortest-repr floats) and metadata JSON."""
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(chain.columns) + "\n")
-        for r in range(chain.n_stored):
+        # one write per block of rows: the text of a whole chain would
+        # outweigh the draws themselves in memory
+        for start in range(0, chain.n_stored, WRITE_BLOCK_ROWS):
+            rows = chain.draws[start:start + WRITE_BLOCK_ROWS].astype(float, copy=False)
             # repr of the Python float: shortest round-trip representation
-            fh.write(",".join(repr(float(v)) for v in chain.draws[r]) + "\n")
+            fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows.tolist()]))
     meta = chain.meta.to_dict()
     meta["columns"] = list(chain.columns)
     with open(meta_path, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _chain_parse_error(csv_path, header, reason) -> DataError:
+    """The error for a chain CSV that np.loadtxt refused, naming the line.
+
+    The file is scanned again because loadtxt's row numbers start after
+    the header and skip blank lines; this scan counts the header as line
+    1 and skips empty lines as loadtxt does.  Where no cell fails float()
+    (loadtxt also refuses, say, "1_0"), loadtxt's own `reason` is kept.
+    """
+    with open(csv_path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        for number, line in enumerate(fh, start=2):
+            cells = line.rstrip("\n").split(",")
+            if cells == [""]:
+                continue
+            if len(cells) != len(header):
+                return DataError(f"{csv_path}, line {number}: {len(cells)} cell(s), "
+                                 f"expected {len(header)}")
+            for column, cell in enumerate(cells):
+                try:
+                    float(cell)
+                except ValueError:
+                    return DataError(f"{csv_path}, line {number}, column {column + 1} "
+                                     f"({header[column]}): cannot parse {cell!r} as a number")
+    return DataError(f"{csv_path}: {reason}")
 
 
 def load_chain(csv_path, meta_path) -> ChainOutput:
@@ -555,13 +594,19 @@ def load_chain(csv_path, meta_path) -> ChainOutput:
     except (TypeError, ValueError) as exc:
         raise DataError(f"{meta_path}: bad metadata value: {exc}") from None
     with open(csv_path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
+        header = tuple(fh.readline().strip().split(","))
+        if header != parameter_columns(meta):
+            raise DataError(f"{csv_path}: chain CSV columns do not match metadata")
         try:
-            rows = [[float(cell) for cell in line.rstrip("\n").split(",")]
-                    for line in fh if line.strip()]
-            draws = np.array(rows, dtype=float) if rows else np.empty((0, len(header)))
+            with warnings.catch_warnings():
+                # a header-only file is a chain of no draws, checked by callers
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                # numpy's C parser rounds correctly: repr text round-trips bit for bit
+                draws = np.loadtxt(fh, delimiter=",", dtype=float, ndmin=2, comments=None)
         except ValueError as exc:
-            raise DataError(f"{csv_path}: {exc}") from None
-    if tuple(header) != parameter_columns(meta):
-        raise DataError(f"{csv_path}: chain CSV columns do not match metadata")
-    return ChainOutput(draws=draws, columns=tuple(header), meta=meta)
+            raise _chain_parse_error(csv_path, header, exc) from None
+    if draws.size == 0:
+        draws = np.empty((0, len(header)))
+    elif draws.shape[1] != len(header):
+        raise _chain_parse_error(csv_path, header, f"rows have {draws.shape[1]} cells")
+    return ChainOutput(draws=draws, columns=header, meta=meta)

@@ -115,6 +115,41 @@ def test_fit_multichain_artifacts(dataset_dir, tmp_path):
         assert float(rhat) >= 1.0 or np.isfinite(float(rhat))
 
 
+def test_fit_artifacts_do_not_depend_on_worker_count(dataset_dir, tmp_path):
+    # pooled chains write their own files in their workers; the bytes must
+    # match those written one chain after another in this process
+    env = {"SOURCE_DATE_EPOCH": "1700000000"}
+    args = ["fit", *_data_args(dataset_dir), *FIT_ARGS, "--chains", "2", "--seed", "8"]
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    assert _run([*args, "--workers", "1", "--out", str(serial)], env=env).exit_code == 0
+    assert _run([*args, "--out", str(pooled)], env=env).exit_code == 0
+    names = [f"{stem}_{i:02d}.{ext}" for i in (1, 2)
+             for stem, ext in (("chain", "csv"), ("metadata", "json"), ("summary", "csv"))]
+    for name in names + ["crosschain.csv"]:
+        assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
+    manifests = [json.loads((d / "manifest.json").read_text()) for d in (serial, pooled)]
+    assert manifests[0]["artifacts"] == manifests[1]["artifacts"]
+    assert sorted(names + ["crosschain.csv", "manifest.json"]) == manifests[0]["artifacts"]
+
+
+def test_fit_worker_failures_keep_their_exit_codes(dataset_dir, tmp_path, monkeypatch):
+    args = ["fit", *_data_args(dataset_dir), *FIT_ARGS, "--chains", "2"]
+    # a chain file that cannot be written is an OSError in chain 2's worker
+    blocked = tmp_path / "blocked"
+    (blocked / "chain_02.csv").mkdir(parents=True)
+    result = _run([*args, "--out", str(blocked)])
+    assert result.exit_code == 2
+    assert "chain_02.csv" in result.output
+    assert not (blocked / "manifest.json").exists()
+    # forked workers inherit the patched factorisation and fail in sweep 1
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    result = _run([*args, "--out", str(tmp_path / "failed")])
+    assert result.exit_code == 3
+    assert "sampler error: sweep 1: location block" in result.output
+
+
 def test_fit_log_pace_with_windspeed(dataset_dir, tmp_path):
     out = tmp_path / "fit"
     result = _run(["fit", *_data_args(dataset_dir), *FIT_ARGS,
@@ -283,7 +318,7 @@ def test_summarize_non_fit_directory_exits_2(tmp_path):
     assert result.exit_code == 2
 
 
-@pytest.mark.parametrize("damage", ["one_draw", "bad_cell", "missing_meta_key"])
+@pytest.mark.parametrize("damage", ["one_draw", "bad_cell", "ragged_row", "missing_meta_key"])
 def test_summarize_damaged_chain_exits_2(fit_dir, tmp_path, damage):
     # with only input errors mapped to exit 2, damaged chain files must
     # still surface as input errors, not as tracebacks
@@ -293,10 +328,18 @@ def test_summarize_damaged_chain_exits_2(fit_dir, tmp_path, damage):
     shutil.copytree(fit_dir, copy)
     chain, meta = copy / "chain.csv", copy / "metadata.json"
     lines = chain.read_text().splitlines()
+    n_columns = len(lines[0].split(","))
+    # the message names the file and the 1-based line; the header is line 1
+    where = {"bad_cell": "chain.csv, line 4, column 1 (intercept)",
+             # the blank line 4 counts, although parsing skips it
+             "ragged_row": f"chain.csv, line 5: {n_columns - 1} cell(s), expected {n_columns}"}
     if damage == "one_draw":
         chain.write_text("\n".join(lines[:2]) + "\n")
     elif damage == "bad_cell":
         chain.write_text("\n".join(lines[:3] + ["abc" + lines[3][1:]] + lines[4:]) + "\n")
+    elif damage == "ragged_row":
+        ragged = lines[3].rsplit(",", 1)[0]
+        chain.write_text("\n".join(lines[:3] + ["", ragged] + lines[4:]) + "\n")
     else:
         doc = json.loads(meta.read_text())
         del doc["thin"]
@@ -304,6 +347,8 @@ def test_summarize_damaged_chain_exits_2(fit_dir, tmp_path, damage):
     result = _run(["summarize", "--fit", str(copy)])
     assert result.exit_code == 2
     assert "error" in result.output
+    if damage in where:
+        assert where[damage] in result.output
 
 
 # ---------------------------------------------------------------- ppc

@@ -222,6 +222,24 @@ def test_write_trace_csv_format(tmp_path, small_fit):
     assert int(last[0]) == config.mcmc.burn_in + chain.n_stored * config.mcmc.thin
 
 
+def test_write_trace_csv_matches_per_value_reference(tmp_path, small_fit):
+    _, _, chain = small_fit
+    short = ChainOutput(draws=chain.draws[:40].copy(), columns=chain.columns,
+                        meta=chain.meta)
+    short.draws[0, :3] = [-0.0, 5e-324, 0.1 + 0.2]
+    path = tmp_path / "trace.csv"
+    write_trace_csv(short, path)
+    # reference: one formatted line per value
+    meta = short.meta
+    expected = ["iteration,parameter,value\n"]
+    for j, name in enumerate(short.columns):
+        col = short.draws[:, j]
+        for i in range(col.size):
+            sweep = meta.burn_in + (i + 1) * meta.thin
+            expected.append(f"{sweep},{name},{repr(float(col[i]))}\n")
+    assert path.read_bytes() == "".join(expected).encode("utf-8")
+
+
 # ---------------------------------------------------------------- multi-chain
 
 def test_split_rhat_agreeing_chains():

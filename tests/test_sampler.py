@@ -1,6 +1,7 @@
 """Unit tests for the Gibbs/slice update steps and the chain driver."""
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from racemix.sampler import (
     ChainOutput,
     LocationBlock,
     SamplerError,
+    WRITE_BLOCK_ROWS,
     gibbs_hypermean,
     gibbs_precision,
     gibbs_random_effect,
@@ -402,15 +404,48 @@ def test_windspeed_variant_has_lambda_column():
 
 
 def test_save_load_roundtrip(tmp_path):
-    design = make_toy_design()
-    chain = run_chain(design, small_config())
-    csv_path = tmp_path / "chain.csv"
-    meta_path = tmp_path / "metadata.json"
-    save_chain(chain, csv_path, meta_path)
+    # more rows than one write block; random bit patterns need up to 17
+    # significant digits, and the edge values sit in the first row
+    chain = run_chain(make_toy_design(), small_config())
+    rng = np.random.default_rng(5)
+    n_rows = 2 * WRITE_BLOCK_ROWS + 37
+    bits = rng.integers(0, 2**64, size=(n_rows, len(chain.columns)), dtype=np.uint64)
+    draws = bits.view(np.float64)
+    draws[~np.isfinite(draws)] = 0.5
+    edges = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 0.1 + 0.2, 2.2250738585072014e-308,
+             -1.0000000000000002]
+    draws[0, :len(edges)] = edges
+    wide = ChainOutput(draws=draws, columns=chain.columns, meta=chain.meta)
+    csv_path, meta_path = tmp_path / "chain.csv", tmp_path / "metadata.json"
+    save_chain(wide, csv_path, meta_path)
     again = load_chain(csv_path, meta_path)
-    assert np.array_equal(again.draws, chain.draws)  # repr round-trips exactly
+    # repr round-trips bit for bit
+    assert np.array_equal(again.draws.view(np.int64), draws.view(np.int64))
     assert again.columns == chain.columns
     assert again.meta == chain.meta
+    # the writer's text is repr of each Python float, row by row
+    lines = csv_path.read_text().splitlines()
+    assert len(lines) == 1 + n_rows
+    assert lines[1] == ",".join(repr(float(v)) for v in draws[0])
+    assert lines[-1] == ",".join(repr(float(v)) for v in draws[-1])
+
+
+def test_load_chain_one_draw_blank_lines_and_no_draws(tmp_path):
+    chain = run_chain(make_toy_design(), small_config())
+    one = ChainOutput(draws=chain.draws[:1].copy(), columns=chain.columns, meta=chain.meta)
+    csv_path, meta_path = tmp_path / "chain.csv", tmp_path / "metadata.json"
+    save_chain(one, csv_path, meta_path)
+    header, row = csv_path.read_text().splitlines()
+    for text in (f"{header}\n{row}\n", f"{header}\n{row}\n\n", f"{header}\n\n{row}"):
+        csv_path.write_text(text)
+        again = load_chain(csv_path, meta_path)
+        assert again.draws.shape == (1, len(chain.columns))
+        assert np.array_equal(again.draws, one.draws)
+    csv_path.write_text(header + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        empty = load_chain(csv_path, meta_path)
+    assert empty.draws.shape == (0, len(chain.columns))
 
 
 def test_metadata_without_chain_seed_fields_loads(tmp_path):

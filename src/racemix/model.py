@@ -92,6 +92,9 @@ class PriorConfig:
     b_tau_obs: float = 0.001
 
     def validate(self) -> None:
+        for name, value in asdict(self).items():
+            if not math.isfinite(value):
+                raise ConfigError(f"prior {name} must be a finite number, got {value}")
         for name in ("v_intercept", "v_gamma_dist", "v_lambda_wind",
                      "v_rho_cur", "v_rho_prev", "v_m_rho"):
             if getattr(self, name) <= 0.0:
@@ -178,6 +181,10 @@ class ModelConfig:
     def validate(self) -> None:
         if self.response not in RESPONSES:
             raise ConfigError(f"response must be one of {RESPONSES}, got {self.response!r}")
+        for name in ("d_bar", "w_bar"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value}")
         self.priors.validate()
         self.mcmc.validate()
 

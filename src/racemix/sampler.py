@@ -14,13 +14,15 @@ Gaussian.  A sweep visits, in order:
    whose conditional is nonstandard and is updated by slice sampling with
    stepping out and shrinkage;
 3. the athlete, course, season and observation precisions (Gamma), the
-   last from the residual sum of squares recomputed from the new state.
+   last from the new state's residual sum of squares, which step 1
+   computes from its race and athlete sums.
 
-The race-level statistics are built once per chain (LocationBlock), and
-no residual vector is carried between sweeps.  Drawing beta and the
-athletes together removes the strong posterior correlations between the
-intercept, the uncentred rainfall coefficients and the athlete effects
-that single-site updates mix slowly through.  Chains are deterministic
+The race-level statistics are built once per chain (LocationBlock).
+After that a sweep reads no array with one entry per observation, so
+its cost does not grow with the number of observations.  Drawing beta
+and the athletes together removes the strong posterior correlations
+between the intercept, the uncentred rainfall coefficients and the
+athlete effects that single-site updates mix slowly through.  Chains are deterministic
 given a seed; independent chains get SeedSequence-spawned child seeds,
 recorded in each chain's metadata so any one chain can be replayed alone.
 """
@@ -89,12 +91,12 @@ def gibbs_random_effect(level_residual_sums, level_counts, tau_obs, tau_group, r
     residuals excluding this block's contribution.  Levels with no data
     are drawn from the N(0, 1/tau_group) population.
     """
-    if tau_obs <= 0.0 or tau_group <= 0.0:
+    if not tau_obs > 0.0 or not tau_group > 0.0:  # NaN included
         raise SamplerError(f"precisions must be positive, got "
                            f"tau_obs={tau_obs} tau_group={tau_group}")
-    prec = tau_obs * np.asarray(level_counts, dtype=float) + tau_group
-    mean = tau_obs * np.asarray(level_residual_sums, dtype=float) / prec
-    draw = mean + rng.standard_normal(prec.size) / np.sqrt(prec)
+    prec = tau_obs * np.asarray(level_counts) + tau_group
+    draw = tau_obs * np.asarray(level_residual_sums) / prec
+    draw += rng.standard_normal(prec.size) / np.sqrt(prec)
     draw[0] = 0.0
     return draw
 
@@ -106,9 +108,9 @@ def gibbs_precision(shape, rate, sum_squares, n_free, rng) -> float:
     precision it is the number of observations and sum_squares the
     residual sum of squares.
     """
-    if shape <= 0.0 or rate <= 0.0:
+    if not shape > 0.0 or not rate > 0.0:  # NaN included
         raise SamplerError(f"gamma shape/rate must be positive, got ({shape}, {rate})")
-    if sum_squares < 0.0 or n_free < 0:
+    if not 0.0 <= sum_squares < math.inf or n_free < 0:
         raise SamplerError(f"invalid update inputs: sum_squares={sum_squares} n_free={n_free}")
     draw = rng.gamma(shape + 0.5 * n_free, 1.0 / (rate + 0.5 * sum_squares))
     # with no free levels the conditional is the diffuse prior, whose
@@ -123,8 +125,9 @@ def gibbs_hypermean(rho_cur, rho_prev, phi, v_rho_cur, v_rho_prev, v_m, rng) -> 
     Both rainfall coefficients inform it: the current-month one directly,
     the previous-month one through the phi-scaled prior mean.
     """
-    if v_rho_cur <= 0.0 or v_rho_prev <= 0.0 or v_m <= 0.0:
-        raise SamplerError("variances must be positive")
+    if not v_rho_cur > 0.0 or not v_rho_prev > 0.0 or not v_m > 0.0:  # NaN included
+        raise SamplerError(f"variances must be positive, got v_rho_cur={v_rho_cur} "
+                           f"v_rho_prev={v_rho_prev} v_m={v_m}")
     prec = 1.0 / v_m + 1.0 / v_rho_cur + phi * phi / v_rho_prev
     mean = (rho_cur / v_rho_cur + phi * rho_prev / v_rho_prev) / prec
     return mean + rng.standard_normal() / math.sqrt(prec)
@@ -143,16 +146,23 @@ def slice_update_phi(phi_current, rho_prev, m_rho, v_rho_prev, a_phi, b_phi, rng
     """One slice-sampling update of phi: stepping out, then shrinkage.
 
     The interval is clamped at zero on the left (the target has no mass
-    there).  Failing to bracket the slice within max_steps step-outs is an
-    error carrying the full conditioning state.
+    there).  A current point where the log target is not finite (any NaN
+    input included) and failing to bracket the slice within max_steps
+    step-outs are errors carrying the full conditioning state.
     """
-    if phi_current <= 0.0:
-        raise SamplerError(f"phi must be positive, got {phi_current}")
-
     def logf(p):
         return phi_log_target(p, rho_prev, m_rho, v_rho_prev, a_phi, b_phi)
 
-    log_y = logf(phi_current) - rng.exponential()
+    def conditioning():
+        return (f"phi={phi_current} rho_prev={rho_prev} m_rho={m_rho} "
+                f"v_rho_prev={v_rho_prev} a_phi={a_phi} b_phi={b_phi}")
+
+    if not phi_current > 0.0:  # NaN included
+        raise SamplerError(f"phi must be positive: {conditioning()}")
+    log_fx = logf(phi_current)
+    if not math.isfinite(log_fx):
+        raise SamplerError(f"phi's log target is {log_fx}: {conditioning()}")
+    log_y = log_fx - rng.exponential()
 
     u = rng.random()
     left = phi_current - width * u
@@ -162,20 +172,16 @@ def slice_update_phi(phi_current, rho_prev, m_rho, v_rho_prev, a_phi, b_phi, rng
         left -= width
         steps += 1
         if steps > max_steps:
-            raise SamplerError(
-                f"slice bracket failure (left) after {max_steps} step-outs: "
-                f"phi={phi_current} rho_prev={rho_prev} m_rho={m_rho} "
-                f"v_rho_prev={v_rho_prev} a_phi={a_phi} b_phi={b_phi}")
+            raise SamplerError(f"slice bracket failure (left) after {max_steps} "
+                               f"step-outs: {conditioning()}")
     left = max(left, 0.0)
     steps = 0
     while logf(right) > log_y:
         right += width
         steps += 1
         if steps > max_steps:
-            raise SamplerError(
-                f"slice bracket failure (right) after {max_steps} step-outs: "
-                f"phi={phi_current} rho_prev={rho_prev} m_rho={m_rho} "
-                f"v_rho_prev={v_rho_prev} a_phi={a_phi} b_phi={b_phi}")
+            raise SamplerError(f"slice bracket failure (right) after {max_steps} "
+                               f"step-outs: {conditioning()}")
 
     for _ in range(10_000):
         prop = left + rng.random() * (right - left)
@@ -185,7 +191,7 @@ def slice_update_phi(phi_current, rho_prev, m_rho, v_rho_prev, a_phi, b_phi, rng
             left = prop
         else:
             right = prop
-    raise SamplerError(f"slice shrinkage failed to accept near phi={phi_current}")
+    raise SamplerError(f"slice shrinkage failed to accept: {conditioning()}")
 
 
 class LocationBlock:
@@ -212,6 +218,16 @@ class LocationBlock:
     The basis is kept in units of the columns' weighted norms sqrt(X'NX),
     so Q is well scaled however different the covariates' scales are
     (rainfall in mm against indicators); `unit` converts back.
+
+    The same statistics give the residual sum of squares of a state
+    without a pass over the observations: with m = X beta the race means,
+    a the athlete effects (a[0] = 0) and r = S_ya - G beta,
+
+        e'e = y'y + m'N m + a'(n_a a) - 2 (m'S_yr + a'r).
+
+    m is formed before it is squared: beta'(X'NX beta) would sum terms far
+    larger than e'e when the prior alone separates collinear coefficients
+    (one race), and lose e'e to rounding.
     """
 
     def __init__(self, design: DesignMatrixView, config: ModelConfig):
@@ -222,29 +238,29 @@ class LocationBlock:
         covariates = np.column_stack(covariates + [design.rain_cur, design.rain_prev])
         keys, first, race_idx = np.unique(design.course_idx * ls + design.season_idx,
                                           return_index=True, return_inverse=True)
-        self.race_idx = race_idx
         if not np.array_equal(covariates, covariates[first][race_idx]):
             raise DataError("race covariates differ between observations of one race")
         n_races = keys.size
         course = np.eye(lc)[keys // ls, 1:]
         season = np.eye(ls)[keys % ls, 1:]
-        self.x = np.column_stack([np.ones(n_races), covariates[first], course, season])
+        self.x = x = np.column_stack([np.ones(n_races), covariates[first], course, season])
         k = 1 + covariates.shape[1]  # first course[1:] column
         self.scalars = _scalar_columns(config.include_windspeed)[:k]
         self.course = slice(k, k + lc - 1)
-        self.season = slice(k + lc - 1, self.x.shape[1])
-        p = self.x.shape[1]
+        p = x.shape[1]
+        self.season = slice(k + lc - 1, p)
 
-        race_n = np.bincount(self.race_idx, minlength=n_races).astype(float)
-        race_y = np.bincount(self.race_idx, weights=design.y, minlength=n_races)
-        athlete_race = np.bincount(design.athlete_idx * n_races + self.race_idx,
+        self.race_n = race_n = np.bincount(race_idx, minlength=n_races).astype(float)
+        self.race_y = race_y = np.bincount(race_idx, weights=design.y, minlength=n_races)
+        athlete_race = np.bincount(design.athlete_idx * n_races + race_idx,
                                    minlength=la * n_races).reshape(la, n_races)  # M'
-        self.g = athlete_race @ self.x
+        self.g = athlete_race @ x
         self.n_a = athlete_race.sum(axis=1).astype(float)
         self.s_ya = np.bincount(design.athlete_idx, weights=design.y, minlength=la)
+        self.yy = float(design.y @ design.y)
 
         # each basis matrix is (p + 1) x (p + 1): Q in [:p, :p], b in [p, :p]
-        x1 = np.column_stack([self.x, np.zeros(n_races)])
+        x1 = np.column_stack([x, np.zeros(n_races)])
         data = x1.T @ (race_n[:, None] * x1)  # coefficient tau
         data[p] = x1.T @ race_y
         # coefficient -w^2 for each distinct count of the free athletes
@@ -271,6 +287,9 @@ class LocationBlock:
         self.unit = 1.0 / np.where(norms > 0.0, norms, 1.0)
         unit = np.append(self.unit, 1.0)
         self.basis = (basis * unit[:, None] * unit).reshape(basis.shape[0], -1)
+        # the coefficients of the basis, rewritten in place by precision()
+        self.coef = np.empty(basis.shape[0])
+        self.coef[-5] = 1.0
 
     def precision(self, state: ParameterState) -> tuple[np.ndarray, np.ndarray]:
         """Q and b of the conditional N(Q^-1 b, Q^-1) of beta / unit.
@@ -279,19 +298,28 @@ class LocationBlock:
         are Q / (unit unit') and b / unit.
         """
         tau = state.tau_obs
-        coef = np.concatenate((
-            [tau], tau * tau / (tau * self.distinct_counts + state.tau_athlete),
-            [1.0, state.tau_course, state.tau_season, state.m_rho, state.phi * state.m_rho]))
-        p = self.x.shape[1]
+        coef = self.coef
+        coef[0] = tau
+        w2 = coef[1:-5]  # w^2 of each distinct athlete count
+        np.multiply(self.distinct_counts, tau, out=w2)
+        w2 += state.tau_athlete
+        np.divide(tau * tau, w2, out=w2)
+        coef[-4] = state.tau_course
+        coef[-3] = state.tau_season
+        coef[-2] = state.m_rho
+        coef[-1] = state.phi * state.m_rho
+        p = self.unit.size
         qb = (coef @ self.basis).reshape(p + 1, p + 1)
         return qb[:p, :p], qb[p, :p]
 
-    def draw(self, state: ParameterState, rng) -> np.ndarray:
-        """Redraw beta and the athlete effects of `state` jointly; returns X beta.
+    def draw(self, state: ParameterState, rng) -> float:
+        """Redraw beta and the athlete effects of `state` jointly; returns e'e.
 
         beta = Q^-1 (b + L z) with L L' = Q is N(Q^-1 b, Q^-1): one
         Cholesky factorisation and one solve, in the scaled units.  The
-        athletes are then drawn from their conditional given beta.
+        athletes are then drawn from their conditional given beta, and
+        the new state's residual sum of squares is taken from the
+        race and athlete statistics.
         """
         q, b = self.precision(state)
         try:
@@ -308,9 +336,12 @@ class LocationBlock:
             setattr(state, name, value)
         state.course_effects[1:] = beta[self.course]
         state.season_effects[1:] = beta[self.season]
-        state.athlete_effects = gibbs_random_effect(self.s_ya - self.g @ beta, self.n_a,
-                                                    state.tau_obs, state.tau_athlete, rng)
-        return self.x @ beta
+        r = self.s_ya - self.g @ beta
+        a = gibbs_random_effect(r, self.n_a, state.tau_obs, state.tau_athlete, rng)
+        state.athlete_effects = a
+        m = self.x @ beta
+        return float(self.yy + (self.race_n * m) @ m + (self.n_a * a) @ a
+                     - 2.0 * (m @ self.race_y + a @ r))
 
 
 @dataclass
@@ -449,9 +480,7 @@ def run_chain(design: DesignMatrixView, config: ModelConfig, rng_seed=None) -> C
                 else np.random.SeedSequence(sched.seed if rng_seed is None else rng_seed))
     rng = np.random.default_rng(seed_seq)
 
-    y = design.y
-    n = y.size
-    a_idx = design.athlete_idx
+    n = design.n_obs
     la, lc, ls = len(design.athletes), len(design.courses), len(design.seasons)
     block = LocationBlock(design, config)
 
@@ -476,26 +505,29 @@ def run_chain(design: DesignMatrixView, config: ModelConfig, rng_seed=None) -> C
     draws = np.empty((sched.n_stored, len(columns)))
     row = 0
 
+    v_rho_cur, v_rho_prev, v_m_rho = pr.v_rho_cur, pr.v_rho_prev, pr.v_m_rho
+    a_phi, b_phi = pr.a_phi, pr.b_phi
+    a_athlete, b_athlete = pr.a_tau_athlete, pr.b_tau_athlete
+    a_course, b_course = pr.a_tau_course, pr.b_tau_course
+    a_season, b_season = pr.a_tau_season, pr.b_tau_season
+    a_obs, b_obs = pr.a_tau_obs, pr.b_tau_obs
+
     try:
         for sweep in range(1, total + 1):
-            race_means = block.draw(state, rng)
+            sum_squares = block.draw(state, rng)
 
             state.m_rho = gibbs_hypermean(state.rho_cur, state.rho_prev, state.phi,
-                                          pr.v_rho_cur, pr.v_rho_prev, pr.v_m_rho, rng)
+                                          v_rho_cur, v_rho_prev, v_m_rho, rng)
             state.phi = slice_update_phi(state.phi, state.rho_prev, state.m_rho,
-                                         pr.v_rho_prev, pr.a_phi, pr.b_phi, rng)
+                                         v_rho_prev, a_phi, b_phi, rng)
 
-            a_free = state.athlete_effects[1:]
-            c_free = state.course_effects[1:]
-            s_free = state.season_effects[1:]
-            state.tau_athlete = gibbs_precision(pr.a_tau_athlete, pr.b_tau_athlete,
-                                                float(a_free @ a_free), la - 1, rng)
-            state.tau_course = gibbs_precision(pr.a_tau_course, pr.b_tau_course,
-                                               float(c_free @ c_free), lc - 1, rng)
-            state.tau_season = gibbs_precision(pr.a_tau_season, pr.b_tau_season,
-                                               float(s_free @ s_free), ls - 1, rng)
-            e = y - state.athlete_effects[a_idx] - race_means[block.race_idx]
-            state.tau_obs = gibbs_precision(pr.a_tau_obs, pr.b_tau_obs, float(e @ e), n, rng)
+            # entry 0 of each effect vector is exactly 0, so whole-vector
+            # sums of squares are those of the free levels
+            a, c, s = state.athlete_effects, state.course_effects, state.season_effects
+            state.tau_athlete = gibbs_precision(a_athlete, b_athlete, float(a @ a), la - 1, rng)
+            state.tau_course = gibbs_precision(a_course, b_course, float(c @ c), lc - 1, rng)
+            state.tau_season = gibbs_precision(a_season, b_season, float(s @ s), ls - 1, rng)
+            state.tau_obs = gibbs_precision(a_obs, b_obs, sum_squares, n, rng)
 
             if sweep > sched.burn_in and (sweep - sched.burn_in) % sched.thin == 0:
                 draws[row] = state_row(state)

@@ -6,6 +6,7 @@ asserted on the data artifacts, with SOURCE_DATE_EPOCH pinning the
 manifest timestamp.
 """
 import json
+import math
 import os
 
 import numpy as np
@@ -272,14 +273,21 @@ def test_fit_config_file_precedence(dataset_dir, tmp_path):
 
 
 @pytest.mark.parametrize("doc", [{"mcmc": {"seed": "x"}}, {"priors": {"v_rho_cur": "x"}},
-                                 {"d_bar": "x"}])
+                                 {"d_bar": "x"}, {"priors": {"v_intercept": math.nan}},
+                                 {"priors": {"b_tau_obs": math.inf}}, {"d_bar": math.nan},
+                                 {"w_bar": -math.inf}])
 def test_fit_non_numeric_config_value_exits_2(dataset_dir, tmp_path, doc):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(doc))
+    config.write_text(json.dumps(doc))  # NaN and Infinity are JSON that json.load reads
     result = _run(["fit", *_data_args(dataset_dir), "--config", str(config),
                    "--out", str(tmp_path / "out")])
     assert result.exit_code == 2
     assert "error" in result.output
+    name, value = next(iter(doc.items()))
+    if isinstance(value, dict):
+        name, value = next(iter(value.items()))
+    if isinstance(value, float):
+        assert f"{name} must be a finite number" in result.output
 
 
 def test_fit_default_out_uses_env_root(dataset_dir, tmp_path):

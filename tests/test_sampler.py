@@ -9,7 +9,7 @@ import pytest
 from conftest import make_toy_design
 
 from racemix.ingest import build_design
-from racemix.model import McmcSchedule, ModelConfig
+from racemix.model import McmcSchedule, ModelConfig, linear_predictor_all
 from racemix.predictive import SyntheticSpec, simulate_dataset
 from racemix.sampler import (
     ChainOutput,
@@ -113,6 +113,13 @@ def test_random_effect_domain_errors():
                             np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("tau_obs, tau_group", [(math.nan, 1.0), (1.0, math.nan)])
+def test_random_effect_rejects_nan_precisions(tau_obs, tau_group):
+    with pytest.raises(SamplerError, match="precisions must be positive"):
+        gibbs_random_effect(np.zeros(2), np.ones(2), tau_obs, tau_group,
+                            np.random.default_rng(0))
+
+
 ### precision conditional
 
 
@@ -144,6 +151,13 @@ def test_precision_domain_errors():
         gibbs_precision(1.0, 1.0, -1.0, 1, rng)
 
 
+@pytest.mark.parametrize("shape, rate, sum_squares", [
+    (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan), (1.0, 1.0, math.inf)])
+def test_precision_rejects_nan_and_infinite_inputs(shape, rate, sum_squares):
+    with pytest.raises(SamplerError):
+        gibbs_precision(shape, rate, sum_squares, 1, np.random.default_rng(0))
+
+
 def test_precision_prior_only_draws_never_underflow_to_zero():
     # shape 0.001 puts half the prior mass below float64's range; the
     # draw must stay positive anyway
@@ -170,6 +184,13 @@ def test_hypermean_symmetry_at_zero():
     z = np.random.default_rng(12).standard_normal()
     p_star = 0.2 + 1.0 + 0.49 / 2.0
     assert draw == 0.0 + z / math.sqrt(p_star)
+
+
+@pytest.mark.parametrize("variances", [
+    (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan), (1.0, 0.0, 1.0)])
+def test_hypermean_rejects_nan_and_nonpositive_variances(variances):
+    with pytest.raises(SamplerError, match="variances must be positive"):
+        gibbs_hypermean(0.1, 0.1, 0.5, *variances, np.random.default_rng(0))
 
 
 def test_hypermean_prior_dominated_limit():
@@ -215,6 +236,15 @@ def test_slice_bracket_failure_raises_with_state():
 def test_slice_rejects_nonpositive_phi():
     with pytest.raises(SamplerError):
         slice_update_phi(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("phi, rho_prev", [(math.nan, 0.5), (1.0, math.nan)])
+def test_slice_names_its_state_when_an_input_is_nan(phi, rho_prev):
+    # before any step-out or shrinkage, so no random number is drawn
+    rng = np.random.default_rng(0)
+    with pytest.raises(SamplerError, match=f"phi={phi} rho_prev={rho_prev} m_rho=0.1"):
+        slice_update_phi(phi, rho_prev, 0.1, 1.0, 1.0, 1.0, rng)
+    assert rng.random() == np.random.default_rng(0).random()
 
 
 ### location block
@@ -272,14 +302,20 @@ def _single_course_season_case():
     config = ModelConfig()
     obs = [o for o in TOY_OBSERVATIONS if o.course == "Alnwick"]
     design = build_design(obs, TOY_CONTEXTS[:1], TOY_RAINFALL, config)
-    return design, config, make_toy_state()
+    state = make_toy_state()
+    state.course_effects = state.course_effects[:1].copy()
+    state.season_effects = state.season_effects[:1].copy()
+    return design, config, state
 
 
-@pytest.mark.parametrize("case", [
+LOCATION_CASES = pytest.mark.parametrize("case", [
     lambda: _default_spec_case(),
     lambda: _default_spec_case(response="log_pace", include_windspeed=True),
     _single_course_season_case,
 ], ids=["default", "windspeed-log-pace", "single-course-season"])
+
+
+@LOCATION_CASES
 def test_location_block_race_statistics_match_observation_design(case):
     design, config, state = case()
     block = LocationBlock(design, config)
@@ -288,6 +324,20 @@ def test_location_block_race_statistics_match_observation_design(case):
     assert q.shape == q_ref.shape
     np.testing.assert_allclose(q, q_ref * block.unit[:, None] * block.unit, rtol=1e-10)
     np.testing.assert_allclose(b, b_ref * block.unit, rtol=1e-10)
+
+
+@LOCATION_CASES
+def test_location_block_sum_of_squares_matches_the_residuals(case):
+    design, config, state = case()
+    block = LocationBlock(design, config)
+    rng = np.random.default_rng(16)
+    for _ in range(5):
+        # spread the precisions so the drawn states range from tight to loose fits
+        for name in ("tau_obs", "tau_athlete", "tau_course", "tau_season"):
+            setattr(state, name, getattr(state, name) * 10.0 ** rng.uniform(-2.0, 1.0))
+        sum_squares = block.draw(state, rng)
+        e = design.y - linear_predictor_all(state, design)
+        assert sum_squares == pytest.approx(float(e @ e), rel=1e-9)
 
 
 def test_location_block_rejects_covariates_that_vary_within_a_race():

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import datetime
 import functools
-import glob
 import hashlib
 import json
 import os
@@ -203,33 +202,27 @@ def _write_chain(out_dir, n_chains, index, chain) -> None:
     write_summary_csv(summarize(chain), _summary_path(out_dir, index, n_chains))
 
 
-def _find_chains(fit_dir):
-    """All (chain CSV, metadata JSON) pairs in a fit directory."""
-    single = os.path.join(fit_dir, "chain.csv")
-    if os.path.exists(single):
-        return [(single, os.path.join(fit_dir, "metadata.json"))]
-    found = sorted(glob.glob(os.path.join(fit_dir, "chain_*.csv")))
-    pairs = []
-    for chain_path in found:
-        suffix = os.path.basename(chain_path)[len("chain_"):-len(".csv")]
-        meta_path = os.path.join(fit_dir, f"metadata_{suffix}.json")
-        if os.path.exists(meta_path):
-            pairs.append((chain_path, meta_path))
-    if not pairs:
-        raise DataError(f"no chain CSVs found in {fit_dir}")
-    return pairs
+def _load_indexed_chain(fit_dir, manifest, index):
+    """The index-th (1-based) chain of a fit directory, and its chain count.
 
-
-def _load_indexed_chain(fit_dir, index):
-    """The index-th (1-based) chain of a fit directory, and its chain count."""
-    pairs = _find_chains(fit_dir)
-    if index > len(pairs):
-        raise DataError(f"chain index {index} out of range; found {len(pairs)} chain(s)")
-    chain = load_chain(*pairs[index - 1])
+    The count is the one the fit recorded in its manifest, and the file
+    names come from it as `fit` made them: files of an earlier fit into
+    the same directory are never read.
+    """
+    n_chains = manifest.get("config", {}).get("chains")
+    if type(n_chains) is not int or n_chains < 1:
+        raise DataError(f"{os.path.join(fit_dir, 'manifest.json')} records no chain "
+                        f"count (config.chains)")
+    if index > n_chains:
+        raise DataError(f"chain index {index} out of range; the fit has {n_chains} chain(s)")
+    paths = _chain_paths(fit_dir, index, n_chains)
+    for path in paths:
+        if not os.path.exists(path):
+            raise DataError(f"{path} is missing; the manifest records {n_chains} chain(s)")
+    chain = load_chain(*paths)
     if chain.n_stored < 2:
-        raise DataError(f"{pairs[index - 1][0]} holds {chain.n_stored} draw(s); "
-                        f"need at least 2")
-    return chain, len(pairs)
+        raise DataError(f"{paths[0]} holds {chain.n_stored} draw(s); need at least 2")
+    return chain, n_chains
 
 
 @click.group()
@@ -293,6 +286,10 @@ def fit(ctx, data, covariates, rainfall, sex, response, windspeed, seed, burn_in
 
     outputs = run_chains(design, config, chains, max_workers=workers,
                          finish=functools.partial(_write_chain, out_dir, chains))
+    for i, chain in enumerate(outputs, start=1):
+        sweeps = chain.meta.burn_in + chain.meta.iterations
+        click.echo(f"chain {i}: {sweeps} sweeps in {chain.sampling_s:.2f} s "
+                   f"({sweeps / chain.sampling_s:.0f} sweeps/s)")
 
     artifacts = ["manifest.json"]
     for i in range(1, chains + 1):
@@ -327,7 +324,7 @@ def fit(ctx, data, covariates, rainfall, sex, response, windspeed, seed, burn_in
 @_cli_errors
 def summarize_cmd(fit_dir, index, out_path):
     """Recompute posterior summaries from a stored chain."""
-    chain, n_chains = _load_indexed_chain(fit_dir, index)
+    chain, n_chains = _load_indexed_chain(fit_dir, _read_manifest(fit_dir), index)
     summaries = summarize(chain)
     if out_path is None:
         out_path = _summary_path(fit_dir, index, n_chains)
@@ -425,8 +422,8 @@ def _parse_race_filter(races_arg, design):
 @_cli_errors
 def ppc(fit_dir, races, index, seed, bins, data, covariates, rainfall, out_dir):
     """Posterior predictive checks: per-race five-number summaries."""
-    chain, _ = _load_indexed_chain(fit_dir, index)
     manifest = _read_manifest(fit_dir)
+    chain, _ = _load_indexed_chain(fit_dir, manifest, index)
     design, observations, paths = _reingest_from_manifest(
         fit_dir, manifest, chain.meta, data, covariates, rainfall)
 
@@ -502,7 +499,7 @@ def simulate(spec_path, seed, out_dir):
 @_cli_errors
 def diagnose(fit_dir, index, max_lag, out_root):
     """Export tidy traces and per-parameter ESS/autocorrelation tables."""
-    chain, n_chains = _load_indexed_chain(fit_dir, index)
+    chain, n_chains = _load_indexed_chain(fit_dir, _read_manifest(fit_dir), index)
     if out_root is None:
         out_root = fit_dir
     os.makedirs(out_root, exist_ok=True)

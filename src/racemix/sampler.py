@@ -22,15 +22,26 @@ After that a sweep reads no array with one entry per observation, so
 its cost does not grow with the number of observations.  Drawing beta
 and the athletes together removes the strong posterior correlations
 between the intercept, the uncentred rainfall coefficients and the
-athlete effects that single-site updates mix slowly through.  Chains are deterministic
-given a seed; independent chains get SeedSequence-spawned child seeds,
-recorded in each chain's metadata so any one chain can be replayed alone.
+athlete effects that single-site updates mix slowly through.
+
+A sweep costs tens of microseconds, most of it per-call overhead, so
+run_chain keeps the location parameters in one float64 vector laid out
+like a draws row (the block writes beta and the athletes straight into
+it) and the other scalars as Python floats; a stored draw is one row
+copy.  The standard Normal and Gamma variates of VARIATE_BLOCK sweeps
+come from one generator call each, and the updates take their variates
+rather than the generator; only the slice update draws as it goes.
+
+Chains are deterministic given a seed; independent chains get
+SeedSequence-spawned child seeds, recorded in each chain's metadata so
+any one chain can be replayed alone.  The variates are drawn in whole
+blocks, so a sweep's draws do not depend on how long the chain runs.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
+import time
 import warnings
 from dataclasses import dataclass, field, asdict
 from concurrent.futures import ProcessPoolExecutor
@@ -49,6 +60,10 @@ SLICE_WIDTH = 1.0
 SLICE_MAX_STEPS = 50
 # rows of a chain CSV formatted per write
 WRITE_BLOCK_ROWS = 256
+# sweeps whose standard Normal and Gamma variates are drawn by one
+# generator call each: 64 x (p + athletes + 1) normals is about 110 KB
+# at league scale
+VARIATE_BLOCK = 64
 
 # smallest positive normal float64; floor for underflowing Gamma draws
 TINY_PRECISION = float(np.finfo(float).tiny)
@@ -86,53 +101,69 @@ def gibbs_scalar_normal(prior_mean, prior_var, xs, residuals, tau_obs, rng) -> f
     return mean + rng.standard_normal() / math.sqrt(prec)
 
 
-def gibbs_random_effect(level_residual_sums, level_counts, tau_obs, tau_group, rng) -> np.ndarray:
+def gibbs_random_effect(level_residual_sums, level_counts, tau_obs, tau_group, z) -> np.ndarray:
     """Draw a whole random-effect block; entry 0 stays exactly zero.
 
     level_residual_sums[l] is the sum, over that level's observations, of
     residuals excluding this block's contribution.  Levels with no data
-    are drawn from the N(0, 1/tau_group) population.
+    are drawn from the N(0, 1/tau_group) population.  z holds one
+    standard Normal variate per level.
     """
     if not tau_obs > 0.0 or not tau_group > 0.0:  # NaN included
         raise SamplerError(f"precisions must be positive, got "
                            f"tau_obs={tau_obs} tau_group={tau_group}")
-    prec = tau_obs * np.asarray(level_counts) + tau_group
-    draw = tau_obs * np.asarray(level_residual_sums) / prec
-    draw += rng.standard_normal(prec.size) / np.sqrt(prec)
+    prec = tau_obs * level_counts + tau_group
+    draw = tau_obs * level_residual_sums / prec
+    draw += z / np.sqrt(prec)
     draw[0] = 0.0
     return draw
 
 
-def gibbs_precision(shape, rate, sum_squares, n_free, rng) -> float:
-    """Draw a precision from its Gamma full conditional.
+def precision_shape(shape, n_free) -> float:
+    """The Gamma shape of a precision's full conditional: shape + n_free / 2.
 
     n_free excludes corner-constrained entries; for the observation
-    precision it is the number of observations and sum_squares the
-    residual sum of squares.
+    precision it is the number of observations.  It does not change
+    during a chain, so run_chain computes it once.
     """
-    if not shape > 0.0 or not rate > 0.0:  # NaN included
-        raise SamplerError(f"gamma shape/rate must be positive, got ({shape}, {rate})")
-    if not 0.0 <= sum_squares < math.inf or n_free < 0:
-        raise SamplerError(f"invalid update inputs: sum_squares={sum_squares} n_free={n_free}")
-    draw = rng.gamma(shape + 0.5 * n_free, 1.0 / (rate + 0.5 * sum_squares))
+    if not shape > 0.0:  # NaN included
+        raise SamplerError(f"gamma shape must be positive, got {shape}")
+    if n_free < 0:
+        raise SamplerError(f"n_free must be >= 0, got {n_free}")
+    return shape + 0.5 * n_free
+
+
+def gibbs_precision(rate, sum_squares, gamma_variate) -> float:
+    """Draw a precision from its Gamma full conditional.
+
+    gamma_variate is a standard Gamma variate of the conditional's shape,
+    precision_shape(prior shape, n_free); sum_squares is that of the free
+    levels, or the residual sum of squares for the observation precision.
+    """
+    if not rate > 0.0:  # NaN included
+        raise SamplerError(f"gamma rate must be positive, got {rate}")
+    if not 0.0 <= sum_squares < math.inf:
+        raise SamplerError(f"invalid update input: sum_squares={sum_squares}")
+    draw = gamma_variate / (rate + 0.5 * sum_squares)
     # with no free levels the conditional is the diffuse prior, whose
     # tiny-shape draws can underflow float64 to exactly 0; clamp to keep
     # the positivity invariant (anything below tiny is unrepresentable)
     return max(draw, TINY_PRECISION)
 
 
-def gibbs_hypermean(rho_cur, rho_prev, phi, v_rho_cur, v_rho_prev, v_m, rng) -> float:
+def gibbs_hypermean(rho_cur, rho_prev, phi, v_rho_cur, v_rho_prev, v_m, z) -> float:
     """Draw the rainfall hyper-mean from its Normal full conditional.
 
     Both rainfall coefficients inform it: the current-month one directly,
-    the previous-month one through the phi-scaled prior mean.
+    the previous-month one through the phi-scaled prior mean.  z is a
+    standard Normal variate.
     """
     if not v_rho_cur > 0.0 or not v_rho_prev > 0.0 or not v_m > 0.0:  # NaN included
         raise SamplerError(f"variances must be positive, got v_rho_cur={v_rho_cur} "
                            f"v_rho_prev={v_rho_prev} v_m={v_m}")
     prec = 1.0 / v_m + 1.0 / v_rho_cur + phi * phi / v_rho_prev
     mean = (rho_cur / v_rho_cur + phi * rho_prev / v_rho_prev) / prec
-    return mean + rng.standard_normal() / math.sqrt(prec)
+    return mean + z / math.sqrt(prec)
 
 
 def phi_log_target(phi, rho_prev, m_rho, v_rho_prev, a_phi, b_phi) -> float:
@@ -221,6 +252,9 @@ class LocationBlock:
     so Q is well scaled however different the covariates' scales are
     (rainfall in mm against indicators); `unit` converts back.
 
+    draw() writes beta and the athletes into a draws row, at
+    `beta_columns` and `athletes`.
+
     The same statistics give the residual sum of squares of a state
     without a pass over the observations: with m = X beta the race means,
     a the athlete effects (a[0] = 0) and r = S_ya - G beta,
@@ -247,10 +281,11 @@ class LocationBlock:
         season = np.eye(ls)[keys % ls, 1:]
         self.x = x = np.column_stack([np.ones(n_races), covariates[first], course, season])
         k = 1 + covariates.shape[1]  # first course[1:] column
-        self.scalars = _scalar_columns(config.include_windspeed)[:k]
-        self.course = slice(k, k + lc - 1)
         p = x.shape[1]
-        self.season = slice(k + lc - 1, p)
+        rows = _block_slices(config.include_windspeed, design)
+        self.beta_columns = np.r_[:k, rows["course"].start + 1:rows["course"].stop,
+                                  rows["season"].start + 1:rows["season"].stop]
+        self.athletes = rows["athlete"]
 
         self.race_n = race_n = np.bincount(race_idx, minlength=n_races).astype(float)
         self.race_y = race_y = np.bincount(race_idx, weights=design.y, minlength=n_races)
@@ -281,9 +316,9 @@ class LocationBlock:
         j = len(fixed)  # rho_cur ~ N(m_rho, v_rho_cur), rho_prev ~ N(phi m_rho, v_rho_prev)
         prior[0, j, j] = prior[3, p, j] = 1.0 / pr.v_rho_cur
         prior[0, j + 1, j + 1] = prior[4, p, j + 1] = 1.0 / pr.v_rho_prev
-        levels = np.arange(p)
-        prior[1, levels[self.course], levels[self.course]] = 1.0
-        prior[2, levels[self.season], levels[self.season]] = 1.0
+        course, season = np.arange(k, k + lc - 1), np.arange(k + lc - 1, p)
+        prior[1, course, course] = 1.0
+        prior[2, season, season] = 1.0
         basis = np.concatenate([[data], -np.array(moments).reshape(-1, p + 1, p + 1), prior])
         norms = np.sqrt(data.diagonal()[:p])
         self.unit = 1.0 / np.where(norms > 0.0, norms, 1.0)
@@ -293,54 +328,52 @@ class LocationBlock:
         self.coef = np.empty(basis.shape[0])
         self.coef[-5] = 1.0
 
-    def precision(self, state: ParameterState) -> tuple[np.ndarray, np.ndarray]:
+    def precision(self, tau_obs, tau_athlete, tau_course, tau_season, m_rho, phi):
         """Q and b of the conditional N(Q^-1 b, Q^-1) of beta / unit.
 
         The free athletes are integrated out.  In beta's own units these
         are Q / (unit unit') and b / unit.
         """
-        tau = state.tau_obs
         coef = self.coef
-        coef[0] = tau
+        coef[0] = tau_obs
         w2 = coef[1:-5]  # w^2 of each distinct athlete count
-        np.multiply(self.distinct_counts, tau, out=w2)
-        w2 += state.tau_athlete
-        np.divide(tau * tau, w2, out=w2)
-        coef[-4] = state.tau_course
-        coef[-3] = state.tau_season
-        coef[-2] = state.m_rho
-        coef[-1] = state.phi * state.m_rho
+        np.multiply(self.distinct_counts, tau_obs, out=w2)
+        w2 += tau_athlete
+        np.divide(tau_obs * tau_obs, w2, out=w2)
+        coef[-4] = tau_course
+        coef[-3] = tau_season
+        coef[-2] = m_rho
+        coef[-1] = phi * m_rho
         p = self.unit.size
         qb = (coef @ self.basis).reshape(p + 1, p + 1)
         return qb[:p, :p], qb[p, :p]
 
-    def draw(self, state: ParameterState, rng) -> float:
-        """Redraw beta and the athlete effects of `state` jointly; returns e'e.
+    def draw(self, row, z_beta, z_athletes, tau_obs, tau_athlete, tau_course, tau_season,
+             m_rho, phi) -> float:
+        """Redraw beta and the athlete effects in the draws row `row`; returns e'e.
 
-        beta = Q^-1 (b + L z) with L L' = Q is N(Q^-1 b, Q^-1): one
+        beta = Q^-1 (b + L z_beta) with L L' = Q is N(Q^-1 b, Q^-1): one
         Cholesky factorisation and one solve, in the scaled units.  The
-        athletes are then drawn from their conditional given beta, and
-        the new state's residual sum of squares is taken from the
-        race and athlete statistics.
+        athletes are then drawn from their conditional given beta, with
+        z_athletes (one standard Normal per athlete), and the new state's
+        residual sum of squares is taken from the race and athlete
+        statistics.
         """
-        q, b = self.precision(state)
+        q, b = self.precision(tau_obs, tau_athlete, tau_course, tau_season, m_rho, phi)
         try:
             if not q.diagonal().min() > 0.0:  # NaN included
                 raise np.linalg.LinAlgError("Matrix is not positive definite")
             chol = np.linalg.cholesky(q)
-            beta = self.unit * np.linalg.solve(q, b + chol @ rng.standard_normal(b.size))
+            beta = self.unit * np.linalg.solve(q, b + chol @ z_beta)
         except np.linalg.LinAlgError as exc:
             raise SamplerError(
                 f"location block precision is not positive definite ({exc}) at "
-                f"tau_obs={state.tau_obs!r} tau_athlete={state.tau_athlete!r} "
-                f"tau_course={state.tau_course!r} tau_season={state.tau_season!r}") from exc
-        for name, value in zip(self.scalars, beta.tolist()):
-            setattr(state, name, value)
-        state.course_effects[1:] = beta[self.course]
-        state.season_effects[1:] = beta[self.season]
+                f"tau_obs={tau_obs!r} tau_athlete={tau_athlete!r} "
+                f"tau_course={tau_course!r} tau_season={tau_season!r}") from exc
+        row[self.beta_columns] = beta
         r = self.s_ya - self.g @ beta
-        a = gibbs_random_effect(r, self.n_a, state.tau_obs, state.tau_athlete, rng)
-        state.athlete_effects = a
+        a = gibbs_random_effect(r, self.n_a, tau_obs, tau_athlete, z_athletes)
+        row[self.athletes] = a
         m = self.x @ beta
         return float(self.yy + (self.race_n * m) @ m + (self.n_a * a) @ a
                      - 2.0 * (m @ self.race_y + a @ r))
@@ -388,18 +421,21 @@ class ChainMeta:
             seed_spawn_key=None if spawn_key is None else tuple(int(k) for k in spawn_key))
 
 
-@functools.cache  # state_row runs once per stored draw
 def _scalar_columns(include_windspeed: bool) -> tuple[str, ...]:
     return tuple(name for name in SCALAR_COLUMNS
                  if include_windspeed or name != "lambda_wind")
 
 
-def _block_slices(meta: ChainMeta) -> dict[str, slice]:
-    """Where each effect block sits in a draws row."""
+def _block_slices(include_windspeed: bool, levels) -> dict[str, slice]:
+    """Where each effect block sits in a draws row.
+
+    `levels` is a ChainMeta or a design: anything with the `athletes`,
+    `courses` and `seasons` level names.
+    """
     slices = {}
-    start = len(_scalar_columns(meta.include_windspeed))
+    start = len(_scalar_columns(include_windspeed))
     for block in EFFECT_BLOCKS:
-        stop = start + len(getattr(meta, f"{block}s"))
+        stop = start + len(getattr(levels, f"{block}s"))
         slices[block] = slice(start, stop)
         start = stop
     return slices
@@ -412,14 +448,6 @@ def parameter_columns(meta: ChainMeta) -> tuple[str, ...]:
         for level in getattr(meta, f"{block}s"))
 
 
-def state_row(state: ParameterState) -> np.ndarray:
-    """`state` as one draws row, in parameter_columns order."""
-    scalars = [getattr(state, name)
-               for name in _scalar_columns(state.lambda_wind is not None)]
-    return np.concatenate([scalars] + [getattr(state, f"{block}_effects")
-                                       for block in EFFECT_BLOCKS])
-
-
 @dataclass
 class ChainOutput:
     """Thinned post-burn-in draws plus the metadata needed to reuse them."""
@@ -427,6 +455,8 @@ class ChainOutput:
     draws: np.ndarray  # (n_stored, n_params)
     columns: tuple[str, ...]
     meta: ChainMeta
+    # wall seconds run_chain spent sweeping; not saved (None for a loaded chain)
+    sampling_s: float | None = None
     _col_index: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -445,14 +475,15 @@ class ChainOutput:
 
     def effects(self, block: str) -> np.ndarray:
         """(n_stored, n_levels) draws of one of EFFECT_BLOCKS."""
-        return self.draws[:, _block_slices(self.meta)[block]]
+        return self.draws[:, _block_slices(self.meta.include_windspeed, self.meta)[block]]
 
     def _unpack(self, row: np.ndarray) -> ParameterState:
         names = _scalar_columns(self.meta.include_windspeed)
         return ParameterState(
             **{name: float(v) for name, v in zip(names, row)},
             **{f"{block}_effects": row[where].copy()
-               for block, where in _block_slices(self.meta).items()})
+               for block, where in _block_slices(self.meta.include_windspeed,
+                                                 self.meta).items()})
 
     def state_at(self, i: int) -> ParameterState:
         return self._unpack(self.draws[i])
@@ -485,14 +516,7 @@ def run_chain(design: DesignMatrixView, config: ModelConfig, rng_seed=None) -> C
     n = design.n_obs
     la, lc, ls = len(design.athletes), len(design.courses), len(design.seasons)
     block = LocationBlock(design, config)
-
-    # deterministic start; the first block draw replaces every location value
-    state = ParameterState(
-        intercept=0.0, athlete_effects=np.zeros(la),
-        course_effects=np.zeros(lc), season_effects=np.zeros(ls),
-        gamma_dist=0.0, rho_cur=0.0, rho_prev=0.0, m_rho=0.0, phi=pr.a_phi / pr.b_phi,
-        tau_obs=1.0, tau_athlete=1.0, tau_course=1.0, tau_season=1.0,
-        lambda_wind=0.0 if config.include_windspeed else None)
+    p = block.unit.size
 
     total = sched.burn_in + sched.iterations
     meta = ChainMeta(
@@ -505,39 +529,65 @@ def run_chain(design: DesignMatrixView, config: ModelConfig, rng_seed=None) -> C
         athletes=design.athletes, courses=design.courses, seasons=design.seasons)
     columns = parameter_columns(meta)
     draws = np.empty((sched.n_stored, len(columns)))
-    row = 0
+    stored = 0
+
+    # the state, laid out like a draws row: the location parameters live in
+    # `state` (views below), the rest in Python floats that are written into
+    # it only when a draw is stored.  The first block draw replaces every
+    # location value.
+    state = np.zeros(len(columns))
+    blocks = _block_slices(config.include_windspeed, design)
+    athletes, courses, seasons = (state[blocks[b]] for b in EFFECT_BLOCKS)
+    names = _scalar_columns(config.include_windspeed)
+    rho = slice(names.index("rho_cur"), names.index("rho_prev") + 1)
+    # m_rho, phi, tau_obs, tau_athlete, tau_course, tau_season: the last
+    # six scalar columns
+    rest = slice(names.index("m_rho"), len(names))
+    m_rho, phi = 0.0, pr.a_phi / pr.b_phi
+    tau_obs = tau_athlete = tau_course = tau_season = 1.0
 
     v_rho_cur, v_rho_prev, v_m_rho = pr.v_rho_cur, pr.v_rho_prev, pr.v_m_rho
     a_phi, b_phi = pr.a_phi, pr.b_phi
-    a_athlete, b_athlete = pr.a_tau_athlete, pr.b_tau_athlete
-    a_course, b_course = pr.a_tau_course, pr.b_tau_course
-    a_season, b_season = pr.a_tau_season, pr.b_tau_season
-    a_obs, b_obs = pr.a_tau_obs, pr.b_tau_obs
+    b_athlete, b_course, b_season, b_obs = (pr.b_tau_athlete, pr.b_tau_course,
+                                            pr.b_tau_season, pr.b_tau_obs)
+    shapes = [precision_shape(pr.a_tau_athlete, la - 1), precision_shape(pr.a_tau_course, lc - 1),
+              precision_shape(pr.a_tau_season, ls - 1), precision_shape(pr.a_tau_obs, n)]
 
+    started = time.perf_counter()
     try:
         for sweep in range(1, total + 1):
-            sum_squares = block.draw(state, rng)
+            i = (sweep - 1) % VARIATE_BLOCK
+            if i == 0:
+                normals = rng.standard_normal((VARIATE_BLOCK, p + la + 1))
+                z_beta, z_athletes = normals[:, :p], normals[:, p:-1]
+                z_m_rho = normals[:, -1].tolist()
+                gammas = rng.standard_gamma(shapes, size=(VARIATE_BLOCK, 4)).tolist()
 
-            state.m_rho = gibbs_hypermean(state.rho_cur, state.rho_prev, state.phi,
-                                          v_rho_cur, v_rho_prev, v_m_rho, rng)
-            state.phi = slice_update_phi(state.phi, state.rho_prev, state.m_rho,
-                                         v_rho_prev, a_phi, b_phi, rng)
+            sum_squares = block.draw(state, z_beta[i], z_athletes[i], tau_obs, tau_athlete,
+                                     tau_course, tau_season, m_rho, phi)
+
+            rho_cur, rho_prev = state[rho].tolist()
+            m_rho = gibbs_hypermean(rho_cur, rho_prev, phi, v_rho_cur, v_rho_prev, v_m_rho,
+                                    z_m_rho[i])
+            phi = slice_update_phi(phi, rho_prev, m_rho, v_rho_prev, a_phi, b_phi, rng)
 
             # entry 0 of each effect vector is exactly 0, so whole-vector
             # sums of squares are those of the free levels
-            a, c, s = state.athlete_effects, state.course_effects, state.season_effects
-            state.tau_athlete = gibbs_precision(a_athlete, b_athlete, float(a @ a), la - 1, rng)
-            state.tau_course = gibbs_precision(a_course, b_course, float(c @ c), lc - 1, rng)
-            state.tau_season = gibbs_precision(a_season, b_season, float(s @ s), ls - 1, rng)
-            state.tau_obs = gibbs_precision(a_obs, b_obs, sum_squares, n, rng)
+            g_athlete, g_course, g_season, g_obs = gammas[i]
+            tau_athlete = gibbs_precision(b_athlete, float(athletes @ athletes), g_athlete)
+            tau_course = gibbs_precision(b_course, float(courses @ courses), g_course)
+            tau_season = gibbs_precision(b_season, float(seasons @ seasons), g_season)
+            tau_obs = gibbs_precision(b_obs, sum_squares, g_obs)
 
             if sweep > sched.burn_in and (sweep - sched.burn_in) % sched.thin == 0:
-                draws[row] = state_row(state)
-                row += 1
+                state[rest] = (m_rho, phi, tau_obs, tau_athlete, tau_course, tau_season)
+                draws[stored] = state
+                stored += 1
     except SamplerError as exc:
         raise SamplerError(f"sweep {sweep}: {exc}") from exc
 
-    return ChainOutput(draws=draws, columns=columns, meta=meta)
+    return ChainOutput(draws=draws, columns=columns, meta=meta,
+                       sampling_s=time.perf_counter() - started)
 
 
 def _chain_worker(job):

@@ -70,6 +70,7 @@ def conditional_ks(name, design, state, priors, n_draws, seed) -> float:
         gibbs_precision,
         gibbs_random_effect,
         gibbs_scalar_normal,
+        precision_shape,
         slice_update_phi,
     )
 
@@ -101,7 +102,8 @@ def conditional_ks(name, design, state, priors, n_draws, seed) -> float:
         size = getattr(state, attr).size
         sums = np.bincount(idx, weights=resid, minlength=size)
         counts = np.bincount(idx, minlength=size)
-        draws = np.array([gibbs_random_effect(sums, counts, tau, tau_group, rng)[level]
+        draws = np.array([gibbs_random_effect(sums, counts, tau, tau_group,
+                                              rng.standard_normal(size))[level]
                           for _ in range(n_draws)])
         prec = tau * counts[level] + tau_group
         mean = tau * sums[level] / prec
@@ -113,8 +115,8 @@ def conditional_ks(name, design, state, priors, n_draws, seed) -> float:
     def precision_ks(attr, shape, rate, sum_squares, n_free):
         # integrate in u = log(tau): the density can diverge at tau = 0 for
         # very diffuse updates, which a linear grid cannot resolve
-        draws = np.array([gibbs_precision(shape, rate, sum_squares, n_free, rng)
-                          for _ in range(n_draws)])
+        variates = rng.standard_gamma(precision_shape(shape, n_free), n_draws)
+        draws = np.array([gibbs_precision(rate, sum_squares, g) for g in variates.tolist()])
         a_post = shape + 0.5 * n_free
         b_post = rate + 0.5 * sum_squares
         lo = max(sps.gamma.ppf(1e-9, a_post, scale=1.0 / b_post), 1e-290)
@@ -167,8 +169,8 @@ def conditional_ks(name, design, state, priors, n_draws, seed) -> float:
     elif name == "m_rho":
         draws = np.array([gibbs_hypermean(state.rho_cur, state.rho_prev, state.phi,
                                           priors.v_rho_cur, priors.v_rho_prev,
-                                          priors.v_m_rho, rng)
-                          for _ in range(n_draws)])
+                                          priors.v_m_rho, z)
+                          for z in rng.standard_normal(n_draws).tolist()])
         p_star = (1.0 / priors.v_m_rho + 1.0 / priors.v_rho_cur
                   + state.phi ** 2 / priors.v_rho_prev)
         m_star = (state.rho_cur / priors.v_rho_cur
@@ -244,16 +246,54 @@ def location_block_check(design, state, priors, n_draws, seed):
     config = ModelConfig(include_windspeed=state.lambda_wind is not None, priors=priors)
     block = LocationBlock(design, config)
     rng = np.random.default_rng(seed)
-    work = state.copy()
+    row = draws_row(state)
+    # each entry's place in the row: unpack a row holding 0, 1, 2, ...
+    where = state_from_row(np.arange(row.size, dtype=float), state)
+    positions = [int(get(where)) for _, get, _, _ in entries]
+    p, la = block.unit.size, state.athlete_effects.size
     draws = np.empty((n_draws, x0.size))
     for i in range(n_draws):
-        block.draw(work, rng)
-        draws[i] = [get(work) for _, get, _, _ in entries]
+        z = rng.standard_normal(p + la)
+        block.draw(row, z[:p], z[p:], state.tau_obs, state.tau_athlete, state.tau_course,
+                   state.tau_season, state.m_rho, state.phi)
+        draws[i] = row[positions]
     white = (draws - mean) @ np.linalg.cholesky(precision)
     worst_ks = max(sps.kstest(white[:, j], "norm").statistic for j in range(x0.size))
     cov = white.T @ white / n_draws
     cov_excess = np.abs(cov - np.eye(x0.size)).max() / (5.0 / np.sqrt(n_draws))
     return float(worst_ks), float(cov_excess)
+
+
+def _row_scalars(state):
+    from racemix.sampler import SCALAR_COLUMNS
+
+    return [name for name in SCALAR_COLUMNS
+            if name != "lambda_wind" or state.lambda_wind is not None]
+
+
+def draws_row(state) -> np.ndarray:
+    """`state` as a draws row, the layout written out here for the tests.
+
+    The scalars in SCALAR_COLUMNS order (lambda_wind only when fitted),
+    then the athlete, course and season effects in level order.
+    """
+    return np.concatenate([[getattr(state, name) for name in _row_scalars(state)],
+                           state.athlete_effects, state.course_effects, state.season_effects])
+
+
+def state_from_row(row, like):
+    """The ParameterState a draws row holds; block sizes are taken from `like`."""
+    state = like.copy()
+    names = _row_scalars(like)
+    for name, value in zip(names, row):
+        setattr(state, name, float(value))
+    start = len(names)
+    for attr in ("athlete_effects", "course_effects", "season_effects"):
+        stop = start + getattr(like, attr).size
+        setattr(state, attr, np.array(row[start:stop], dtype=float))
+        start = stop
+    assert start == len(row)
+    return state
 
 
 def ar1_chain(n, rho, seed) -> np.ndarray:

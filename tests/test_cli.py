@@ -8,6 +8,7 @@ manifest timestamp.
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,10 @@ from racemix.cli import main
 from racemix.ingest import build_design, parse_races, parse_rainfall, parse_results
 from racemix.model import ModelConfig
 from racemix.predictive import SyntheticSpec, simulate_dataset
-from racemix.sampler import SamplerError, run_chain, save_chain
+from racemix.diagnostics import summarize, write_summary_csv
+from racemix.sampler import ChainOutput, SamplerError, load_chain, run_chain, save_chain
+
+from conftest import make_toy_design
 
 FIT_ARGS = ["--burn-in", "200", "--iterations", "1200", "--thin", "5"]
 
@@ -106,6 +110,10 @@ def test_fit_multichain_artifacts(dataset_dir, tmp_path):
                  "crosschain.csv"):
         assert (out / name).exists(), name
     assert (out / "chain_01.csv").read_bytes() != (out / "chain_02.csv").read_bytes()
+    # each chain's sampling time and speed: burn-in 200 + 1200 iterations
+    for i in (1, 2):
+        assert re.search(rf"^chain {i}: 1400 sweeps in \d+\.\d\d s \(\d+ sweeps/s\)$",
+                         result.output, re.MULTILINE), result.output
     lines = (out / "crosschain.csv").read_text().splitlines()
     assert lines[0] == "parameter,split_rhat,ess_total"
     n_params = len((out / "chain_01.csv").read_text().splitlines()[0].split(","))
@@ -324,6 +332,58 @@ def test_summarize_bad_index_exits_2(fit_dir):
 def test_summarize_non_fit_directory_exits_2(tmp_path):
     result = _run(["summarize", "--fit", str(tmp_path)])
     assert result.exit_code == 2
+
+
+def test_commands_read_only_the_chains_of_the_latest_fit(dataset_dir, tmp_path):
+    # a one-chain fit leaves chain.csv behind; a two-chain fit into the
+    # same directory must not have it read back
+    out = tmp_path / "fit"
+    data = _data_args(dataset_dir)
+    assert _run(["fit", *data, "--burn-in", "100", "--iterations", "600", "--thin", "5",
+                 "--out", str(out)]).exit_code == 0
+    assert _run(["fit", *data, *FIT_ARGS, "--chains", "2", "--workers", "1",
+                 "--out", str(out)]).exit_code == 0
+    assert (out / "chain.csv").exists()
+    for index in (1, 2):
+        summary = tmp_path / f"summary_{index}.csv"
+        result = _run(["summarize", "--fit", str(out), "--index", str(index),
+                       "--out", str(summary)])
+        assert result.exit_code == 0, result.output
+        assert summary.read_bytes() == (out / f"summary_{index:02d}.csv").read_bytes()
+    result = _run(["diagnose", "--fit", str(out), "--index", "2"])
+    assert result.exit_code == 0, result.output
+    assert "(240 draws" in result.output and (out / "trace_02.csv").exists()
+    result = _run(["ppc", "--fit", str(out), "--out", str(tmp_path / "ppc")])
+    assert result.exit_code == 0, result.output
+    predicted = observed = 0
+    for row in (tmp_path / "ppc" / "histograms.csv").read_text().splitlines()[1:]:
+        cells = row.split(",")
+        predicted += int(cells[4])
+        observed += int(cells[5])
+    assert predicted == 240 * observed
+
+
+def test_commands_find_chain_11_of_100_and_name_a_missing_file(tmp_path):
+    # chain files are named by index; a text sort would put chain_100 at 11
+    chain = run_chain(make_toy_design(),
+                      ModelConfig.from_dict({"mcmc": {"burn_in": 0, "iterations": 4, "thin": 1}}))
+    fit = tmp_path / "fit"
+    fit.mkdir()
+    for i in range(1, 101):
+        save_chain(ChainOutput(draws=chain.draws + i, columns=chain.columns, meta=chain.meta),
+                   fit / f"chain_{i:02d}.csv", fit / f"metadata_{i:02d}.json")
+    (fit / "manifest.json").write_text(json.dumps({"command": "fit", "config": {"chains": 100}}))
+    expected = tmp_path / "expected.csv"
+    write_summary_csv(summarize(load_chain(fit / "chain_11.csv", fit / "metadata_11.json")),
+                      expected)
+    result = _run(["summarize", "--fit", str(fit), "--index", "11"])
+    assert result.exit_code == 0, result.output
+    assert (fit / "summary_11.csv").read_bytes() == expected.read_bytes()
+    assert _run(["summarize", "--fit", str(fit), "--index", "101"]).exit_code == 2
+    (fit / "chain_07.csv").unlink()
+    result = _run(["summarize", "--fit", str(fit), "--index", "7"])
+    assert result.exit_code == 2
+    assert "chain_07.csv is missing" in result.output
 
 
 @pytest.mark.parametrize("damage", ["one_draw", "bad_cell", "ragged_row", "missing_meta_key"])

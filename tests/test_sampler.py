@@ -1,4 +1,5 @@
 """Unit tests for the Gibbs/slice update steps and the chain driver."""
+import dataclasses
 import json
 import math
 import warnings
@@ -9,12 +10,13 @@ import pytest
 from conftest import make_toy_design
 
 from racemix.ingest import build_design
-from racemix.model import McmcSchedule, ModelConfig, linear_predictor_all
+from racemix.model import McmcSchedule, ModelConfig, ParameterState, linear_predictor_all
 from racemix.predictive import SyntheticSpec, simulate_dataset
 from racemix.sampler import (
     ChainOutput,
     LocationBlock,
     SamplerError,
+    VARIATE_BLOCK,
     WRITE_BLOCK_ROWS,
     gibbs_hypermean,
     gibbs_precision,
@@ -22,13 +24,15 @@ from racemix.sampler import (
     gibbs_scalar_normal,
     load_chain,
     phi_log_target,
+    precision_shape,
     run_chain,
     run_chains,
     save_chain,
     slice_update_phi,
     spawn_chain_seeds,
-    state_row,
 )
+
+from _oracles import draws_row, state_from_row
 
 
 ### scalar Normal conditional
@@ -88,7 +92,7 @@ def test_scalar_normal_domain_errors():
 def test_random_effect_corner_is_exactly_zero():
     rng = np.random.default_rng(5)
     draw = gibbs_random_effect(np.array([5.0, 0.3, -0.2]), np.array([4, 2, 1]),
-                               100.0, 50.0, rng)
+                               100.0, 50.0, rng.standard_normal(3))
     assert draw[0] == 0.0
     assert draw.shape == (3,)
 
@@ -97,8 +101,8 @@ def test_random_effect_worked_case_and_no_data_level():
     rng = np.random.default_rng(6)
     sums = np.array([0.0, 0.3, 0.0])
     counts = np.array([3, 2, 0])
-    draws = np.array([gibbs_random_effect(sums, counts, 100.0, 50.0, rng)
-                      for _ in range(50_000)])
+    draws = np.array([gibbs_random_effect(sums, counts, 100.0, 50.0, z)
+                      for z in rng.standard_normal((50_000, 3))])
     # level 1: N(100*0.3/250, 1/250)
     assert draws[:, 1].mean() == pytest.approx(0.12, abs=4 / math.sqrt(250 * 50_000))
     assert draws[:, 1].std() == pytest.approx(1 / math.sqrt(250), rel=0.03)
@@ -109,15 +113,13 @@ def test_random_effect_worked_case_and_no_data_level():
 
 def test_random_effect_domain_errors():
     with pytest.raises(SamplerError):
-        gibbs_random_effect(np.zeros(2), np.ones(2), 0.0, 1.0,
-                            np.random.default_rng(0))
+        gibbs_random_effect(np.zeros(2), np.ones(2), 0.0, 1.0, np.zeros(2))
 
 
 @pytest.mark.parametrize("tau_obs, tau_group", [(math.nan, 1.0), (1.0, math.nan)])
 def test_random_effect_rejects_nan_precisions(tau_obs, tau_group):
     with pytest.raises(SamplerError, match="precisions must be positive"):
-        gibbs_random_effect(np.zeros(2), np.ones(2), tau_obs, tau_group,
-                            np.random.default_rng(0))
+        gibbs_random_effect(np.zeros(2), np.ones(2), tau_obs, tau_group, np.zeros(2))
 
 
 ### precision conditional
@@ -126,8 +128,8 @@ def test_random_effect_rejects_nan_precisions(tau_obs, tau_group):
 def test_precision_worked_case_moments():
     # free effects (0.1, -0.1), prior Gamma(0.001, 0.001) -> Gamma(1.001, 0.011)
     rng = np.random.default_rng(7)
-    draws = np.array([gibbs_precision(0.001, 0.001, 0.02, 2, rng)
-                      for _ in range(100_000)])
+    variates = rng.standard_gamma(precision_shape(0.001, 2), 100_000)
+    draws = np.array([gibbs_precision(0.001, 0.02, g) for g in variates.tolist()])
     mean = 1.001 / 0.011
     sd = math.sqrt(1.001) / 0.011
     assert draws.mean() == pytest.approx(mean, abs=4 * sd / math.sqrt(100_000))
@@ -135,34 +137,35 @@ def test_precision_worked_case_moments():
 
 
 def test_precision_no_data_and_zero_ss():
-    draw = gibbs_precision(2.0, 3.0, 0.0, 0, np.random.default_rng(8))
-    ref = np.random.default_rng(8).gamma(2.0, 1.0 / 3.0)
-    assert draw == ref  # n_free=0, sum_squares=0: the prior, unchanged
-    draw2 = gibbs_precision(2.0, 3.0, 0.0, 2, np.random.default_rng(9))
-    ref2 = np.random.default_rng(9).gamma(3.0, 1.0 / 3.0)
-    assert draw2 == ref2  # zero sum of squares only bumps the shape
+    assert precision_shape(2.0, 0) == 2.0  # n_free=0: the prior shape, unchanged
+    assert precision_shape(2.0, 2) == 3.0
+    g = np.random.default_rng(8).standard_gamma(2.0)
+    # zero sum of squares leaves the prior rate
+    assert gibbs_precision(3.0, 0.0, g) == g / 3.0
 
 
 def test_precision_domain_errors():
-    rng = np.random.default_rng(0)
     with pytest.raises(SamplerError):
-        gibbs_precision(0.0, 1.0, 1.0, 1, rng)
+        precision_shape(0.0, 1)
     with pytest.raises(SamplerError):
-        gibbs_precision(1.0, 1.0, -1.0, 1, rng)
+        precision_shape(1.0, -1)
+    with pytest.raises(SamplerError):
+        gibbs_precision(1.0, -1.0, 1.0)
 
 
 @pytest.mark.parametrize("shape, rate, sum_squares", [
     (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan), (1.0, 1.0, math.inf)])
 def test_precision_rejects_nan_and_infinite_inputs(shape, rate, sum_squares):
     with pytest.raises(SamplerError):
-        gibbs_precision(shape, rate, sum_squares, 1, np.random.default_rng(0))
+        gibbs_precision(rate, sum_squares, precision_shape(shape, 1))
 
 
 def test_precision_prior_only_draws_never_underflow_to_zero():
     # shape 0.001 puts half the prior mass below float64's range; the
     # draw must stay positive anyway
-    rng = np.random.default_rng(10)
-    draws = [gibbs_precision(0.001, 0.001, 0.0, 0, rng) for _ in range(2000)]
+    variates = np.random.default_rng(10).standard_gamma(precision_shape(0.001, 0), 2000)
+    assert np.any(variates == 0.0)
+    draws = [gibbs_precision(0.001, 0.0, g) for g in variates.tolist()]
     assert min(draws) > 0.0
 
 
@@ -170,9 +173,8 @@ def test_precision_prior_only_draws_never_underflow_to_zero():
 
 
 def test_hypermean_worked_case():
-    draw = gibbs_hypermean(0.002, 0.001, 0.5, 1.0, 1.0, 10.0,
-                           np.random.default_rng(11))
     z = np.random.default_rng(11).standard_normal()
+    draw = gibbs_hypermean(0.002, 0.001, 0.5, 1.0, 1.0, 10.0, z)
     p_star = 0.1 + 1.0 + 0.25
     m_star = (0.002 + 0.5 * 0.001) / p_star
     assert m_star == pytest.approx(0.0018519, abs=1e-7)
@@ -180,8 +182,8 @@ def test_hypermean_worked_case():
 
 
 def test_hypermean_symmetry_at_zero():
-    draw = gibbs_hypermean(0.0, 0.0, 0.7, 1.0, 2.0, 5.0, np.random.default_rng(12))
     z = np.random.default_rng(12).standard_normal()
+    draw = gibbs_hypermean(0.0, 0.0, 0.7, 1.0, 2.0, 5.0, z)
     p_star = 0.2 + 1.0 + 0.49 / 2.0
     assert draw == 0.0 + z / math.sqrt(p_star)
 
@@ -190,13 +192,13 @@ def test_hypermean_symmetry_at_zero():
     (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan), (1.0, 0.0, 1.0)])
 def test_hypermean_rejects_nan_and_nonpositive_variances(variances):
     with pytest.raises(SamplerError, match="variances must be positive"):
-        gibbs_hypermean(0.1, 0.1, 0.5, *variances, np.random.default_rng(0))
+        gibbs_hypermean(0.1, 0.1, 0.5, *variances, 0.0)
 
 
 def test_hypermean_prior_dominated_limit():
     rng = np.random.default_rng(13)
-    draws = np.array([gibbs_hypermean(0.5, 0.5, 1.0, 1.0, 1.0, 1e-10, rng)
-                      for _ in range(1000)])
+    draws = np.array([gibbs_hypermean(0.5, 0.5, 1.0, 1.0, 1.0, 1e-10, z)
+                      for z in rng.standard_normal(1000).tolist()])
     assert np.abs(draws).max() < 1e-3
 
 
@@ -308,6 +310,12 @@ def _single_course_season_case():
     return design, config, state
 
 
+def _hyper(state):
+    """The non-location arguments of LocationBlock.precision and .draw."""
+    return (state.tau_obs, state.tau_athlete, state.tau_course, state.tau_season,
+            state.m_rho, state.phi)
+
+
 LOCATION_CASES = pytest.mark.parametrize("case", [
     lambda: _default_spec_case(),
     lambda: _default_spec_case(response="log_pace", include_windspeed=True),
@@ -319,7 +327,7 @@ LOCATION_CASES = pytest.mark.parametrize("case", [
 def test_location_block_race_statistics_match_observation_design(case):
     design, config, state = case()
     block = LocationBlock(design, config)
-    q, b = block.precision(state)  # for beta / unit
+    q, b = block.precision(*_hyper(state))  # for beta / unit
     q_ref, b_ref = _observation_level_q_and_b(design, config, state)
     assert q.shape == q_ref.shape
     np.testing.assert_allclose(q, q_ref * block.unit[:, None] * block.unit, rtol=1e-10)
@@ -335,7 +343,11 @@ def test_location_block_sum_of_squares_matches_the_residuals(case):
         # spread the precisions so the drawn states range from tight to loose fits
         for name in ("tau_obs", "tau_athlete", "tau_course", "tau_season"):
             setattr(state, name, getattr(state, name) * 10.0 ** rng.uniform(-2.0, 1.0))
-        sum_squares = block.draw(state, rng)
+        row = draws_row(state)
+        z = rng.standard_normal(block.unit.size + len(design.athletes))
+        sum_squares = block.draw(row, z[:block.unit.size], z[block.unit.size:],
+                                 *_hyper(state))
+        state = state_from_row(row, state)
         e = design.y - linear_predictor_all(state, design)
         assert sum_squares == pytest.approx(float(e @ e), rel=1e-9)
 
@@ -435,12 +447,80 @@ def test_draw_layout_round_trips(include_windspeed):
     cfg = small_config()
     cfg.include_windspeed = include_windspeed
     chain = run_chain(design, cfg)
+    column = {name: j for j, name in enumerate(chain.columns)}
+    levels = {"athlete_effects": ("athlete", design.athletes),
+              "course_effects": ("course", design.courses),
+              "season_effects": ("season", design.seasons)}
     for i in range(chain.n_stored):
-        assert np.array_equal(state_row(chain.state_at(i)), chain.draws[i])
-    for block, levels in (("athlete", design.athletes), ("course", design.courses),
-                          ("season", design.seasons)):
-        named = np.column_stack([chain.column(f"{block}[{level}]") for level in levels])
+        state, row = chain.state_at(i), chain.draws[i]
+        checked = set()
+        for field in dataclasses.fields(ParameterState):
+            value = getattr(state, field.name)
+            if field.name in levels:
+                block, names = levels[field.name]
+                assert value.shape == (len(names),)
+                for level, v in zip(names, value):
+                    assert v == row[column[f"{block}[{level}]"]]
+                    checked.add(f"{block}[{level}]")
+            elif value is None:
+                assert field.name == "lambda_wind" and not include_windspeed
+                assert field.name not in column
+            else:
+                assert value == row[column[field.name]], field.name
+                checked.add(field.name)
+        assert checked == set(chain.columns)
+    for block, names in levels.values():
+        named = np.column_stack([chain.column(f"{block}[{level}]") for level in names])
         assert np.array_equal(chain.effects(block), named)
+
+
+def test_stored_precisions_are_draws_given_their_row():
+    # each stored precision was drawn given the location values stored in
+    # the same row, so precision x posterior rate is a standard Gamma
+    # variate of the posterior shape; a precision written to another
+    # precision's column fails this
+    from scipy import stats
+
+    design = make_toy_design()
+    config = small_config(burn_in=0, iterations=3000, thin=1)
+    pr = config.priors
+    chain = run_chain(design, config)
+    states = [chain.state_at(i) for i in range(chain.n_stored)]
+    sse = np.array([float(e @ e) for e in
+                    (design.y - linear_predictor_all(s, design) for s in states)])
+    cases = {"tau_obs": (pr.a_tau_obs, pr.b_tau_obs, design.n_obs, sse)}
+    for block, name in (("athlete", "tau_athlete"), ("course", "tau_course"),
+                        ("season", "tau_season")):
+        effects = chain.effects(block)
+        cases[name] = (getattr(pr, f"a_{name}"), getattr(pr, f"b_{name}"),
+                       effects.shape[1] - 1, (effects ** 2).sum(axis=1))
+    for name, (shape, rate, n_free, sum_squares) in cases.items():
+        scaled = chain.column(name) * (rate + 0.5 * sum_squares)
+        p_value = stats.kstest(scaled, stats.gamma(precision_shape(shape, n_free)).cdf).pvalue
+        assert p_value > 1e-3, (name, p_value)
+
+
+@pytest.mark.parametrize("sweeps", [VARIATE_BLOCK - 1, VARIATE_BLOCK, VARIATE_BLOCK + 1])
+def test_shorter_chain_is_a_prefix_of_a_longer_one(sweeps):
+    # variates are drawn per block of sweeps, always whole blocks, so a
+    # sweep's draws do not depend on where the chain ends
+    design = make_toy_design()
+    short = run_chain(design, small_config(burn_in=3, iterations=sweeps - 3, thin=1))
+    long = run_chain(design, small_config(burn_in=3, iterations=2 * VARIATE_BLOCK + 7, thin=1))
+    assert short.n_stored == sweeps - 3
+    assert np.array_equal(short.draws, long.draws[:short.n_stored])
+
+
+def test_two_sweep_chain_keeps_the_invariants():
+    # the shortest schedule a one-chain fit accepts: both sweeps in the first block
+    design = make_toy_design()
+    chain = run_chain(design, small_config(burn_in=0, iterations=2, thin=1))
+    assert chain.draws.shape == (2, len(chain.columns))
+    assert np.all(np.isfinite(chain.draws))
+    for name in ("athlete[A1]", "course[Alnwick]", "season[17/18]"):
+        assert np.all(chain.column(name) == 0.0)
+    for name in ("tau_obs", "tau_athlete", "tau_course", "tau_season", "phi"):
+        assert np.all(chain.column(name) > 0.0)
 
 
 def test_windspeed_variant_has_lambda_column():

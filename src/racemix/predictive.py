@@ -7,9 +7,12 @@ likelihood to predict a race's field, and ppc_report compares predicted
 and observed five-number summaries per race.  effect_on_time converts a
 log-scale coefficient into seconds at a given base finish time.
 
-Predictive noise is generated in fixed-size chunks with per-chunk child
-generators, so results are reproducible no matter how the chunks are
-scheduled.
+A race's field shares every term of the linear predictor but the athlete
+effect, so each draw's mean is one race-level offset plus the athletes'
+effects, and ppc_report sorts each draw's field once for its range and
+quantiles.  Predictive noise is generated in fixed-size chunks with
+per-chunk child generators, so results are reproducible no matter how
+the chunks are scheduled.
 """
 from __future__ import annotations
 
@@ -356,37 +359,46 @@ def posterior_predictive_race(chain: ChainOutput, design, course: str,
 
     Each row simulates the race's actual field from one posterior draw:
     Y* ~ N(mu, 1/tau) per athlete, back-transformed to minutes (times the
-    race distance under the log-pace response).  Noise is chunked with
-    spawned child generators, so parallel evaluation of chunks would give
-    the same numbers.
+    race distance under the log-pace response).  Every term of mu but the
+    athlete effect is shared by the whole field, so it is computed once
+    per draw as a race-level offset; a race whose covariates vary over
+    its observations is a DataError.  Noise is chunked with spawned child
+    generators, so parallel evaluation of chunks would give the same
+    numbers.
     """
     _check_chain_matches_design(chain, design)
-    mask = design.race_mask(course, season)
-    rows = np.nonzero(mask)[0]
+    rows = np.nonzero(design.race_mask(course, season))[0]
     meta = chain.meta
-    mu = (chain.column("intercept")[:, None]
-          + chain.effects("athlete")[:, design.athlete_idx[rows]]
-          + chain.effects("course")[:, design.course_idx[rows]]
-          + chain.effects("season")[:, design.season_idx[rows]]
-          + np.outer(chain.column("gamma_dist"), design.x_dist[rows])
-          + np.outer(chain.column("rho_cur"), design.rain_cur[rows])
-          + np.outer(chain.column("rho_prev"), design.rain_prev[rows]))
+    slopes = [("gamma_dist", "x_dist"), ("rho_cur", "rain_cur"),
+              ("rho_prev", "rain_prev")]
     if meta.include_windspeed:
-        mu = mu + np.outer(chain.column("lambda_wind"), design.x_wind[rows])
+        slopes.append(("lambda_wind", "x_wind"))
+    first = rows[0]
+    offset = (chain.column("intercept")
+              + chain.effects("course")[:, design.course_idx[first]]
+              + chain.effects("season")[:, design.season_idx[first]])
+    for column, covariate in slopes:
+        values = getattr(design, covariate)[rows]
+        if np.any(values != values[0]):
+            raise DataError(f"race {course}:{season}: {covariate} is not constant "
+                            f"over the race's {rows.size} observations")
+        offset += chain.column(column) * values[0]
+    pred = chain.effects("athlete")[:, design.athlete_idx[rows]]
+    pred += offset[:, None]
 
     sd = 1.0 / np.sqrt(chain.column("tau_obs"))
     n_draws = chain.n_stored
     n_chunks = (n_draws + PPC_CHUNK - 1) // PPC_CHUNK
-    out = np.empty_like(mu)
     for j, child in enumerate(rng.spawn(n_chunks)):
         i0 = j * PPC_CHUNK
         i1 = min(i0 + PPC_CHUNK, n_draws)
         z = child.standard_normal((i1 - i0, rows.size))
-        out[i0:i1] = mu[i0:i1] + z * sd[i0:i1, None]
-    times = np.exp(out)
+        z *= sd[i0:i1, None]
+        pred[i0:i1] += z
+    np.exp(pred, out=pred)
     if meta.response == RESPONSE_LOG_PACE:
-        times = times * design.dist[rows][None, :]
-    return times
+        pred *= design.dist[rows]
+    return pred
 
 
 @dataclass(frozen=True)
@@ -413,7 +425,9 @@ def ppc_report(chain: ChainOutput, design, observed, rng,
     The predicted summary is the mean over posterior draws of each order
     statistic of that draw's simulated field; discrepancies are observed
     minus predicted.  The histograms bin the same simulated fields and
-    the observed times into `bins` equal-width bins spanning both.
+    the observed times into `bins` equal-width bins spanning both.  Each
+    draw's field is sorted once: its end columns give the bins' span, and
+    the quantiles are read from the sorted rows.
     """
     _check_chain_matches_design(chain, design)
     if not observed:
@@ -435,11 +449,17 @@ def ppc_report(chain: ChainOutput, design, observed, rng,
         obs_times = np.asarray(groups[(course, season)], dtype=float)
         obs_summary = np.quantile(obs_times, FIVE_NUMBER_QS)
         pred = posterior_predictive_race(chain, design, course, season, child)
-        pred_summary = np.quantile(pred, FIVE_NUMBER_QS, axis=1).mean(axis=1)
-        disc = obs_summary - pred_summary
-        lo = min(float(pred.min()), float(obs_times.min()))
-        hi = max(float(pred.max()), float(obs_times.max()))
+        pred.sort(axis=1)
+        lo = min(float(pred[:, 0].min()), float(obs_times.min()))
+        hi = max(float(pred[:, -1].max()), float(obs_times.max()))
         edges = np.linspace(lo, hi if hi > lo else lo + 1.0, bins + 1)
+        predicted_counts = np.histogram(pred, bins=edges)[0]
+        # sorting moves no value between draws, so these quantiles equal the
+        # unsorted field's; the quantile may reorder each row in place, so
+        # it comes after every read that relies on the sorted order
+        pred_summary = np.quantile(pred, FIVE_NUMBER_QS, axis=1,
+                                   overwrite_input=True).mean(axis=1)
+        disc = obs_summary - pred_summary
         reports.append(PpcRaceReport(
             course=course, season=season, n_finishers=obs_times.size,
             observed=tuple(float(v) for v in obs_summary),
@@ -447,7 +467,7 @@ def ppc_report(chain: ChainOutput, design, observed, rng,
             discrepancy=tuple(float(v) for v in disc),
             low_power=obs_times.size < 5,
             bin_edges=edges,
-            predicted_counts=np.histogram(pred, bins=edges)[0],
+            predicted_counts=predicted_counts,
             observed_counts=np.histogram(obs_times, bins=edges)[0]))
     return reports
 

@@ -169,6 +169,9 @@ def test_fit_log_pace_with_windspeed(dataset_dir, tmp_path):
     assert meta["include_windspeed"] is True
     header = (out / "chain.csv").read_text().splitlines()[0]
     assert "lambda_wind" in header.split(",")
+    result = _run(["ppc", "--fit", str(out)])
+    assert result.exit_code == 0, result.output
+    _assert_histograms_conserve_mass(out, out / "ppc")
 
 
 def test_fit_bad_header_exits_2(dataset_dir, tmp_path):
@@ -431,10 +434,14 @@ def test_ppc_writes_reports_and_histograms(fit_dir):
     assert manifest["command"] == "ppc"
     assert manifest["seed"] == 3
 
-    # histogram counts must conserve mass: draws x field per race
+    _assert_histograms_conserve_mass(fit_dir, out)
+
+
+def _assert_histograms_conserve_mass(fit_dir, out):
+    """Each race's predicted counts sum to draws x finishers, observed to finishers."""
     n_draws = len((fit_dir / "chain.csv").read_text().splitlines()) - 1
     finishers = {}
-    for row in reports[1:]:
+    for row in (out / "ppc.csv").read_text().splitlines()[1:]:
         cells = row.split(",")
         finishers[(cells[0], cells[1])] = int(cells[2])
     pred_sum: dict = {}

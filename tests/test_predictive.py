@@ -28,6 +28,7 @@ from racemix.model import (
     linear_predictor_all,
 )
 from racemix.predictive import (
+    PPC_CHUNK,
     PPC_HEADER,
     SyntheticSpec,
     effect_on_time,
@@ -273,6 +274,60 @@ def test_predictive_race_spans_chunks_deterministically(small_fit):
     assert np.array_equal(a, b)
 
 
+@pytest.fixture(scope="module")
+def long_fits(small_sim):
+    """Chains longer than PPC_CHUNK, so a predicted field spans two chunks."""
+    fits = {}
+    for response, windspeed in ((RESPONSE_LOG_TIME, False), (RESPONSE_LOG_TIME, True),
+                                (RESPONSE_LOG_PACE, True)):
+        config = ModelConfig(response=response, include_windspeed=windspeed,
+                             mcmc=McmcSchedule(burn_in=100, iterations=PPC_CHUNK + 52,
+                                               thin=1, seed=79))
+        design = build_design(small_sim.observations, small_sim.contexts,
+                              small_sim.rainfall, config)
+        fits[response, windspeed] = design, run_chain(design, config)
+    return fits
+
+
+@pytest.mark.parametrize("response,windspeed", [
+    (RESPONSE_LOG_TIME, False), (RESPONSE_LOG_TIME, True), (RESPONSE_LOG_PACE, True)])
+def test_predictive_race_is_the_linear_predictor_plus_chunked_noise(
+        long_fits, response, windspeed):
+    design, chain = long_fits[response, windspeed]
+    course, season = design.races()[1]
+    rows = np.nonzero(design.race_mask(course, season))[0]
+    pred = posterior_predictive_race(chain, design, course, season,
+                                     np.random.default_rng(31))
+    children = np.random.default_rng(31).spawn(2)
+    z = np.vstack([children[0].standard_normal((PPC_CHUNK, rows.size)),
+                   children[1].standard_normal((chain.n_stored - PPC_CHUNK, rows.size))])
+    for i in range(chain.n_stored):
+        state = chain.state_at(i)
+        assert (state.lambda_wind is not None) == windspeed
+        want = np.exp(linear_predictor_all(state, design)[rows]
+                      + z[i] / math.sqrt(state.tau_obs))
+        if response == RESPONSE_LOG_PACE:
+            want = want * design.dist[rows]
+        np.testing.assert_allclose(pred[i], want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("covariate", ["x_dist", "rain_cur", "rain_prev", "x_wind"])
+def test_predictive_race_rejects_covariates_that_vary_within_a_race(
+        long_fits, covariate):
+    design, chain = long_fits[RESPONSE_LOG_TIME, True]
+    course, season = design.races()[2]
+    rows = np.nonzero(design.race_mask(course, season))[0]
+    values = getattr(design, covariate).copy()
+    values[rows[-1]] += 0.5
+    doctored = dataclasses.replace(design, **{covariate: values})
+    with pytest.raises(DataError, match=f"race {course}:{season}: {covariate}"):
+        posterior_predictive_race(chain, doctored, course, season,
+                                  np.random.default_rng(0))
+    # the other races are untouched and still predicted
+    posterior_predictive_race(chain, doctored, *design.races()[0],
+                              np.random.default_rng(0))
+
+
 def test_predictive_race_rejects_mismatched_design(small_fit, toy_design):
     _, _, chain = small_fit
     with pytest.raises(DataError, match="does not match"):
@@ -326,6 +381,22 @@ def test_ppc_report_self_consistency(small_sim, small_fit):
             assert abs(r.discrepancy[k]) < 0.10 * r.observed[k]
         for k in (0, 4):
             assert abs(r.discrepancy[k]) < 0.20 * r.observed[k]
+
+
+def test_ppc_report_summaries_equal_those_of_the_unsorted_fields(small_sim, long_fits):
+    design, chain = long_fits[RESPONSE_LOG_TIME, False]
+    reports = ppc_report(chain, design, small_sim.observations,
+                         np.random.default_rng(12), bins=17)
+    children = np.random.default_rng(12).spawn(len(reports))
+    for r, child in zip(reports, children):
+        pred = posterior_predictive_race(chain, design, r.course, r.season, child)
+        obs = [o.finish_time for o in small_sim.observations
+               if (o.course, o.season) == (r.course, r.season)]
+        predicted = np.quantile(pred, [0.0, 0.25, 0.5, 0.75, 1.0], axis=1).mean(axis=1)
+        assert r.predicted == tuple(float(v) for v in predicted)
+        edges = np.linspace(min(pred.min(), min(obs)), max(pred.max(), max(obs)), 18)
+        assert np.array_equal(r.bin_edges, edges)
+        assert np.array_equal(r.predicted_counts, np.histogram(pred, bins=edges)[0])
 
 
 def test_ppc_report_is_deterministic(small_sim, small_fit):

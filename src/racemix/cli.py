@@ -62,6 +62,9 @@ ENV_OUT_ROOT = "RACEMIX_OUT_ROOT"
 
 RESPONSE_FLAGS = {"log-time": RESPONSE_LOG_TIME, "log-pace": RESPONSE_LOG_PACE}
 
+# the package defaults: `fit --help` shows them and _merged_config starts from them
+_DEFAULTS = ModelConfig()
+
 
 def _cli_errors(fn):
     """Map exceptions to the documented exit codes.
@@ -130,22 +133,10 @@ def _read_manifest(fit_dir) -> dict:
     return manifest
 
 
-def _explicit_params(ctx) -> set:
-    """Names of parameters the user actually supplied on this invocation."""
-    from click.core import ParameterSource
-
-    explicit = set()
-    for name in ctx.params:
-        src = ctx.get_parameter_source(name)
-        if src in (ParameterSource.COMMANDLINE, ParameterSource.ENVIRONMENT):
-            explicit.add(name)
-    return explicit
-
-
-def _merged_config(ctx, config_path, response, windspeed, seed, burn_in,
+def _merged_config(config_path, response, windspeed, seed, burn_in,
                    iterations, thin, d_bar, w_bar) -> ModelConfig:
-    """defaults < config file < explicit flags."""
-    doc = ModelConfig().to_dict()
+    """defaults < config file < given flags; a flag left out is None."""
+    doc = _DEFAULTS.to_dict()
     if config_path is not None:
         with open(config_path, "r", encoding="utf-8") as fh:
             user = json.load(fh)
@@ -160,36 +151,21 @@ def _merged_config(ctx, config_path, response, windspeed, seed, burn_in,
                 doc[key] = value
         if isinstance(doc.get("response"), str):
             doc["response"] = doc["response"].replace("-", "_")
-    explicit = _explicit_params(ctx)
-    if "response" in explicit:
-        doc["response"] = RESPONSE_FLAGS[response]
-    if "windspeed" in explicit:
-        doc["include_windspeed"] = windspeed
-    if "seed" in explicit:
-        doc["mcmc"]["seed"] = seed
-    if "burn_in" in explicit:
-        doc["mcmc"]["burn_in"] = burn_in
-    if "iterations" in explicit:
-        doc["mcmc"]["iterations"] = iterations
-    if "thin" in explicit:
-        doc["mcmc"]["thin"] = thin
-    if "d_bar" in explicit:
-        doc["d_bar"] = d_bar
-    if "w_bar" in explicit:
-        doc["w_bar"] = w_bar
+    flags = {"response": None if response is None else RESPONSE_FLAGS[response],
+             "include_windspeed": windspeed, "d_bar": d_bar, "w_bar": w_bar}
+    mcmc = {"seed": seed, "burn_in": burn_in, "iterations": iterations, "thin": thin}
+    doc.update((key, value) for key, value in flags.items() if value is not None)
+    doc["mcmc"].update((key, value) for key, value in mcmc.items() if value is not None)
     return ModelConfig.from_dict(doc)
 
 
-def _chain_paths(out_dir, index, n_chains):
-    if n_chains == 1:
-        return os.path.join(out_dir, "chain.csv"), os.path.join(out_dir, "metadata.json")
-    return (os.path.join(out_dir, f"chain_{index:02d}.csv"),
-            os.path.join(out_dir, f"metadata_{index:02d}.json"))
+def _artifact_name(stem, ext, index, n_chains) -> str:
+    """`stem.ext` for the one chain of a fit, `stem_NN.ext` for chain NN of several."""
+    return f"{stem}.{ext}" if n_chains == 1 else f"{stem}_{index:02d}.{ext}"
 
 
-def _summary_path(out_dir, index, n_chains):
-    return os.path.join(out_dir, "summary.csv" if n_chains == 1
-                        else f"summary_{index:02d}.csv")
+# each chain's own files, written by _write_chain
+CHAIN_FILES = (("chain", "csv"), ("metadata", "json"), ("summary", "csv"))
 
 
 def _write_chain(out_dir, n_chains, index, chain) -> None:
@@ -198,8 +174,11 @@ def _write_chain(out_dir, n_chains, index, chain) -> None:
     run_chains calls it in the process that sampled the chain, so with a
     pool one chain's files are written while the others still sample.
     """
-    save_chain(chain, *_chain_paths(out_dir, index, n_chains))
-    write_summary_csv(summarize(chain), _summary_path(out_dir, index, n_chains))
+    chain_path, meta_path, summary_path = (
+        os.path.join(out_dir, _artifact_name(stem, ext, index, n_chains))
+        for stem, ext in CHAIN_FILES)
+    save_chain(chain, chain_path, meta_path)
+    write_summary_csv(summarize(chain), summary_path)
 
 
 def _load_indexed_chain(fit_dir, manifest, index):
@@ -215,7 +194,8 @@ def _load_indexed_chain(fit_dir, manifest, index):
                         f"count (config.chains)")
     if index > n_chains:
         raise DataError(f"chain index {index} out of range; the fit has {n_chains} chain(s)")
-    paths = _chain_paths(fit_dir, index, n_chains)
+    paths = [os.path.join(fit_dir, _artifact_name(stem, ext, index, n_chains))
+             for stem, ext in CHAIN_FILES[:2]]  # the draws and their metadata
     for path in paths:
         if not os.path.exists(path):
             raise DataError(f"{path} is missing; the manifest records {n_chains} chain(s)")
@@ -239,14 +219,19 @@ def main():
 @click.option("--rainfall", required=True, type=click.Path(exists=True, dir_okay=False),
               help="rainfall.csv (month,rainfall_mm)")
 @click.option("--sex", required=True, type=click.Choice(["M", "F"]))
-@click.option("--response", type=click.Choice(sorted(RESPONSE_FLAGS)),
-              default="log-time", show_default=True)
-@click.option("--windspeed/--no-windspeed", default=False, show_default=True,
-              help="Include the centred windspeed term.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--burn-in", type=int, default=10_000, show_default=True)
-@click.option("--iterations", type=int, default=1_000_000, show_default=True)
-@click.option("--thin", type=int, default=100, show_default=True)
+@click.option("--response", type=click.Choice(sorted(RESPONSE_FLAGS)), default=None,
+              help=f"[default: {_DEFAULTS.response.replace('_', '-')}]")
+@click.option("--windspeed/--no-windspeed", default=None,
+              help="Include the centred windspeed term.  [default: "
+                   f"{'windspeed' if _DEFAULTS.include_windspeed else 'no-windspeed'}]")
+@click.option("--seed", type=int, default=None,
+              help=f"[default: {_DEFAULTS.mcmc.seed}]")
+@click.option("--burn-in", type=int, default=None,
+              help=f"[default: {_DEFAULTS.mcmc.burn_in}]")
+@click.option("--iterations", type=int, default=None,
+              help=f"[default: {_DEFAULTS.mcmc.iterations}]")
+@click.option("--thin", type=int, default=None,
+              help=f"[default: {_DEFAULTS.mcmc.thin}]")
 @click.option("--chains", type=click.IntRange(min=1), default=1, show_default=True,
               help="Independent chains run concurrently with spawned seeds.")
 @click.option("--workers", type=click.IntRange(min=1), default=None,
@@ -259,12 +244,11 @@ def main():
               default=None, help="JSON config document (defaults < config < flags).")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None,
               help=f"Output directory [default: $%s/fit or ./fit]" % ENV_OUT_ROOT)
-@click.pass_context
 @_cli_errors
-def fit(ctx, data, covariates, rainfall, sex, response, windspeed, seed, burn_in,
+def fit(data, covariates, rainfall, sex, response, windspeed, seed, burn_in,
         iterations, thin, chains, workers, d_bar, w_bar, config_path, out_dir):
     """Fit the model by MCMC and write chain, summary and manifest files."""
-    config = _merged_config(ctx, config_path, response, windspeed, seed,
+    config = _merged_config(config_path, response, windspeed, seed,
                             burn_in, iterations, thin, d_bar, w_bar)
     # fail before sampling: summaries need 2 draws per chain, split R-hat 4
     if config.mcmc.n_stored < (4 if chains > 1 else 2):
@@ -292,9 +276,8 @@ def fit(ctx, data, covariates, rainfall, sex, response, windspeed, seed, burn_in
                    f"({sweeps / chain.sampling_s:.0f} sweeps/s)")
 
     artifacts = ["manifest.json"]
-    for i in range(1, chains + 1):
-        artifacts += [os.path.basename(p) for p in (*_chain_paths(out_dir, i, chains),
-                                                    _summary_path(out_dir, i, chains))]
+    artifacts += [_artifact_name(stem, ext, i, chains)
+                  for i in range(1, chains + 1) for stem, ext in CHAIN_FILES]
 
     if chains > 1:
         cross_path = os.path.join(out_dir, "crosschain.csv")
@@ -327,7 +310,7 @@ def summarize_cmd(fit_dir, index, out_path):
     chain, n_chains = _load_indexed_chain(fit_dir, _read_manifest(fit_dir), index)
     summaries = summarize(chain)
     if out_path is None:
-        out_path = _summary_path(fit_dir, index, n_chains)
+        out_path = os.path.join(fit_dir, _artifact_name("summary", "csv", index, n_chains))
     write_summary_csv(summaries, out_path)
     click.echo(f"{'parameter':<12} {'mean':>12} {'median':>12} "
                f"{'ci95_low':>12} {'ci95_high':>12} {'ess':>9}")
@@ -397,9 +380,9 @@ def _parse_race_filter(races_arg, design):
             raise DataError(f"bad race filter {item!r}; expected Course:Season")
         course, season = item.rsplit(":", 1)
         wanted.append((course.strip(), season.strip()))
-    # validate against the design up front (race_mask raises with the list)
+    # validate against the design up front (race_index raises with the list)
     for course, season in wanted:
-        design.race_mask(course, season)
+        design.race_index(course, season)
     return wanted
 
 
@@ -493,33 +476,25 @@ def simulate(spec_path, seed, out_dir):
 @click.option("--fit", "fit_dir", required=True,
               type=click.Path(exists=True, file_okay=False))
 @click.option("--index", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--max-lag", type=click.IntRange(min=1), default=50, show_default=True)
 @click.option("--out", "out_root", type=click.Path(file_okay=False), default=None,
               help="Output directory [default: the fit directory]")
 @_cli_errors
-def diagnose(fit_dir, index, max_lag, out_root):
+def diagnose(fit_dir, index, out_root):
     """Export tidy traces and per-parameter ESS/autocorrelation tables."""
     chain, n_chains = _load_indexed_chain(fit_dir, _read_manifest(fit_dir), index)
     if out_root is None:
         out_root = fit_dir
     os.makedirs(out_root, exist_ok=True)
 
-    trace_path = os.path.join(out_root, "trace.csv" if n_chains == 1
-                              else f"trace_{index:02d}.csv")
+    trace_path = os.path.join(out_root, _artifact_name("trace", "csv", index, n_chains))
     write_trace_csv(chain, trace_path)
 
-    lag = min(max_lag, chain.n_stored - 1)
-    diag_path = os.path.join(out_root, "diagnostics.csv" if n_chains == 1
-                             else f"diagnostics_{index:02d}.csv")
+    diag_path = os.path.join(out_root, _artifact_name("diagnostics", "csv", index, n_chains))
     summaries = summarize(chain)
     with open(diag_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("parameter,ess,rho1,degenerate\n")
         for s in summaries:
-            col = chain.column(s.name)
-            if s.degenerate or lag < 1:
-                rho1 = 0.0
-            else:
-                rho1 = float(autocorrelation(col, lag)[1])
+            rho1 = 0.0 if s.degenerate else float(autocorrelation(chain.column(s.name), 1)[1])
             fh.write(f"{s.name},{repr(s.ess)},{repr(rho1)},"
                      f"{'1' if s.degenerate else '0'}\n")
     click.echo(f"wrote {trace_path} and {diag_path} "

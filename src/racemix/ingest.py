@@ -213,21 +213,26 @@ def _level_order(values, baseline):
 
 @dataclass(frozen=True)
 class DesignMatrixView:
-    """Per-observation dense indices, centred covariates and responses.
+    """Per-observation indices and responses; per-race covariates.
 
-    Index 0 of each grouping factor is the corner-constrained baseline
-    level.  `y` holds the active response (log time, or log pace).
+    Observation i ran race `race_idx[i]`.  Distance, windspeed and
+    rainfall describe a race, not a finisher, so they are stored once per
+    race, in the `race_*` rows: one row per (course, season) pair
+    present, in (course index, season index) order.  Index 0 of each
+    grouping factor is the corner-constrained baseline level.  `y` holds
+    the active response (log time, or log pace).
     """
 
     athlete_idx: np.ndarray
-    course_idx: np.ndarray
-    season_idx: np.ndarray
-    x_dist: np.ndarray
-    x_wind: np.ndarray
-    rain_cur: np.ndarray
-    rain_prev: np.ndarray
+    race_idx: np.ndarray
     y: np.ndarray
-    dist: np.ndarray
+    race_course: np.ndarray
+    race_season: np.ndarray
+    race_dist: np.ndarray
+    race_x_dist: np.ndarray
+    race_x_wind: np.ndarray
+    race_rain_cur: np.ndarray
+    race_rain_prev: np.ndarray
     athletes: tuple[str, ...]
     courses: tuple[str, ...]
     seasons: tuple[str, ...]
@@ -240,24 +245,19 @@ class DesignMatrixView:
         return self.y.size
 
     def races(self) -> list[tuple[str, str]]:
-        """Distinct (course, season) pairs present, in index order."""
-        pairs = sorted({(int(c), int(s))
-                        for c, s in zip(self.course_idx, self.season_idx)})
-        return [(self.courses[c], self.seasons[s]) for c, s in pairs]
+        """The (course, season) names of the race rows, in row order."""
+        return [(self.courses[c], self.seasons[s])
+                for c, s in zip(self.race_course, self.race_season)]
 
-    def race_mask(self, course: str, season: str) -> np.ndarray:
-        """Boolean mask of the observations in one race, or DataError."""
+    def race_index(self, course: str, season: str) -> int:
+        """The row of one race, or DataError listing the races present."""
+        races = self.races()
         try:
-            c = self.courses.index(course)
-            s = self.seasons.index(season)
+            return races.index((course, season))
         except ValueError:
-            c = s = -1
-        mask = (self.course_idx == c) & (self.season_idx == s)
-        if c < 0 or s < 0 or not mask.any():
-            available = ", ".join(f"{cc}:{ss}" for cc, ss in self.races())
+            available = ", ".join(f"{c}:{s}" for c, s in races)
             raise DataError(f"unknown race {course!r} {season!r}; "
-                            f"available races: {available}")
-        return mask
+                            f"available races: {available}") from None
 
 
 def build_design(observations, contexts, rainfall, config: ModelConfig) -> DesignMatrixView:
@@ -290,38 +290,36 @@ def build_design(observations, contexts, rainfall, config: ModelConfig) -> Desig
     a_index = {name: i for i, name in enumerate(athletes)}
     c_index = {name: i for i, name in enumerate(courses)}
     s_index = {name: i for i, name in enumerate(seasons)}
+    obs_race = [(c_index[obs.course], s_index[obs.season]) for obs in observations]
+    race_keys = sorted(set(obs_race))
+    r_index = {key: r for r, key in enumerate(race_keys)}
 
-    n = len(observations)
-    athlete_idx = np.empty(n, dtype=np.int64)
-    course_idx = np.empty(n, dtype=np.int64)
-    season_idx = np.empty(n, dtype=np.int64)
-    dist = np.empty(n)
-    wind = np.empty(n)
-    rain_cur = np.empty(n)
-    rain_prev = np.empty(n)
-    time_min = np.empty(n)
-
-    for i, obs in enumerate(observations):
-        ctx = ctx_by_race[(obs.course, obs.season)]
+    n_races = len(race_keys)
+    race_dist = np.empty(n_races)
+    race_wind = np.empty(n_races)
+    race_rain_cur = np.empty(n_races)
+    race_rain_prev = np.empty(n_races)
+    for r, (c, s) in enumerate(race_keys):
+        ctx = ctx_by_race[(courses[c], seasons[s])]
         month = ctx.race_month
         prev = previous_month(month)
         for m in (month, prev):
             if m not in rainfall:
                 raise DataError(f"missing rainfall for month {m} "
-                                f"(race {obs.course!r} {obs.season!r})")
-        athlete_idx[i] = a_index[obs.athlete_id]
-        course_idx[i] = c_index[obs.course]
-        season_idx[i] = s_index[obs.season]
-        dist[i] = ctx.distance
-        wind[i] = ctx.windspeed
-        rain_cur[i] = rainfall[month]
-        rain_prev[i] = rainfall[prev]
-        time_min[i] = obs.finish_time
+                                f"(race {ctx.course!r} {ctx.season!r})")
+        race_dist[r] = ctx.distance
+        race_wind[r] = ctx.windspeed
+        race_rain_cur[r] = rainfall[month]
+        race_rain_prev[r] = rainfall[prev]
 
+    athlete_idx = np.array([a_index[obs.athlete_id] for obs in observations], dtype=np.int64)
+    race_idx = np.array([r_index[key] for key in obs_race], dtype=np.int64)
+    dist = race_dist[race_idx]
     d_bar = float(np.mean(dist)) if config.d_bar is None else float(config.d_bar)
-    w_bar = float(np.mean(wind)) if config.w_bar is None else float(config.w_bar)
+    w_bar = (float(np.mean(race_wind[race_idx])) if config.w_bar is None
+             else float(config.w_bar))
 
-    y = np.log(time_min)
+    y = np.log(np.array([obs.finish_time for obs in observations]))
     if config.response == RESPONSE_LOG_PACE:
         y = y - np.log(dist)
     elif config.response != RESPONSE_LOG_TIME:
@@ -330,9 +328,11 @@ def build_design(observations, contexts, rainfall, config: ModelConfig) -> Desig
         raise DataError("non-finite response after transformation")
 
     return DesignMatrixView(
-        athlete_idx=athlete_idx, course_idx=course_idx, season_idx=season_idx,
-        x_dist=dist - d_bar, x_wind=wind - w_bar,
-        rain_cur=rain_cur, rain_prev=rain_prev,
-        y=y, dist=dist,
+        athlete_idx=athlete_idx, race_idx=race_idx, y=y,
+        race_course=np.array([c for c, _ in race_keys], dtype=np.int64),
+        race_season=np.array([s for _, s in race_keys], dtype=np.int64),
+        race_dist=race_dist,
+        race_x_dist=race_dist - d_bar, race_x_wind=race_wind - w_bar,
+        race_rain_cur=race_rain_cur, race_rain_prev=race_rain_prev,
         athletes=tuple(athletes), courses=tuple(courses), seasons=tuple(seasons),
         d_bar=d_bar, w_bar=w_bar, response=config.response)

@@ -313,15 +313,16 @@ class ParameterState:
 
 def linear_predictor_all(state: ParameterState, design: "DesignMatrixView") -> np.ndarray:
     """Vector of model means, one per observation."""
+    r = design.race_idx
     mu = (state.intercept
           + state.athlete_effects[design.athlete_idx]
-          + state.course_effects[design.course_idx]
-          + state.season_effects[design.season_idx]
-          + state.gamma_dist * design.x_dist
-          + state.rho_cur * design.rain_cur
-          + state.rho_prev * design.rain_prev)
+          + state.course_effects[design.race_course[r]]
+          + state.season_effects[design.race_season[r]]
+          + state.gamma_dist * design.race_x_dist[r]
+          + state.rho_cur * design.race_rain_cur[r]
+          + state.rho_prev * design.race_rain_prev[r])
     if state.lambda_wind is not None:
-        mu = mu + state.lambda_wind * design.x_wind
+        mu = mu + state.lambda_wind * design.race_x_wind[r]
     return mu
 
 

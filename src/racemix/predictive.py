@@ -361,28 +361,23 @@ def posterior_predictive_race(chain: ChainOutput, design, course: str,
     Y* ~ N(mu, 1/tau) per athlete, back-transformed to minutes (times the
     race distance under the log-pace response).  Every term of mu but the
     athlete effect is shared by the whole field, so it is computed once
-    per draw as a race-level offset; a race whose covariates vary over
-    its observations is a DataError.  Noise is chunked with spawned child
-    generators, so parallel evaluation of chunks would give the same
-    numbers.
+    per draw as a race-level offset from the design's race row.  Noise
+    is chunked with spawned child generators, so parallel evaluation of
+    chunks would give the same numbers.
     """
     _check_chain_matches_design(chain, design)
-    rows = np.nonzero(design.race_mask(course, season))[0]
+    r = design.race_index(course, season)
+    rows = np.nonzero(design.race_idx == r)[0]
     meta = chain.meta
-    slopes = [("gamma_dist", "x_dist"), ("rho_cur", "rain_cur"),
-              ("rho_prev", "rain_prev")]
+    slopes = [("gamma_dist", design.race_x_dist), ("rho_cur", design.race_rain_cur),
+              ("rho_prev", design.race_rain_prev)]
     if meta.include_windspeed:
-        slopes.append(("lambda_wind", "x_wind"))
-    first = rows[0]
+        slopes.append(("lambda_wind", design.race_x_wind))
     offset = (chain.column("intercept")
-              + chain.effects("course")[:, design.course_idx[first]]
-              + chain.effects("season")[:, design.season_idx[first]])
-    for column, covariate in slopes:
-        values = getattr(design, covariate)[rows]
-        if np.any(values != values[0]):
-            raise DataError(f"race {course}:{season}: {covariate} is not constant "
-                            f"over the race's {rows.size} observations")
-        offset += chain.column(column) * values[0]
+              + chain.effects("course")[:, design.race_course[r]]
+              + chain.effects("season")[:, design.race_season[r]])
+    for column, values in slopes:
+        offset += chain.column(column) * values[r]
     pred = chain.effects("athlete")[:, design.athlete_idx[rows]]
     pred += offset[:, None]
 
@@ -397,7 +392,7 @@ def posterior_predictive_race(chain: ChainOutput, design, course: str,
         pred[i0:i1] += z
     np.exp(pred, out=pred)
     if meta.response == RESPONSE_LOG_PACE:
-        pred *= design.dist[rows]
+        pred *= design.race_dist[r]
     return pred
 
 

@@ -270,17 +270,15 @@ class LocationBlock:
         pr = config.priors
         la = len(design.athletes)
         lc, ls = len(design.courses), len(design.seasons)
-        covariates = [design.x_dist] + ([design.x_wind] if config.include_windspeed else [])
-        covariates = np.column_stack(covariates + [design.rain_cur, design.rain_prev])
-        keys, first, race_idx = np.unique(design.course_idx * ls + design.season_idx,
-                                          return_index=True, return_inverse=True)
-        if not np.array_equal(covariates, covariates[first][race_idx]):
-            raise DataError("race covariates differ between observations of one race")
-        n_races = keys.size
-        course = np.eye(lc)[keys // ls, 1:]
-        season = np.eye(ls)[keys % ls, 1:]
-        self.x = x = np.column_stack([np.ones(n_races), covariates[first], course, season])
-        k = 1 + covariates.shape[1]  # first course[1:] column
+        covariates = ([design.race_x_dist]
+                      + ([design.race_x_wind] if config.include_windspeed else [])
+                      + [design.race_rain_cur, design.race_rain_prev])
+        race_idx = design.race_idx
+        n_races = design.race_course.size
+        course = np.eye(lc)[design.race_course, 1:]
+        season = np.eye(ls)[design.race_season, 1:]
+        self.x = x = np.column_stack([np.ones(n_races), *covariates, course, season])
+        k = 1 + len(covariates)  # first course[1:] column
         p = x.shape[1]
         rows = _block_slices(config.include_windspeed, design)
         self.beta_columns = np.r_[:k, rows["course"].start + 1:rows["course"].stop,

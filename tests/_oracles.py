@@ -130,11 +130,12 @@ def conditional_ks(name, design, state, priors, n_draws, seed) -> float:
         return ks_to_grid(np.log(draws), u_grid, cdf)
 
     if name in ("intercept", "gamma_dist", "lambda_wind", "rho_cur", "rho_prev"):
+        r = design.race_idx
         xs = {"intercept": np.ones(design.n_obs),
-              "gamma_dist": design.x_dist,
-              "lambda_wind": design.x_wind,
-              "rho_cur": design.rain_cur,
-              "rho_prev": design.rain_prev}[name]
+              "gamma_dist": design.race_x_dist[r],
+              "lambda_wind": design.race_x_wind[r],
+              "rho_cur": design.race_rain_cur[r],
+              "rho_prev": design.race_rain_prev[r]}[name]
         prior_mean, prior_var = {
             "intercept": (priors.m_intercept, priors.v_intercept),
             "gamma_dist": (priors.m_gamma_dist, priors.v_gamma_dist),
@@ -147,10 +148,10 @@ def conditional_ks(name, design, state, priors, n_draws, seed) -> float:
             "athlete_effects", design.athlete_idx, 1, state.tau_athlete)
     elif name == "course_level":
         draws, grid, setter, bounded = effect_case(
-            "course_effects", design.course_idx, 1, state.tau_course)
+            "course_effects", design.race_course[design.race_idx], 1, state.tau_course)
     elif name == "season_level":
         draws, grid, setter, bounded = effect_case(
-            "season_effects", design.season_idx, 1, state.tau_season)
+            "season_effects", design.race_season[design.race_idx], 1, state.tau_season)
     elif name in ("tau_athlete", "tau_course", "tau_season"):
         attr = {"tau_athlete": "athlete_effects", "tau_course": "course_effects",
                 "tau_season": "season_effects"}[name]
@@ -317,6 +318,7 @@ def analytic_gradient(state, design, priors) -> list:
     from racemix.model import linear_predictor_all
 
     r = design.y - linear_predictor_all(state, design)
+    race = design.race_idx
     tau = state.tau_obs
     n = design.n_obs
     entries = []
@@ -330,17 +332,17 @@ def analytic_gradient(state, design, priors) -> list:
     scalar("intercept", "intercept",
            tau * r.sum() - (state.intercept - priors.m_intercept) / priors.v_intercept)
     scalar("gamma_dist", "gamma_dist",
-           tau * float(r @ design.x_dist)
+           tau * float(r @ design.race_x_dist[race])
            - (state.gamma_dist - priors.m_gamma_dist) / priors.v_gamma_dist)
     if state.lambda_wind is not None:
         scalar("lambda_wind", "lambda_wind",
-               tau * float(r @ design.x_wind)
+               tau * float(r @ design.race_x_wind[race])
                - (state.lambda_wind - priors.m_lambda_wind) / priors.v_lambda_wind)
     scalar("rho_cur", "rho_cur",
-           tau * float(r @ design.rain_cur)
+           tau * float(r @ design.race_rain_cur[race])
            - (state.rho_cur - state.m_rho) / priors.v_rho_cur)
     scalar("rho_prev", "rho_prev",
-           tau * float(r @ design.rain_prev)
+           tau * float(r @ design.race_rain_prev[race])
            - (state.rho_prev - state.phi * state.m_rho) / priors.v_rho_prev)
     scalar("m_rho", "m_rho",
            (state.rho_cur - state.m_rho) / priors.v_rho_cur
@@ -353,9 +355,9 @@ def analytic_gradient(state, design, priors) -> list:
     for attr, idx_arr, tau_g, a_g, b_g in (
             ("athlete_effects", design.athlete_idx, state.tau_athlete,
              priors.a_tau_athlete, priors.b_tau_athlete),
-            ("course_effects", design.course_idx, state.tau_course,
+            ("course_effects", design.race_course[race], state.tau_course,
              priors.a_tau_course, priors.b_tau_course),
-            ("season_effects", design.season_idx, state.tau_season,
+            ("season_effects", design.race_season[race], state.tau_season,
              priors.a_tau_season, priors.b_tau_season)):
         vec = getattr(state, attr)
         for level in range(1, vec.size):

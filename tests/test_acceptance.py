@@ -162,13 +162,12 @@ def test_ppc_self_consistency(capfd, small_sim, small_fit):
     mu = linear_predictor_all(state, design)
     rng = np.random.default_rng(1)
     times = np.exp(mu + rng.standard_normal(mu.size) / math.sqrt(state.tau_obs))
+    races = design.races()
     observations = [
         RaceObservation(design.athletes[design.athlete_idx[i]],
-                        design.courses[design.course_idx[i]],
-                        design.seasons[design.season_idx[i]],
+                        *races[design.race_idx[i]],
                         float(times[i]),
-                        month[(design.courses[design.course_idx[i]],
-                               design.seasons[design.season_idx[i]])])
+                        month[races[design.race_idx[i]]])
         for i in range(design.n_obs)]
     reports = ppc_report(chain, design, observations, np.random.default_rng(101))
     signs = [r.discrepancy[k] > 0 for r in reports for k in (1, 2, 3)]

@@ -18,7 +18,7 @@ from racemix.cli import main
 from racemix.ingest import build_design, parse_races, parse_rainfall, parse_results
 from racemix.model import ModelConfig
 from racemix.predictive import SyntheticSpec, simulate_dataset
-from racemix.diagnostics import summarize, write_summary_csv
+from racemix.diagnostics import autocorrelation, summarize, write_summary_csv
 from racemix.sampler import ChainOutput, SamplerError, load_chain, run_chain, save_chain
 
 from conftest import make_toy_design
@@ -281,6 +281,13 @@ def test_fit_config_file_precedence(dataset_dir, tmp_path):
     assert meta2["response"] == "log_time"
     assert meta2["iterations"] == 800
     assert meta2["thin"] == 4
+    # a flag given at the package default still beats the config file
+    out3 = tmp_path / "c"
+    result = _run(["fit", *_data_args(dataset_dir), "--config", str(config),
+                   "--seed", "0", "--out", str(out3)])
+    assert result.exit_code == 0, result.output
+    meta3 = json.loads((out3 / "metadata.json").read_text())
+    assert meta3["seed"] == 0 and meta3["thin"] == 4
 
 
 @pytest.mark.parametrize("doc", [{"mcmc": {"seed": "x"}}, {"priors": {"v_rho_cur": "x"}},
@@ -583,6 +590,9 @@ def test_diagnose_writes_trace_and_table(fit_dir, tmp_path):
     assert base[3] == "1" and float(base[2]) == 0.0
     assert float(rows["tau_obs"][1]) > 0.0
     assert rows["tau_obs"][3] == "0"
+    # rho1 is lag 1 of the full autocorrelation, whatever the longest lag asked for
+    column = load_chain(fit_dir / "chain.csv", fit_dir / "metadata.json").column("tau_obs")
+    assert rows["tau_obs"][2] == repr(float(autocorrelation(column, 50)[1]))
 
 
 def test_diagnose_defaults_into_fit_dir(fit_dir):

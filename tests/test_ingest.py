@@ -159,17 +159,51 @@ def test_level_ordering_without_named_baselines():
 def test_centering_defaults_and_overrides():
     design = make_toy_design()
     assert design.d_bar == pytest.approx(np.mean([6.2, 6.2, 6.2, 5.9, 5.9]))
-    assert design.x_dist == pytest.approx(design.dist - design.d_bar)
+    assert design.race_x_dist == pytest.approx(design.race_dist - design.d_bar)
     cfg = ModelConfig(d_bar=6.0, w_bar=10.0)
     design2 = build_design(TOY_OBSERVATIONS, TOY_CONTEXTS, TOY_RAINFALL, cfg)
     assert design2.d_bar == 6.0 and design2.w_bar == 10.0
-    assert design2.x_dist == pytest.approx(design2.dist - 6.0)
+    assert design2.race_x_dist == pytest.approx(design2.race_dist - 6.0)
+    assert design2.race_x_wind == pytest.approx(np.array([5.0, 12.0]) - 10.0)
 
 
 def test_rainfall_join_uses_race_and_previous_month():
     design = make_toy_design()
-    assert design.rain_cur[0] == 55.0 and design.rain_prev[0] == 80.0
-    assert design.rain_cur[3] == 62.0 and design.rain_prev[3] == 95.0
+    first, fourth = design.race_idx[[0, 3]]
+    assert design.race_rain_cur[first] == 55.0 and design.race_rain_prev[first] == 80.0
+    assert design.race_rain_cur[fourth] == 62.0 and design.race_rain_prev[fourth] == 95.0
+
+
+def test_race_rows_carry_their_context_in_course_then_season_order():
+    contexts = [RaceContext("Wrekenton", "17/18", 5.1, 7.0, "2017-12"),
+                RaceContext("Alnwick", "18/19", 6.4, 2.0, "2018-10"),
+                RaceContext("Birtley", "17/18", 5.9, 12.0, "2017-11"),
+                RaceContext("Alnwick", "17/18", 6.2, 5.0, "2017-10"),
+                RaceContext("Gosforth", "17/18", 4.0, 1.0, "2017-10")]  # no finishers
+    rain = {"2017-09": 80.0, "2017-10": 55.0, "2017-11": 71.0, "2017-12": 33.0,
+            "2018-09": 44.0, "2018-10": 95.0}
+    month = {(c.course, c.season): c.race_month for c in contexts}
+    keys = [("Birtley", "17/18"), ("Alnwick", "18/19"), ("Wrekenton", "17/18"),
+            ("Alnwick", "17/18"), ("Birtley", "17/18"), ("Alnwick", "18/19")]
+    obs = [RaceObservation(f"A{i}", c, s, 40.0 + i, month[(c, s)])
+           for i, (c, s) in enumerate(keys)]
+    design = build_design(obs, contexts, rain, ModelConfig())
+
+    assert design.races() == [("Alnwick", "17/18"), ("Alnwick", "18/19"),
+                              ("Birtley", "17/18"), ("Wrekenton", "17/18")]
+    pairs = list(zip(design.race_course.tolist(), design.race_season.tolist()))
+    assert pairs == sorted(pairs)
+    assert [design.races()[r] for r in design.race_idx] == keys
+    ctx = {(c.course, c.season): c for c in contexts}
+    for r, key in enumerate(design.races()):
+        c = ctx[key]
+        assert design.race_dist[r] == c.distance
+        assert design.race_x_dist[r] == c.distance - design.d_bar
+        assert design.race_x_wind[r] == c.windspeed - design.w_bar
+        assert design.race_rain_cur[r] == rain[c.race_month]
+        assert design.race_rain_prev[r] == rain[previous_month(c.race_month)]
+    # the centering means weight each race by its finishers
+    assert design.d_bar == np.mean([ctx[k].distance for k in keys])
 
 
 def test_missing_rainfall_month_is_an_error():
@@ -202,15 +236,16 @@ def test_response_variants_differ_by_log_distance():
     lt = make_toy_design("log_time")
     lp = make_toy_design("log_pace")
     assert lt.y == pytest.approx(np.log([o.finish_time for o in TOY_OBSERVATIONS]))
-    np.testing.assert_allclose(lt.y - lp.y, np.log(lt.dist), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(lt.y - lp.y, np.log(lt.race_dist[lt.race_idx]),
+                               rtol=0, atol=1e-15)
     # the response value itself, checked against direct evaluation
     assert lp.y[0] == pytest.approx(np.log(47.5 / 6.2), abs=1e-12)
 
 
-def test_races_and_race_mask():
+def test_races_and_race_index():
     design = make_toy_design()
     assert design.races() == [("Alnwick", "17/18"), ("Birtley", "18/19")]
-    mask = design.race_mask("Birtley", "18/19")
-    assert mask.sum() == 2
-    with pytest.raises(DataError, match="available races"):
-        design.race_mask("Gosforth", "20/21")
+    assert design.race_index("Birtley", "18/19") == 1
+    assert np.count_nonzero(design.race_idx == 1) == 2
+    with pytest.raises(DataError, match="available races: Alnwick:17/18, Birtley:18/19"):
+        design.race_index("Gosforth", "20/21")

@@ -1,4 +1,5 @@
 """Density arithmetic, configuration validation, and the gradient check."""
+import dataclasses
 import math
 
 import numpy as np
@@ -193,12 +194,11 @@ def test_log_likelihood_offset_residual():
 
 def test_log_likelihood_empty_dataset_is_zero():
     empty = DesignMatrixView(
-        athlete_idx=np.empty(0, dtype=np.int64),
-        course_idx=np.empty(0, dtype=np.int64),
-        season_idx=np.empty(0, dtype=np.int64),
-        x_dist=np.empty(0), x_wind=np.empty(0),
-        rain_cur=np.empty(0), rain_prev=np.empty(0),
-        y=np.empty(0), dist=np.empty(0),
+        athlete_idx=np.empty(0, dtype=np.int64), race_idx=np.empty(0, dtype=np.int64),
+        y=np.empty(0),
+        race_course=np.empty(0, dtype=np.int64), race_season=np.empty(0, dtype=np.int64),
+        race_dist=np.empty(0), race_x_dist=np.empty(0), race_x_wind=np.empty(0),
+        race_rain_cur=np.empty(0), race_rain_prev=np.empty(0),
         athletes=("A1",), courses=("Alnwick",), seasons=("17/18",),
         d_bar=6.0, w_bar=0.0, response="log_time")
     assert log_likelihood(flat_state(3.8, 1.0), empty) == 0.0
@@ -255,17 +255,9 @@ def test_likelihood_decomposes_over_partitions(toy_design, toy_state):
     full = log_likelihood(toy_state, toy_design)
     parts = 0.0
     for keep in (toy_design.athlete_idx < 2, toy_design.athlete_idx >= 2):
-        sub = DesignMatrixView(
-            athlete_idx=toy_design.athlete_idx[keep],
-            course_idx=toy_design.course_idx[keep],
-            season_idx=toy_design.season_idx[keep],
-            x_dist=toy_design.x_dist[keep], x_wind=toy_design.x_wind[keep],
-            rain_cur=toy_design.rain_cur[keep], rain_prev=toy_design.rain_prev[keep],
-            y=toy_design.y[keep], dist=toy_design.dist[keep],
-            athletes=toy_design.athletes, courses=toy_design.courses,
-            seasons=toy_design.seasons,
-            d_bar=toy_design.d_bar, w_bar=toy_design.w_bar,
-            response=toy_design.response)
+        sub = dataclasses.replace(
+            toy_design, athlete_idx=toy_design.athlete_idx[keep],
+            race_idx=toy_design.race_idx[keep], y=toy_design.y[keep])
         parts += log_likelihood(toy_state, sub)
     assert full == pytest.approx(parts, abs=1e-10)
 

@@ -213,9 +213,11 @@ def test_simulate_round_trips_through_ingest(small_sim, tmp_path):
     assert reread.courses == direct.courses
     assert reread.seasons == direct.seasons
     assert np.array_equal(reread.y, direct.y)
-    assert np.array_equal(reread.x_dist, direct.x_dist)
-    assert np.array_equal(reread.rain_cur, direct.rain_cur)
-    assert np.array_equal(reread.rain_prev, direct.rain_prev)
+    assert np.array_equal(reread.race_idx, direct.race_idx)
+    assert np.array_equal(reread.race_x_dist, direct.race_x_dist)
+    assert np.array_equal(reread.race_x_wind, direct.race_x_wind)
+    assert np.array_equal(reread.race_rain_cur, direct.race_rain_cur)
+    assert np.array_equal(reread.race_rain_prev, direct.race_rain_prev)
 
 
 def test_simulate_other_sex_round_trip(tmp_path):
@@ -232,7 +234,7 @@ def test_simulate_other_sex_round_trip(tmp_path):
 def test_predictive_race_shape_and_determinism(small_fit):
     design, _, chain = small_fit
     course, season = design.races()[0]
-    n_field = int(design.race_mask(course, season).sum())
+    n_field = np.count_nonzero(design.race_idx == 0)
     a = posterior_predictive_race(chain, design, course, season,
                                   np.random.default_rng(0))
     b = posterior_predictive_race(chain, design, course, season,
@@ -251,7 +253,7 @@ def test_predictive_race_collapses_without_noise(small_fit):
                            columns=chain.columns, meta=chain.meta)
     doctored.draws[:, list(chain.columns).index("tau_obs")] = 1e18
     course, season = design.races()[0]
-    rows = np.nonzero(design.race_mask(course, season))[0]
+    rows = np.nonzero(design.race_idx == 0)[0]
     pred = posterior_predictive_race(doctored, design, course, season,
                                      np.random.default_rng(0))
     for i in range(4):
@@ -295,7 +297,7 @@ def test_predictive_race_is_the_linear_predictor_plus_chunked_noise(
         long_fits, response, windspeed):
     design, chain = long_fits[response, windspeed]
     course, season = design.races()[1]
-    rows = np.nonzero(design.race_mask(course, season))[0]
+    rows = np.nonzero(design.race_idx == 1)[0]
     pred = posterior_predictive_race(chain, design, course, season,
                                      np.random.default_rng(31))
     children = np.random.default_rng(31).spawn(2)
@@ -307,25 +309,8 @@ def test_predictive_race_is_the_linear_predictor_plus_chunked_noise(
         want = np.exp(linear_predictor_all(state, design)[rows]
                       + z[i] / math.sqrt(state.tau_obs))
         if response == RESPONSE_LOG_PACE:
-            want = want * design.dist[rows]
+            want = want * design.race_dist[design.race_idx[rows]]
         np.testing.assert_allclose(pred[i], want, rtol=1e-12, atol=0.0)
-
-
-@pytest.mark.parametrize("covariate", ["x_dist", "rain_cur", "rain_prev", "x_wind"])
-def test_predictive_race_rejects_covariates_that_vary_within_a_race(
-        long_fits, covariate):
-    design, chain = long_fits[RESPONSE_LOG_TIME, True]
-    course, season = design.races()[2]
-    rows = np.nonzero(design.race_mask(course, season))[0]
-    values = getattr(design, covariate).copy()
-    values[rows[-1]] += 0.5
-    doctored = dataclasses.replace(design, **{covariate: values})
-    with pytest.raises(DataError, match=f"race {course}:{season}: {covariate}"):
-        posterior_predictive_race(chain, doctored, course, season,
-                                  np.random.default_rng(0))
-    # the other races are untouched and still predicted
-    posterior_predictive_race(chain, doctored, *design.races()[0],
-                              np.random.default_rng(0))
 
 
 def test_predictive_race_rejects_mismatched_design(small_fit, toy_design):

@@ -261,18 +261,19 @@ def _observation_level_q_and_b(design, config, state):
     """
     pr = config.priors
     lc, ls = len(design.courses), len(design.seasons)
-    cols = [np.ones(design.n_obs), design.x_dist]
+    race = design.race_idx
+    cols = [np.ones(design.n_obs), design.race_x_dist[race]]
     prec = [1.0 / pr.v_intercept, 1.0 / pr.v_gamma_dist]
     lin = [pr.m_intercept / pr.v_intercept, pr.m_gamma_dist / pr.v_gamma_dist]
     if config.include_windspeed:
-        cols.append(design.x_wind)
+        cols.append(design.race_x_wind[race])
         prec.append(1.0 / pr.v_lambda_wind)
         lin.append(pr.m_lambda_wind / pr.v_lambda_wind)
-    cols += [design.rain_cur, design.rain_prev]
+    cols += [design.race_rain_cur[race], design.race_rain_prev[race]]
     prec += [1.0 / pr.v_rho_cur, 1.0 / pr.v_rho_prev]
     lin += [state.m_rho / pr.v_rho_cur, state.phi * state.m_rho / pr.v_rho_prev]
-    cols += [design.course_idx == c for c in range(1, lc)]
-    cols += [design.season_idx == s for s in range(1, ls)]
+    cols += [design.race_course[race] == c for c in range(1, lc)]
+    cols += [design.race_season[race] == s for s in range(1, ls)]
     prec += [state.tau_course] * (lc - 1) + [state.tau_season] * (ls - 1)
     lin += [0.0] * (lc + ls - 2)
     p = len(cols)
@@ -352,18 +353,6 @@ def test_location_block_sum_of_squares_matches_the_residuals(case):
         assert sum_squares == pytest.approx(float(e @ e), rel=1e-9)
 
 
-def test_location_block_rejects_covariates_that_vary_within_a_race():
-    import dataclasses
-
-    from racemix.ingest import DataError
-
-    design = make_toy_design()
-    rain = design.rain_cur.copy()
-    rain[0] += 1.0  # observations 0-2 are one race
-    with pytest.raises(DataError, match="differ between observations of one race"):
-        LocationBlock(dataclasses.replace(design, rain_cur=rain), ModelConfig())
-
-
 ### chain driver
 
 
@@ -418,12 +407,8 @@ def test_run_chain_rejects_empty_design():
     design = make_toy_design()
     import dataclasses
     empty = dataclasses.replace(
-        design, y=np.empty(0), dist=np.empty(0),
-        athlete_idx=np.empty(0, dtype=np.int64),
-        course_idx=np.empty(0, dtype=np.int64),
-        season_idx=np.empty(0, dtype=np.int64),
-        x_dist=np.empty(0), x_wind=np.empty(0),
-        rain_cur=np.empty(0), rain_prev=np.empty(0))
+        design, y=np.empty(0), athlete_idx=np.empty(0, dtype=np.int64),
+        race_idx=np.empty(0, dtype=np.int64))
     with pytest.raises(SamplerError, match="empty design"):
         run_chain(empty, small_config())
 

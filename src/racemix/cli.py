@@ -29,6 +29,8 @@ import numpy as np
 from . import __version__
 from .diagnostics import (
     autocorrelation,
+    constant_columns,
+    effective_sample_size,
     multichain_ess,
     split_rhat,
     summarize,
@@ -280,12 +282,12 @@ def fit(data, covariates, rainfall, sex, response, windspeed, seed, burn_in,
                   for i in range(1, chains + 1) for stem, ext in CHAIN_FILES]
 
     if chains > 1:
+        draws = [c.draws for c in outputs]
+        rows = zip(outputs[0].columns, split_rhat(draws).tolist(), multichain_ess(draws).tolist())
         cross_path = os.path.join(out_dir, "crosschain.csv")
         with open(cross_path, "w", encoding="utf-8", newline="") as fh:
             fh.write("parameter,split_rhat,ess_total\n")
-            for j, name in enumerate(outputs[0].columns):
-                cols = [c.draws[:, j] for c in outputs]
-                fh.write(f"{name},{repr(split_rhat(cols))},{repr(multichain_ess(cols))}\n")
+            fh.writelines("{},{!r},{!r}\n".format(*row) for row in rows)
         artifacts.append("crosschain.csv")
 
     snapshot = {"model": config.to_dict(), "sex": sex, "chains": chains}
@@ -412,8 +414,6 @@ def ppc(fit_dir, races, index, seed, bins, data, covariates, rainfall, out_dir):
 
     wanted = set(_parse_race_filter(races, design))
     selected = [o for o in observations if (o.course, o.season) in wanted]
-    if not selected:
-        raise DataError("race filter matched no observations")
 
     if out_dir is None:
         out_dir = os.path.join(fit_dir, "ppc")
@@ -490,13 +490,16 @@ def diagnose(fit_dir, index, out_root):
     write_trace_csv(chain, trace_path)
 
     diag_path = os.path.join(out_root, _artifact_name("diagnostics", "csv", index, n_chains))
-    summaries = summarize(chain)
+    # constant (corner-constrained) columns get ESS N and rho1 0, without a warning
+    degenerate = constant_columns(chain.draws)
+    free = chain.draws[:, ~degenerate]
+    ess, rho1 = np.full(degenerate.size, float(chain.n_stored)), np.zeros(degenerate.size)
+    ess[~degenerate] = effective_sample_size(free)
+    rho1[~degenerate] = autocorrelation(free, 1)[1]
     with open(diag_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("parameter,ess,rho1,degenerate\n")
-        for s in summaries:
-            rho1 = 0.0 if s.degenerate else float(autocorrelation(chain.column(s.name), 1)[1])
-            fh.write(f"{s.name},{repr(s.ess)},{repr(rho1)},"
-                     f"{'1' if s.degenerate else '0'}\n")
+        for row in zip(chain.columns, ess.tolist(), rho1.tolist(), degenerate.astype(int)):
+            fh.write("{},{!r},{!r},{}\n".format(*row))
     click.echo(f"wrote {trace_path} and {diag_path} "
                f"({chain.n_stored} draws, {len(chain.columns)} parameters)")
 

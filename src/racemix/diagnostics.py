@@ -1,10 +1,11 @@
 """Convergence diagnostics and posterior summaries.
 
-Autocorrelations use the biased mean-subtracted estimator (computed via
-FFT), effective sample sizes use Geyer's initial-positive-sequence
-truncation, and quantiles use linear interpolation between order
-statistics (numpy's default, the type-7 convention).  Trace data is
-exported as tidy CSV for external plotting; nothing here draws figures.
+Each diagnostic takes a 1-d chain or an (n, k) draws matrix, one column
+per parameter, and gives one result per column.  Autocorrelations are
+the biased FFT estimator, one FFT per block of columns; ESS is Geyer's
+initial positive sequence, or N for a constant column or fewer than 10
+draws.  Quantiles are type-7 (numpy's default).  Trace data is exported
+as tidy CSV for external plotting; nothing here draws figures.
 """
 from __future__ import annotations
 
@@ -15,90 +16,102 @@ import numpy as np
 
 from .sampler import ChainOutput
 
+# the spectrum of one FFT block holds at most this many bytes (or one column's,
+# if more), so a diagnostic's transient memory does not grow with the columns
+FFT_BLOCK_BYTES = 1 << 18
+
 
 class DegenerateChainWarning(UserWarning):
     """A chain with zero variance; autocorrelation/ESS are conventions."""
 
 
-def _is_constant(x: np.ndarray) -> bool:
-    return x.size > 0 and np.all(x == x[0])
+def constant_columns(draws: np.ndarray) -> np.ndarray:
+    """Which columns of an (n, k) draws matrix are constant (zero variance)."""
+    return np.all(draws == draws[:1], axis=0)
 
 
-def _acf_fft(x: np.ndarray, max_lag: int) -> np.ndarray:
-    # biased estimator: divide every lag by N, not by N-k
-    n = x.size
-    centred = x - x.mean()
-    size = 1
-    while size < 2 * n:
-        size *= 2
-    f = np.fft.rfft(centred, size)
-    acov = np.fft.irfft(f * np.conj(f))[:max_lag + 1] / n
-    return acov / acov[0]
+def _as_columns(chain) -> tuple[np.ndarray, bool]:
+    """The draws as an (n, k) float matrix, and whether they came as one 1-d chain."""
+    x = np.asarray(chain, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[0] == 0:
+        raise ValueError(f"need a 1-d chain or an (n, k) draws matrix with at least "
+                         f"one draw, got shape {x.shape}")
+    return (x[:, None], True) if x.ndim == 1 else (x, False)
+
+
+def _acf_blocks(x: np.ndarray, columns: np.ndarray, max_lag: int):
+    """Autocorrelations at lags 0..max_lag of the given non-constant columns of x.
+
+    Yields (block of column indices, (block size, max_lag + 1) array), one
+    FFT per block.  The biased estimator divides every lag's autocovariance
+    by N, not by N - lag; that common factor cancels in the ratio to lag 0.
+    """
+    n = x.shape[0]
+    size = 1 << (2 * n - 1).bit_length()  # a power of two >= 2N: no wrap-around
+    step = max(1, FFT_BLOCK_BYTES // (16 * (size // 2 + 1)))
+    for start in range(0, columns.size, step):
+        block = columns[start:start + step]
+        rows = np.ascontiguousarray(x[:, block].T)
+        rows -= rows.mean(axis=1, keepdims=True)
+        f = np.fft.rfft(rows, size)
+        acov = np.fft.irfft(f * np.conj(f), size)[:, :max_lag + 1]
+        yield block, acov / acov[:, :1]
+
+
+def _geyer_ess(acf: np.ndarray, n: int) -> np.ndarray:
+    """ESS per row of acf (lags 0..n-1): lags summed in pairs, the pairs before
+    the first non-positive one kept; an antithetic row (tau <= 1) is clamped at N."""
+    pairs = acf[:, 0:n - 1:2] + acf[:, 1:n:2]
+    kept = np.logical_and.accumulate(pairs > 0.0, axis=1).sum(axis=1)
+    sums = np.cumsum(pairs, axis=1)
+    gamma_sum = np.where(kept > 0, sums[np.arange(sums.shape[0]), kept - 1], 0.0)
+    tau = 2.0 * gamma_sum - 1.0
+    return n / np.maximum(tau, 1.0)
+
+
+def _ess(x: np.ndarray, constant: np.ndarray) -> np.ndarray:
+    """Each column's ESS: N if constant or under 10 draws, else Geyer's."""
+    n = x.shape[0]
+    ess = np.full(x.shape[1], float(n))
+    if n >= 10:
+        for block, acf in _acf_blocks(x, np.flatnonzero(~constant), n - 1):
+            ess[block] = _geyer_ess(acf, n)
+    return ess
 
 
 def autocorrelation(chain, max_lag: int) -> np.ndarray:
-    """Sample autocorrelations at lags 0..max_lag; lag 0 is exactly 1.
-
-    A constant chain has no defined autocorrelation; by convention it
-    returns [1, 0, ..., 0] and emits DegenerateChainWarning.
+    """Sample autocorrelations at lags 0..max_lag, shape (max_lag + 1,) or
+    (max_lag + 1, k); lag 0 is exactly 1.  A constant column has none: by
+    convention it gets [1, 0, ..., 0] and the call warns DegenerateChainWarning.
     """
-    x = np.asarray(chain, dtype=float)
+    x, one_chain = _as_columns(chain)
     if max_lag < 1:
         raise ValueError(f"max_lag must be >= 1, got {max_lag}")
-    if x.ndim != 1 or x.size <= max_lag:
-        raise ValueError(f"need a 1-d chain longer than max_lag={max_lag}, "
-                         f"got shape {x.shape}")
-    if _is_constant(x):
-        warnings.warn("constant chain: autocorrelation undefined",
-                      DegenerateChainWarning)
-        out = np.zeros(max_lag + 1)
-        out[0] = 1.0
-        return out
-    acf = _acf_fft(x, max_lag)
-    acf[0] = 1.0
-    return acf
+    if x.shape[0] <= max_lag:
+        raise ValueError(f"need a chain longer than max_lag={max_lag}, "
+                         f"got shape {np.shape(chain)}")
+    constant = constant_columns(x)
+    if constant.any():
+        warnings.warn("constant column(s): autocorrelation undefined", DegenerateChainWarning)
+    out = np.zeros((max_lag + 1, x.shape[1]))
+    for block, acf in _acf_blocks(x, np.flatnonzero(~constant), max_lag):
+        out[:, block] = acf.T
+    out[0] = 1.0
+    return out[:, 0] if one_chain else out
 
 
-def _geyer_ess(x: np.ndarray) -> float:
-    """ESS by initial-positive-sequence truncation; clamped to (0, N]."""
-    n = x.size
-    acf = _acf_fft(x, n - 1)
-    # pair consecutive lags; keep pairs while their sum stays positive
-    gamma_sum = 0.0
-    t = 0
-    while 2 * t + 1 < n:
-        pair = acf[2 * t] + acf[2 * t + 1]
-        if pair <= 0.0:
-            break
-        gamma_sum += pair
-        t += 1
-    tau = 2.0 * gamma_sum - 1.0
-    if tau <= 0.0:
-        # antithetic chain more efficient than iid; clamp at N
-        return float(n)
-    return float(min(n / tau, n))
+def effective_sample_size(chain) -> float | np.ndarray:
+    """Effective sample size N / (1 + 2·Σρ_k), Geyer-truncated, in (0, N].
 
-
-def _column_ess(x: np.ndarray) -> float:
-    """Geyer ESS, or N for a constant column or one shorter than 10 draws."""
-    if _is_constant(x) or x.size < 10:
-        return float(x.size)
-    return _geyer_ess(x)
-
-
-def effective_sample_size(chain) -> float:
-    """Effective sample size N / (1 + 2·Σρ_k), Geyer-truncated.
-
-    Always in (0, N].  A constant chain reports N and emits
-    DegenerateChainWarning.
+    A float for a 1-d chain, one value per column of an (n, k) matrix.  A
+    constant column reports N, and the call warns DegenerateChainWarning.
     """
-    x = np.asarray(chain, dtype=float)
-    if x.ndim != 1 or x.size < 10:
-        raise ValueError(f"need a 1-d chain of length >= 10, got shape {x.shape}")
-    if _is_constant(x):
-        warnings.warn("constant chain: reporting ESS = N", DegenerateChainWarning)
-        return float(x.size)
-    return _geyer_ess(x)
+    x, one_chain = _as_columns(chain)
+    constant = constant_columns(x)
+    if constant.any():
+        warnings.warn("constant column(s): reporting ESS = N", DegenerateChainWarning)
+    ess = _ess(x, constant)
+    return float(ess[0]) if one_chain else ess
 
 
 @dataclass(frozen=True)
@@ -127,17 +140,12 @@ def summarize(chain_output: ChainOutput) -> list[ParameterSummary]:
     n = draws.shape[0]
     if n < 2:
         raise ValueError(f"need >= 2 stored draws to summarize, got {n}")
-    qs = np.quantile(draws, [0.025, 0.25, 0.5, 0.75, 0.975], axis=0)
-    means = draws.mean(axis=0)
-    out = []
-    for j, name in enumerate(chain_output.columns):
-        col = draws[:, j]
-        out.append(ParameterSummary(
-            name=name, mean=float(means[j]),
-            lq=float(qs[1, j]), median=float(qs[2, j]), uq=float(qs[3, j]),
-            ci95_low=float(qs[0, j]), ci95_high=float(qs[4, j]),
-            ess=_column_ess(col), degenerate=_is_constant(col)))
-    return out
+    qs = np.quantile(draws, [0.025, 0.25, 0.5, 0.75, 0.975], axis=0).T.tolist()
+    degenerate = constant_columns(draws)
+    return [ParameterSummary(name, mean, lq, median, uq, low, high, ess, flat)
+            for name, mean, (low, lq, median, uq, high), ess, flat
+            in zip(chain_output.columns, draws.mean(axis=0).tolist(), qs,
+                   _ess(draws, degenerate).tolist(), degenerate.tolist())]
 
 
 SUMMARY_HEADER = "parameter,mean,lq,median,uq,ci95_low,ci95_high,ess"
@@ -170,37 +178,45 @@ def write_trace_csv(chain_output: ChainOutput, path) -> None:
                               for sweep, value in zip(sweeps, values)]))
 
 
-def split_rhat(chains) -> float:
-    """Split-half potential scale reduction across equal-length chains.
-
-    Each chain is cut in half, giving 2k pieces; R-hat compares between-
-    and within-piece variance.  Values near 1 indicate the pieces agree.
-    Degenerate (all-constant) input returns exactly 1.
-    """
+def _stacked(chains) -> tuple[list[np.ndarray], bool]:
+    """Equal-shape chains as (n, k) matrices, and whether they came 1-d."""
     arrays = [np.asarray(c, dtype=float) for c in chains]
     if not arrays:
         raise ValueError("need at least one chain")
-    n0 = arrays[0].size
-    if any(a.ndim != 1 or a.size != n0 for a in arrays):
-        raise ValueError("chains must be 1-d and equal length")
+    shape = arrays[0].shape
+    if len(shape) not in (1, 2) or any(a.shape != shape for a in arrays):
+        raise ValueError("chains must be of equal length and shape: each 1-d, "
+                         "or (n, k) with one column per parameter")
+    return [_as_columns(a)[0] for a in arrays], len(shape) == 1
+
+
+def split_rhat(chains) -> float | np.ndarray:
+    """Split-half potential scale reduction across equal-length chains.
+
+    Each chain is cut in half, giving 2m pieces; R-hat compares between-
+    and within-piece variance.  Values near 1 indicate the pieces agree.
+    A float for 1-d chains, one value per column of (n, k) ones; a column
+    constant within every piece gets 1 if the pieces agree, else inf.
+    """
+    arrays, one_chain = _stacked(chains)
+    n0 = arrays[0].shape[0]
     if n0 < 4:
         raise ValueError(f"chains too short to split, length {n0}")
-    half = n0 // 2
-    pieces = []
-    for a in arrays:
-        pieces.append(a[:half])
-        pieces.append(a[half:2 * half])
-    pieces = np.asarray(pieces)
-    m, n = pieces.shape
-    piece_means = pieces.mean(axis=1)
-    w = float(np.mean(pieces.var(axis=1, ddof=1)))
-    b = n * float(np.var(piece_means, ddof=1))
-    if w == 0.0:
-        return 1.0 if b == 0.0 else float("inf")
+    n = n0 // 2
+    pieces = [piece for a in arrays for piece in (a[:n], a[n:2 * n])]
+    piece_means = np.array([p.mean(axis=0) for p in pieces])
+    w = np.mean([p.var(axis=0, ddof=1) for p in pieces], axis=0)
+    b = n * piece_means.var(axis=0, ddof=1)
     var_plus = (n - 1) / n * w + b / n
-    return float(np.sqrt(var_plus / w))
+    spread = w > 0.0
+    rhat = np.sqrt(var_plus / np.where(spread, w, 1.0))
+    rhat = np.where(spread, rhat, np.where(b == 0.0, 1.0, np.inf))
+    return float(rhat[0]) if one_chain else rhat
 
 
-def multichain_ess(chains) -> float:
-    """Total ESS across independent chains (sum of per-chain ESS)."""
-    return sum((_column_ess(np.asarray(c, dtype=float)) for c in chains), 0.0)
+def multichain_ess(chains) -> float | np.ndarray:
+    """Total ESS across independent chains, taken as split_rhat takes them;
+    a constant column counts N per chain, without a warning."""
+    arrays, one_chain = _stacked(chains)
+    total = sum((_ess(a, constant_columns(a)) for a in arrays), 0.0)
+    return float(total[0]) if one_chain else total

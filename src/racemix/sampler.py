@@ -50,7 +50,7 @@ import numpy as np
 
 from . import __version__
 from .ingest import DataError, DesignMatrixView
-from .model import ModelConfig, ParameterState
+from .model import ModelConfig
 # not called by the sweep; perfbench/tracing.py wraps it by this name here
 from .model import linear_predictor_all  # noqa: F401
 
@@ -174,14 +174,13 @@ def phi_log_target(phi, rho_prev, m_rho, v_rho_prev, a_phi, b_phi) -> float:
             - (rho_prev - phi * m_rho) ** 2 / (2.0 * v_rho_prev))
 
 
-def slice_update_phi(phi_current, rho_prev, m_rho, v_rho_prev, a_phi, b_phi, rng,
-                     width=SLICE_WIDTH, max_steps=SLICE_MAX_STEPS) -> float:
+def slice_update_phi(phi_current, rho_prev, m_rho, v_rho_prev, a_phi, b_phi, rng) -> float:
     """One slice-sampling update of phi: stepping out, then shrinkage.
 
     The interval is clamped at zero on the left (the target has no mass
     there).  A current point where the log target is not finite (any NaN
-    input included) and failing to bracket the slice within max_steps
-    step-outs are errors carrying the full conditioning state.
+    input included) and failing to bracket the slice within
+    SLICE_MAX_STEPS step-outs are errors carrying the full conditioning state.
     """
     def logf(p):
         return phi_log_target(p, rho_prev, m_rho, v_rho_prev, a_phi, b_phi)
@@ -198,22 +197,22 @@ def slice_update_phi(phi_current, rho_prev, m_rho, v_rho_prev, a_phi, b_phi, rng
     log_y = log_fx - rng.exponential()
 
     u = rng.random()
-    left = phi_current - width * u
-    right = left + width
+    left = phi_current - SLICE_WIDTH * u
+    right = left + SLICE_WIDTH
     steps = 0
     while left > 0.0 and logf(left) > log_y:
-        left -= width
+        left -= SLICE_WIDTH
         steps += 1
-        if steps > max_steps:
-            raise SamplerError(f"slice bracket failure (left) after {max_steps} "
+        if steps > SLICE_MAX_STEPS:
+            raise SamplerError(f"slice bracket failure (left) after {SLICE_MAX_STEPS} "
                                f"step-outs: {conditioning()}")
     left = max(left, 0.0)
     steps = 0
     while logf(right) > log_y:
-        right += width
+        right += SLICE_WIDTH
         steps += 1
-        if steps > max_steps:
-            raise SamplerError(f"slice bracket failure (right) after {max_steps} "
+        if steps > SLICE_MAX_STEPS:
+            raise SamplerError(f"slice bracket failure (right) after {SLICE_MAX_STEPS} "
                                f"step-outs: {conditioning()}")
 
     for _ in range(10_000):
@@ -474,25 +473,6 @@ class ChainOutput:
     def effects(self, block: str) -> np.ndarray:
         """(n_stored, n_levels) draws of one of EFFECT_BLOCKS."""
         return self.draws[:, _block_slices(self.meta.include_windspeed, self.meta)[block]]
-
-    def _unpack(self, row: np.ndarray) -> ParameterState:
-        names = _scalar_columns(self.meta.include_windspeed)
-        return ParameterState(
-            **{name: float(v) for name, v in zip(names, row)},
-            **{f"{block}_effects": row[where].copy()
-               for block, where in _block_slices(self.meta.include_windspeed,
-                                                 self.meta).items()})
-
-    def state_at(self, i: int) -> ParameterState:
-        return self._unpack(self.draws[i])
-
-    def posterior_mean_state(self) -> ParameterState:
-        """Componentwise posterior mean as a ParameterState.
-
-        Constrained entries stay exactly zero; positivity of the averaged
-        precisions and phi is automatic.
-        """
-        return self._unpack(self.draws.mean(axis=0))
 
 
 def run_chain(design: DesignMatrixView, config: ModelConfig, rng_seed=None) -> ChainOutput:

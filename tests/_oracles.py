@@ -297,6 +297,27 @@ def state_from_row(row, like):
     return state
 
 
+def chain_state(chain, row):
+    """The ParameterState held by `row`, laid out as `chain`'s draws.
+
+    `row` is one stored draw (`chain.draws[i]`) or any row in that layout,
+    such as the column means.  Scalars are matched to the chain's column
+    names; the effect blocks follow in EFFECT_BLOCKS order, sized by the
+    chain metadata's levels.
+    """
+    from racemix.model import ParameterState
+    from racemix.sampler import EFFECT_BLOCKS, SCALAR_COLUMNS
+
+    names = [name for name in chain.columns if name in SCALAR_COLUMNS]
+    fields = {name: float(value) for name, value in zip(names, row)}
+    start = len(names)
+    for block in EFFECT_BLOCKS:
+        stop = start + len(getattr(chain.meta, f"{block}s"))
+        fields[f"{block}_effects"] = np.array(row[start:stop], dtype=float)
+        start = stop
+    return ParameterState(**fields)
+
+
 def ar1_chain(n, rho, seed) -> np.ndarray:
     """Stationary unit-variance AR(1) series, an ESS oracle."""
     rng = np.random.default_rng(seed)
@@ -380,3 +401,49 @@ def analytic_gradient(state, design, priors) -> list:
            0.5 * n / tau - 0.5 * float(r @ r)
            + (priors.a_tau_obs - 1.0) / tau - priors.b_tau_obs)
     return entries
+
+
+def acf_reference(x, max_lag) -> np.ndarray:
+    """Biased autocorrelations of one non-constant 1-d chain, one FFT of its own."""
+    n = x.size
+    centred = x - x.mean()
+    size = 1
+    while size < 2 * n:
+        size *= 2
+    f = np.fft.rfft(centred, size)
+    acov = np.fft.irfft(f * np.conj(f))[:max_lag + 1] / n
+    return acov / acov[0]
+
+
+def ess_reference(x) -> float:
+    """ESS of one 1-d chain by a scalar loop over Geyer's lag pairs.
+
+    N for a constant chain or fewer than 10 draws; otherwise the pairs of
+    consecutive lags are added while their sum stays positive, and the
+    result is clamped to (0, N].
+    """
+    n = x.size
+    if n < 10 or np.all(x == x[0]):
+        return float(n)
+    acf = acf_reference(x, n - 1)
+    gamma_sum = 0.0
+    t = 0
+    while 2 * t + 1 < n:
+        pair = acf[2 * t] + acf[2 * t + 1]
+        if pair <= 0.0:
+            break
+        gamma_sum += pair
+        t += 1
+    tau = 2.0 * gamma_sum - 1.0
+    return float(n) if tau <= 0.0 else float(min(n / tau, n))
+
+
+def split_rhat_reference(chains) -> float:
+    """Split R-hat of equal-length 1-d chains, piece by piece."""
+    half = len(chains[0]) // 2
+    pieces = np.array([piece for c in chains for piece in (c[:half], c[half:2 * half])])
+    w = float(np.mean(pieces.var(axis=1, ddof=1)))
+    b = half * float(np.var(pieces.mean(axis=1), ddof=1))
+    if w == 0.0:
+        return 1.0 if b == 0.0 else float("inf")
+    return float(np.sqrt(((half - 1) / half * w + b / half) / w))

@@ -43,7 +43,7 @@ from racemix.predictive import (
 from racemix.sampler import run_chain
 
 from conftest import make_toy_design, make_toy_state
-from _oracles import ar1_chain, conditional_ks
+from _oracles import ar1_chain, chain_state, conditional_ks
 
 NEHL_ENV = "RACEMIX_NEHL_DIR"
 
@@ -157,7 +157,7 @@ def test_ppc_self_consistency(capfd, small_sim, small_fit):
     # simulate fresh data from the fitted chain's posterior-mean state
     # over the same design; quartile discrepancies should be coin flips
     design, _, chain = small_fit
-    state = chain.posterior_mean_state()
+    state = chain_state(chain, chain.draws.mean(axis=0))
     month = {(c.course, c.season): c.race_month for c in small_sim.contexts}
     mu = linear_predictor_all(state, design)
     rng = np.random.default_rng(1)

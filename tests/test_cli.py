@@ -18,7 +18,12 @@ from racemix.cli import main
 from racemix.ingest import build_design, parse_races, parse_rainfall, parse_results
 from racemix.model import ModelConfig
 from racemix.predictive import SyntheticSpec, simulate_dataset
-from racemix.diagnostics import autocorrelation, summarize, write_summary_csv
+from racemix.diagnostics import (
+    autocorrelation,
+    constant_columns,
+    summarize,
+    write_summary_csv,
+)
 from racemix.sampler import ChainOutput, SamplerError, load_chain, run_chain, save_chain
 
 from conftest import make_toy_design
@@ -590,9 +595,13 @@ def test_diagnose_writes_trace_and_table(fit_dir, tmp_path):
     assert base[3] == "1" and float(base[2]) == 0.0
     assert float(rows["tau_obs"][1]) > 0.0
     assert rows["tau_obs"][3] == "0"
-    # rho1 is lag 1 of the full autocorrelation, whatever the longest lag asked for
-    column = load_chain(fit_dir / "chain.csv", fit_dir / "metadata.json").column("tau_obs")
-    assert rows["tau_obs"][2] == repr(float(autocorrelation(column, 50)[1]))
+    # rho1 is lag 1 of the full autocorrelation, whatever the longest lag asked
+    # for, from one column-wise call over the free (non-constant) columns
+    chain = load_chain(fit_dir / "chain.csv", fit_dir / "metadata.json")
+    free = ~constant_columns(chain.draws)
+    rho1 = autocorrelation(chain.draws[:, free], 50)[1]
+    names = [name for name, keep in zip(chain.columns, free) if keep]
+    assert rows["tau_obs"][2] == repr(float(rho1[names.index("tau_obs")]))
 
 
 def test_diagnose_defaults_into_fit_dir(fit_dir):

@@ -4,9 +4,12 @@ The AR(1) oracle in _oracles gives chains with known autocorrelation
 rho**k and known asymptotic ESS N*(1-rho)/(1+rho), which pins down the
 estimators without trusting their own code paths.
 """
+import warnings
+
 import numpy as np
 import pytest
 
+from racemix import diagnostics
 from racemix.diagnostics import (
     SUMMARY_HEADER,
     DegenerateChainWarning,
@@ -20,7 +23,7 @@ from racemix.diagnostics import (
 )
 from racemix.sampler import ChainMeta, ChainOutput
 
-from _oracles import ar1_chain
+from _oracles import acf_reference, ar1_chain, ess_reference, split_rhat_reference
 
 
 def _single_column_output(values) -> ChainOutput:
@@ -71,7 +74,7 @@ def test_acf_input_validation():
     with pytest.raises(ValueError, match="longer than max_lag"):
         autocorrelation(x, 10)
     with pytest.raises(ValueError):
-        autocorrelation(np.ones((5, 5)), 2)
+        autocorrelation(np.ones((5, 5, 5)), 2)
 
 
 def test_acf_constant_chain_convention():
@@ -105,9 +108,8 @@ def test_ess_never_exceeds_n():
     assert ess == pytest.approx(200.0)
 
 
-def test_ess_requires_ten_points():
-    with pytest.raises(ValueError, match=">= 10"):
-        effective_sample_size(np.arange(9, dtype=float))
+def test_ess_of_fewer_than_ten_points_is_n():
+    assert effective_sample_size(np.arange(9, dtype=float)) == 9.0
 
 
 def test_ess_constant_chain_reports_n():
@@ -156,11 +158,14 @@ def test_summarize_flags_constant_columns():
                      d_bar=6.0, w_bar=0.0,
                      athletes=(), courses=(), seasons=())
     chain = ChainOutput(draws=values, columns=("a", "b"), meta=meta)
-    out = {s.name: s for s in summarize(chain)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an expected constant column is not warned about
+        out = {s.name: s for s in summarize(chain)}
     assert out["a"].degenerate
     assert out["a"].ess == 20.0
     assert out["a"].mean == 0.0
     assert not out["b"].degenerate
+    assert out["b"].ess == effective_sample_size(values[:, 1])
 
 
 def test_summarize_fit_output_is_coherent(small_fit):
@@ -284,3 +289,74 @@ def test_multichain_ess_sums_over_chains():
     assert total == pytest.approx(
         effective_sample_size(a) + effective_sample_size(b))
     assert abs(total - 10_000) < 1_000
+
+
+# ---------------------------------------------------------------- column-wise
+
+def _probe_columns(n, seed):
+    """One column per case: constant, antithetic, AR(1), iid and trending."""
+    rng = np.random.default_rng(seed)
+    return np.column_stack([
+        np.full(n, 2.5),
+        (-1.0) ** np.arange(n) + 1e-3 * rng.standard_normal(n),
+        ar1_chain(n, 0.9, seed=seed + 1),
+        rng.standard_normal(n),
+        np.linspace(0.0, 3.0, n) + rng.standard_normal(n),
+    ])
+
+
+def _degenerate_warnings(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, sum(issubclass(w.category, DegenerateChainWarning) for w in caught)
+
+
+def _quiet(fn, *args):
+    # the 1-d reference calls warn on the constant column by design
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateChainWarning)
+        return fn(*args)
+
+
+# 1 byte: one column per FFT block; 40,000 bytes: two columns; default: one block
+@pytest.mark.parametrize("block_bytes", [1, 40_000, diagnostics.FFT_BLOCK_BYTES])
+@pytest.mark.parametrize("n", [5, 600])
+def test_columnwise_functions_equal_their_one_column_calls(monkeypatch, block_bytes, n):
+    monkeypatch.setattr(diagnostics, "FFT_BLOCK_BYTES", block_bytes)
+    x = _probe_columns(n, seed=40)
+    max_lag = min(20, n - 1)
+    acf, warned_acf = _degenerate_warnings(autocorrelation, x, max_lag)
+    ess, warned_ess = _degenerate_warnings(effective_sample_size, x)
+    assert warned_acf == warned_ess == 1  # once per call, not once per column
+    assert acf.shape == (max_lag + 1, x.shape[1]) and ess.shape == (x.shape[1],)
+    for j in range(x.shape[1]):
+        # autocorrelations are relative to lag 0's exact 1
+        np.testing.assert_allclose(acf[:, j], _quiet(autocorrelation, x[:, j], max_lag),
+                                   rtol=0.0, atol=1e-12)
+        assert ess[j] == pytest.approx(_quiet(effective_sample_size, x[:, j]), rel=1e-12)
+    assert np.array_equal(acf[:, 0], np.eye(max_lag + 1)[0])
+    assert ess[0] == n
+    if n < 10:
+        assert np.all(ess == n)
+    # and against the scalar per-column loop they replace
+    for j in range(1, x.shape[1]):
+        np.testing.assert_allclose(acf[:, j], acf_reference(x[:, j], max_lag),
+                                   rtol=0.0, atol=1e-12)
+        assert ess[j] == pytest.approx(ess_reference(x[:, j]), rel=1e-12)
+
+
+@pytest.mark.parametrize("stack", [list, np.stack])
+def test_multichain_columnwise_equals_per_column_calls(stack):
+    a, b = _probe_columns(600, seed=50), _probe_columns(600, seed=60)
+    b[:, 0] = 7.0  # constant in each chain, but the chains disagree
+    chains = stack([a, b])
+    rhat, ess = split_rhat(chains), multichain_ess(chains)
+    for j in range(a.shape[1]):
+        cols = [a[:, j], b[:, j]]
+        assert rhat[j] == pytest.approx(split_rhat(cols), rel=1e-12)
+        assert rhat[j] == pytest.approx(split_rhat_reference(cols), rel=1e-12)
+        assert ess[j] == pytest.approx(multichain_ess(cols), rel=1e-12)
+        assert ess[j] == pytest.approx(sum(map(ess_reference, cols)), rel=1e-12)
+    assert rhat[0] == np.inf and ess[0] == 1200.0
+    assert split_rhat(stack([a, a]))[0] == 1.0  # constant, and the chains agree

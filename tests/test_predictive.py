@@ -39,6 +39,8 @@ from racemix.predictive import (
 )
 from racemix.sampler import ChainOutput, run_chain
 
+from _oracles import chain_state
+
 
 def _flat_truth(n_athletes, n_courses, n_seasons, intercept=math.log(40.0),
                 tau_obs=1e12) -> ParameterState:
@@ -257,7 +259,7 @@ def test_predictive_race_collapses_without_noise(small_fit):
     pred = posterior_predictive_race(doctored, design, course, season,
                                      np.random.default_rng(0))
     for i in range(4):
-        mu = linear_predictor_all(doctored.state_at(i), design)[rows]
+        mu = linear_predictor_all(chain_state(doctored, doctored.draws[i]), design)[rows]
         assert pred[i] == pytest.approx(np.exp(mu), rel=1e-7)
 
 
@@ -304,7 +306,7 @@ def test_predictive_race_is_the_linear_predictor_plus_chunked_noise(
     z = np.vstack([children[0].standard_normal((PPC_CHUNK, rows.size)),
                    children[1].standard_normal((chain.n_stored - PPC_CHUNK, rows.size))])
     for i in range(chain.n_stored):
-        state = chain.state_at(i)
+        state = chain_state(chain, chain.draws[i])
         assert (state.lambda_wind is not None) == windspeed
         want = np.exp(linear_predictor_all(state, design)[rows]
                       + z[i] / math.sqrt(state.tau_obs))

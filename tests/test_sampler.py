@@ -32,7 +32,7 @@ from racemix.sampler import (
     spawn_chain_seeds,
 )
 
-from _oracles import draws_row, state_from_row
+from _oracles import chain_state, draws_row, state_from_row
 
 
 ### scalar Normal conditional
@@ -416,10 +416,10 @@ def test_run_chain_rejects_empty_design():
 def test_chain_output_accessors():
     design = make_toy_design()
     chain = run_chain(design, small_config())
-    state = chain.state_at(3)
+    state = chain_state(chain, chain.draws[3])
     state.validate()
     assert state.athlete_effects.size == 3
-    mean_state = chain.posterior_mean_state()
+    mean_state = chain_state(chain, chain.draws.mean(axis=0))
     mean_state.validate()
     assert mean_state.gamma_dist == pytest.approx(chain.column("gamma_dist").mean())
     with pytest.raises(KeyError):
@@ -437,7 +437,7 @@ def test_draw_layout_round_trips(include_windspeed):
               "course_effects": ("course", design.courses),
               "season_effects": ("season", design.seasons)}
     for i in range(chain.n_stored):
-        state, row = chain.state_at(i), chain.draws[i]
+        state, row = chain_state(chain, chain.draws[i]), chain.draws[i]
         checked = set()
         for field in dataclasses.fields(ParameterState):
             value = getattr(state, field.name)
@@ -470,7 +470,7 @@ def test_stored_precisions_are_draws_given_their_row():
     config = small_config(burn_in=0, iterations=3000, thin=1)
     pr = config.priors
     chain = run_chain(design, config)
-    states = [chain.state_at(i) for i in range(chain.n_stored)]
+    states = [chain_state(chain, chain.draws[i]) for i in range(chain.n_stored)]
     sse = np.array([float(e @ e) for e in
                     (design.y - linear_predictor_all(s, design) for s in states)])
     cases = {"tau_obs": (pr.a_tau_obs, pr.b_tau_obs, design.n_obs, sse)}
@@ -514,7 +514,7 @@ def test_windspeed_variant_has_lambda_column():
     cfg.include_windspeed = True
     chain = run_chain(design, cfg)
     assert "lambda_wind" in chain.columns
-    state = chain.state_at(0)
+    state = chain_state(chain, chain.draws[0])
     assert state.lambda_wind is not None
 
 

@@ -486,8 +486,9 @@ def diagnose(fit_dir, index, out_root):
         out_root = fit_dir
     os.makedirs(out_root, exist_ok=True)
 
+    chain_path = os.path.join(fit_dir, _artifact_name("chain", "csv", index, n_chains))
     trace_path = os.path.join(out_root, _artifact_name("trace", "csv", index, n_chains))
-    write_trace_csv(chain, trace_path)
+    write_trace_csv(chain_path, chain.meta, trace_path)
 
     diag_path = os.path.join(out_root, _artifact_name("diagnostics", "csv", index, n_chains))
     # constant (corner-constrained) columns get ESS N and rho1 0, without a warning

@@ -4,21 +4,28 @@ Each diagnostic takes a 1-d chain or an (n, k) draws matrix, one column
 per parameter, and gives one result per column.  Autocorrelations are
 the biased FFT estimator, one FFT per block of columns; ESS is Geyer's
 initial positive sequence, or N for a constant column or fewer than 10
-draws.  Quantiles are type-7 (numpy's default).  Trace data is exported
-as tidy CSV for external plotting; nothing here draws figures.
+draws.  Split R-hat takes its piece variances per block of columns.
+Quantiles are type-7 (numpy's default).  Trace data is exported as tidy
+CSV for external plotting, re-laid out from the chain CSV's own cell
+text rather than formatted again; nothing here draws figures.
 """
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sampler import ChainOutput
+from .sampler import ChainMeta, ChainOutput
 
-# the spectrum of one FFT block holds at most this many bytes (or one column's,
-# if more), so a diagnostic's transient memory does not grow with the columns
+# the spectrum of one FFT block, and split R-hat's deviations of one block of
+# columns, hold at most this many bytes (or those of the fewest columns a
+# block takes, if more), so a diagnostic's transient memory does not grow
+# with the columns
 FFT_BLOCK_BYTES = 1 << 18
+# write_trace_csv looks for cell boundaries in blocks of this many bytes of text
+SCAN_BLOCK_BYTES = 1 << 20
 
 
 class DegenerateChainWarning(UserWarning):
@@ -161,21 +168,54 @@ def write_summary_csv(summaries, path) -> None:
                                repr(s.ess)]) + "\n")
 
 
-def write_trace_csv(chain_output: ChainOutput, path) -> None:
-    """Tidy trace export: iteration,parameter,value.
+def write_trace_csv(chain_csv_path, meta: ChainMeta, path) -> None:
+    """Tidy trace export from a chain CSV: iteration,parameter,value.
 
     `iteration` is the absolute sweep index at which the draw was stored
-    (burn_in + k·thin), so plots line up with the sampler schedule.
+    (burn_in + k·thin, from `meta`), so plots line up with the sampler
+    schedule.  The parameters come one after another, in the file's
+    column order.  Each value is the chain CSV's own cell text, moved
+    without parsing or formatting a float: for a file save_chain wrote,
+    repr of the draw.  The file is read as load_chain reads it (a header
+    line, any line ending, empty lines skipped); run load_chain first to
+    have a bad cell named by its line.
     """
-    meta = chain_output.meta
-    sweeps = [f"{meta.burn_in + (i + 1) * meta.thin}," for i in range(chain_output.n_stored)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("iteration,parameter,value\n")
-        for j, name in enumerate(chain_output.columns):
-            values = chain_output.draws[:, j].astype(float, copy=False).tolist()
-            # one write per parameter; repr of the Python float, as in the chain CSV
-            fh.write("".join([f"{sweep}{name},{value!r}\n"
-                              for sweep, value in zip(sweeps, values)]))
+    with open(chain_csv_path, "rb") as fh:
+        text = fh.read()
+    if b"\r" in text or b"\n\n" in text:
+        # universal newlines, then no empty lines: a run of line ends is one
+        text = re.sub(rb"[\r\n]+", b"\n", text)
+    if not text.endswith(b"\n"):
+        text += b"\n"
+    names = text[:text.index(b"\n")].strip().split(b",")
+    k = len(names)
+    buf = np.frombuffer(text, dtype=np.uint8)
+    # where each cell ends (its comma, or its line's end), found a block at a
+    # time so that no mask as long as the text is held, in the narrowest
+    # integer type that holds any offset into the text
+    offset_type = np.min_scalar_type(buf.size)
+    ends = []
+    for start in range(0, buf.size, SCAN_BLOCK_BYTES):
+        block = buf[start:start + SCAN_BLOCK_BYTES]
+        is_end = (block == ord(",")) | (block == ord("\n"))
+        ends.append((start + np.flatnonzero(is_end)).astype(offset_type))
+    ends = np.concatenate(ends)
+    # every row, the header's too, is k - 1 commas and then a line end
+    at_line_end = buf[ends] == ord("\n")
+    if np.count_nonzero(at_line_end) * k != ends.size or not at_line_end[k - 1::k].all():
+        raise ValueError(f"{chain_csv_path}: rows do not all have {k} cells")
+    bounds = ends.reshape(-1, k)  # row 0 is the header
+    n = bounds.shape[0] - 1
+    # per stored draw: its sweep, the parameter, the cell text and a line end
+    parts = [b"\n"] * (4 * n)
+    parts[0::4] = [f"{meta.burn_in + (i + 1) * meta.thin},".encode() for i in range(n)]
+    with open(path, "wb") as fh:
+        fh.write(b"iteration,parameter,value\n")
+        for j, name in enumerate(names):
+            starts = (bounds[1:, j - 1] if j else bounds[:-1, -1]) + 1
+            parts[1::4] = [name + b","] * n
+            parts[2::4] = [text[a:b] for a, b in zip(starts.tolist(), bounds[1:, j].tolist())]
+            fh.write(b"".join(parts))
 
 
 def _stacked(chains) -> tuple[list[np.ndarray], bool]:
@@ -205,7 +245,16 @@ def split_rhat(chains) -> float | np.ndarray:
     n = n0 // 2
     pieces = [piece for a in arrays for piece in (a[:n], a[n:2 * n])]
     piece_means = np.array([p.mean(axis=0) for p in pieces])
-    w = np.mean([p.var(axis=0, ddof=1) for p in pieces], axis=0)
+    # the variances per block of columns, so no piece's deviations are held
+    # whole.  numpy sums a block of two or more columns down the rows, as it
+    # sums the whole piece, but a lone column pairwise: a last column left
+    # over joins the block before it
+    k = piece_means.shape[1]
+    step = max(2, FFT_BLOCK_BYTES // (8 * n))
+    w = np.empty(k)
+    for start in range(0, max(k - 1, 1), step):
+        block = slice(start, start + step if start + step < k - 1 else k)
+        w[block] = np.mean([p[:, block].var(axis=0, ddof=1) for p in pieces], axis=0)
     b = n * piece_means.var(axis=0, ddof=1)
     var_plus = (n - 1) / n * w + b / n
     spread = w > 0.0

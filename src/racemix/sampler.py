@@ -44,7 +44,6 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field, asdict
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -598,6 +597,9 @@ def run_chains(design: DesignMatrixView, config: ModelConfig, n_chains: int,
     jobs = [(design, config, ss, finish, i) for i, ss in enumerate(seeds, start=1)]
     if n_chains == 1 or max_workers == 1:
         return [_chain_worker(job) for job in jobs]
+    # imported here, so that one-chain fits and the commands that read a fit
+    # do not load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=max_workers or n_chains) as pool:
         return list(pool.map(_chain_worker, jobs))
 

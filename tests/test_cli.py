@@ -9,11 +9,14 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import racemix
 from racemix.cli import main
 from racemix.ingest import build_design, parse_races, parse_rainfall, parse_results
 from racemix.model import ModelConfig
@@ -64,6 +67,18 @@ def test_version_flag():
     result = _run(["--version"])
     assert result.exit_code == 0
     assert "racemix" in result.output
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # a fresh interpreter: summarize, ppc, diagnose and one-chain fits start no pool
+    src = os.path.dirname(os.path.dirname(racemix.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, racemix.cli; print('concurrent.futures.process' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------- fit

@@ -21,7 +21,7 @@ from racemix.diagnostics import (
     write_summary_csv,
     write_trace_csv,
 )
-from racemix.sampler import ChainMeta, ChainOutput
+from racemix.sampler import ChainMeta, ChainOutput, load_chain, save_chain
 
 from _oracles import acf_reference, ar1_chain, ess_reference, split_rhat_reference
 
@@ -211,10 +211,17 @@ def test_write_summary_csv_format(tmp_path):
     assert float(fields[5]) == pytest.approx(1.1)
 
 
+def _saved_chain(tmp_path, chain):
+    """The path of the chain's CSV, as save_chain writes it."""
+    path = tmp_path / "chain.csv"
+    save_chain(chain, path, tmp_path / "metadata.json")
+    return path
+
+
 def test_write_trace_csv_format(tmp_path, small_fit):
     _, config, chain = small_fit
     path = tmp_path / "trace.csv"
-    write_trace_csv(chain, path)
+    write_trace_csv(_saved_chain(tmp_path, chain), chain.meta, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "iteration,parameter,value"
     assert len(lines) == 1 + chain.n_stored * len(chain.columns)
@@ -231,9 +238,10 @@ def test_write_trace_csv_matches_per_value_reference(tmp_path, small_fit):
     _, _, chain = small_fit
     short = ChainOutput(draws=chain.draws[:40].copy(), columns=chain.columns,
                         meta=chain.meta)
-    short.draws[0, :3] = [-0.0, 5e-324, 0.1 + 0.2]
+    odd = [-0.0, 5e-324, 0.1 + 0.2, 1e16, 1e-5, -1.7976931348623157e308]
+    short.draws[0, :len(odd)] = odd
     path = tmp_path / "trace.csv"
-    write_trace_csv(short, path)
+    write_trace_csv(_saved_chain(tmp_path, short), short.meta, path)
     # reference: one formatted line per value
     meta = short.meta
     expected = ["iteration,parameter,value\n"]
@@ -243,6 +251,43 @@ def test_write_trace_csv_matches_per_value_reference(tmp_path, small_fit):
             sweep = meta.burn_in + (i + 1) * meta.thin
             expected.append(f"{sweep},{name},{repr(float(col[i]))}\n")
     assert path.read_bytes() == "".join(expected).encode("utf-8")
+
+
+def test_write_trace_csv_reads_line_ends_and_blank_lines_as_load_chain(tmp_path, small_fit):
+    _, _, chain = small_fit
+    short = ChainOutput(draws=chain.draws[:6], columns=chain.columns, meta=chain.meta)
+    clean = _saved_chain(tmp_path, short).read_bytes()
+    lines = clean.splitlines(keepends=True)
+    variants = {
+        "crlf.csv": clean.replace(b"\n", b"\r\n"),
+        "cr.csv": clean.replace(b"\n", b"\r"),
+        "blank.csv": b"".join([lines[0], b"\n", *lines[1:3], b"\n\n", *lines[3:]]) + b"\n",
+        "unended.csv": clean[:-1],
+    }
+    write_trace_csv(tmp_path / "chain.csv", short.meta, tmp_path / "trace.csv")
+    expected = (tmp_path / "trace.csv").read_bytes()
+    for name, text in variants.items():
+        (tmp_path / name).write_bytes(text)
+        loaded = load_chain(tmp_path / name, tmp_path / "metadata.json")
+        assert np.array_equal(loaded.draws, short.draws)
+        write_trace_csv(tmp_path / name, short.meta, tmp_path / "variant.csv")
+        assert (tmp_path / "variant.csv").read_bytes() == expected, name
+
+
+# the cell count stays whole: one cell moved from the second row to the
+# third, or the second row broken into two lines at a comma
+@pytest.mark.parametrize("damage", ["moved", "split"])
+def test_write_trace_csv_rejects_rows_of_unequal_length(tmp_path, small_fit, damage):
+    _, _, chain = small_fit
+    short = ChainOutput(draws=chain.draws[:3], columns=chain.columns, meta=chain.meta)
+    lines = _saved_chain(tmp_path, short).read_bytes().splitlines(keepends=True)
+    if damage == "moved":
+        lines[2:4] = [lines[2].rsplit(b",", 1)[0] + b"\n", b"0.5," + lines[3]]
+    else:
+        lines[2] = lines[2].replace(b",", b"\n", 1)
+    (tmp_path / "ragged.csv").write_bytes(b"".join(lines))
+    with pytest.raises(ValueError, match="rows do not all have"):
+        write_trace_csv(tmp_path / "ragged.csv", short.meta, tmp_path / "trace.csv")
 
 
 # ---------------------------------------------------------------- multi-chain
@@ -360,3 +405,13 @@ def test_multichain_columnwise_equals_per_column_calls(stack):
         assert ess[j] == pytest.approx(sum(map(ess_reference, cols)), rel=1e-12)
     assert rhat[0] == np.inf and ess[0] == 1200.0
     assert split_rhat(stack([a, a]))[0] == 1.0  # constant, and the chains agree
+
+
+def test_split_rhat_in_column_blocks_equals_one_block(monkeypatch):
+    rng = np.random.default_rng(70)
+    chains = [rng.standard_normal((1000, 7)).cumsum(axis=0) for _ in range(2)]
+    whole = split_rhat(chains)
+    # 1 byte: blocks of 2, 2 and 3 columns; numpy sums a lone column's
+    # deviations pairwise, a wider block's row by row as the whole matrix
+    monkeypatch.setattr(diagnostics, "FFT_BLOCK_BYTES", 1)
+    assert np.array_equal(split_rhat(chains), whole)

@@ -28,6 +28,7 @@ from racemix.model import (
     linear_predictor_all,
 )
 from racemix.predictive import (
+    FIVE_NUMBER_QS,
     PPC_CHUNK,
     PPC_HEADER,
     SyntheticSpec,
@@ -35,6 +36,7 @@ from racemix.predictive import (
     posterior_predictive_race,
     ppc_report,
     simulate_dataset,
+    _sorted_quantiles,
     write_ppc_csv,
 )
 from racemix.sampler import ChainOutput, run_chain
@@ -368,6 +370,21 @@ def test_ppc_report_self_consistency(small_sim, small_fit):
             assert abs(r.discrepancy[k]) < 0.10 * r.observed[k]
         for k in (0, 4):
             assert abs(r.discrepancy[k]) < 0.20 * r.observed[k]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 8, 170])
+def test_sorted_quantiles_equal_numpy_quantile(m):
+    rng = np.random.default_rng(m)
+    rows = np.exp(rng.normal(3.8, 0.3, (300, m)))
+    if m > 2:
+        # non-finite values: numpy's neighbours and weights give NaN, not a bound
+        rows[1, 0], rows[2, 1], rows[3, :2] = np.nan, np.inf, -np.inf
+    with np.errstate(invalid="ignore"):
+        expected = np.quantile(rows, FIVE_NUMBER_QS, axis=1)
+        got = _sorted_quantiles(np.sort(rows, axis=1), FIVE_NUMBER_QS)
+    assert np.array_equal(got, expected, equal_nan=True)
+    # the ppc summary is their mean over draws, summed in numpy's order
+    assert np.array_equal(got.mean(axis=1), expected.mean(axis=1), equal_nan=True)
 
 
 def test_ppc_report_summaries_equal_those_of_the_unsorted_fields(small_sim, long_fits):

@@ -38,9 +38,11 @@ from .sampler import (
     save_chain,
 )
 from .diagnostics import (
+    ChainMoments,
     DegenerateChainWarning,
     ParameterSummary,
     autocorrelation,
+    chain_moments,
     effective_sample_size,
     split_rhat,
     summarize,
@@ -64,7 +66,7 @@ __all__ = [
     "log_likelihood", "log_prior", "log_posterior",
     "ChainOutput", "run_chain", "run_chains", "save_chain", "load_chain",
     "ParameterSummary", "autocorrelation", "effective_sample_size",
-    "summarize", "split_rhat",
+    "summarize", "ChainMoments", "chain_moments", "split_rhat",
     "SyntheticSpec", "SimulatedData", "simulate_dataset",
     "posterior_predictive_race", "PpcRaceReport", "ppc_report",
     "effect_on_time",

@@ -22,13 +22,16 @@ import hashlib
 import json
 import os
 import sys
+from typing import NamedTuple
 
 import click
 import numpy as np
 
 from . import __version__
 from .diagnostics import (
+    ChainMoments,
     autocorrelation,
+    chain_moments,
     constant_columns,
     effective_sample_size,
     multichain_ess,
@@ -170,17 +173,47 @@ def _artifact_name(stem, ext, index, n_chains) -> str:
 CHAIN_FILES = (("chain", "csv"), ("metadata", "json"), ("summary", "csv"))
 
 
-def _write_chain(out_dir, n_chains, index, chain) -> None:
-    """A chain's own files: draws, metadata and summary.
+class ChainReport(NamedTuple):
+    """What fit needs of a chain once its files are written: no draws."""
+
+    columns: tuple[str, ...]
+    sweeps: int
+    sampling_s: float
+    moments: ChainMoments | None  # for crosschain.csv; None in a one-chain fit
+
+
+def _write_chain(out_dir, n_chains, index, chain) -> ChainReport:
+    """Write a chain's own files (draws, metadata and summary) and report on it.
 
     run_chains calls it in the process that sampled the chain, so with a
-    pool one chain's files are written while the others still sample.
+    pool one chain's files are written while the others still sample, and
+    only the returned ChainReport crosses back, never the draws.  Its
+    ChainMoments are built with the ESS that summarize has just computed
+    for summary.csv, so no ESS is computed twice.
     """
     chain_path, meta_path, summary_path = (
         os.path.join(out_dir, _artifact_name(stem, ext, index, n_chains))
         for stem, ext in CHAIN_FILES)
     save_chain(chain, chain_path, meta_path)
-    write_summary_csv(summarize(chain), summary_path)
+    summaries = summarize(chain)
+    write_summary_csv(summaries, summary_path)
+    moments = chain_moments(chain.draws, [s.ess for s in summaries]) if n_chains > 1 else None
+    return ChainReport(chain.columns, chain.meta.burn_in + chain.meta.iterations,
+                       chain.sampling_s, moments)
+
+
+def _earlier_artifacts(out_dir) -> list[str]:
+    """The file names that a manifest.json in out_dir lists as artifacts; none
+    when there is no manifest or it cannot be read, since fit replaces it."""
+    try:
+        with open(os.path.join(out_dir, "manifest.json"), "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError):
+        return []
+    artifacts = manifest.get("artifacts") if isinstance(manifest, dict) else None
+    if not isinstance(artifacts, list):
+        return []
+    return [name for name in artifacts if isinstance(name, str)]
 
 
 def _load_indexed_chain(fit_dir, manifest, index):
@@ -261,6 +294,7 @@ def fit(data, covariates, rainfall, sex, response, windspeed, seed, burn_in,
     if out_dir is None:
         out_dir = os.path.join(_out_root(), "fit")
     os.makedirs(out_dir, exist_ok=True)
+    earlier = _earlier_artifacts(out_dir)
 
     observations = parse_results(data, sex)
     contexts = parse_races(covariates)
@@ -270,20 +304,20 @@ def fit(data, covariates, rainfall, sex, response, windspeed, seed, burn_in,
                f"{len(design.courses)} courses, {len(design.seasons)} seasons; "
                f"{chains} chain(s)")
 
-    outputs = run_chains(design, config, chains, max_workers=workers,
+    reports = run_chains(design, config, chains, max_workers=workers,
                          finish=functools.partial(_write_chain, out_dir, chains))
-    for i, chain in enumerate(outputs, start=1):
-        sweeps = chain.meta.burn_in + chain.meta.iterations
-        click.echo(f"chain {i}: {sweeps} sweeps in {chain.sampling_s:.2f} s "
-                   f"({sweeps / chain.sampling_s:.0f} sweeps/s)")
+    for i, report in enumerate(reports, start=1):
+        click.echo(f"chain {i}: {report.sweeps} sweeps in {report.sampling_s:.2f} s "
+                   f"({report.sweeps / report.sampling_s:.0f} sweeps/s)")
+    columns = reports[0].columns
 
     artifacts = ["manifest.json"]
     artifacts += [_artifact_name(stem, ext, i, chains)
                   for i in range(1, chains + 1) for stem, ext in CHAIN_FILES]
 
     if chains > 1:
-        draws = [c.draws for c in outputs]
-        rows = zip(outputs[0].columns, split_rhat(draws).tolist(), multichain_ess(draws).tolist())
+        moments = [report.moments for report in reports]
+        rows = zip(columns, split_rhat(moments).tolist(), multichain_ess(moments).tolist())
         cross_path = os.path.join(out_dir, "crosschain.csv")
         with open(cross_path, "w", encoding="utf-8", newline="") as fh:
             fh.write("parameter,split_rhat,ess_total\n")
@@ -294,8 +328,14 @@ def fit(data, covariates, rainfall, sex, response, windspeed, seed, burn_in,
     _write_manifest(out_dir, "fit", snapshot, config.mcmc.seed,
                     {"data": data, "covariates": covariates, "rainfall": rainfall},
                     artifacts)
-    click.echo(f"wrote {out_dir}: {outputs[0].n_stored} stored draws x "
-               f"{len(outputs[0].columns)} parameters per chain")
+    click.echo(f"wrote {out_dir}: {config.mcmc.n_stored} stored draws x "
+               f"{len(columns)} parameters per chain")
+    # an earlier fit's files are never deleted, but they are named
+    stale = [name for name in earlier if name not in artifacts
+             and os.path.exists(os.path.join(out_dir, name))]
+    if stale:
+        click.echo(f"warning: {out_dir} keeps files of an earlier fit that this fit "
+                   f"did not rewrite: {', '.join(stale)}", err=True)
 
 
 @main.command("summarize")

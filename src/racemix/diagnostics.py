@@ -4,10 +4,18 @@ Each diagnostic takes a 1-d chain or an (n, k) draws matrix, one column
 per parameter, and gives one result per column.  Autocorrelations are
 the biased FFT estimator, one FFT per block of columns; ESS is Geyer's
 initial positive sequence, or N for a constant column or fewer than 10
-draws.  Split R-hat takes its piece variances per block of columns.
-Quantiles are type-7 (numpy's default).  Trace data is exported as tidy
-CSV for external plotting, re-laid out from the chain CSV's own cell
-text rather than formatted again; nothing here draws figures.
+draws.  Quantiles are type-7 (numpy's default), taken per block of
+columns.
+
+Split R-hat and the total ESS across chains combine one ChainMoments per
+chain: each half's column means and variances and the chain's ESS, a
+record O(columns) in size.  chain_moments reduces a chain to it where
+the chain is, so a chain sampled in a worker process never has to reach
+the process that combines them.
+
+Trace data is exported as tidy CSV for external plotting, re-laid out
+from the chain CSV's own cell text rather than formatted again; nothing
+here draws figures.
 """
 from __future__ import annotations
 
@@ -19,10 +27,10 @@ import numpy as np
 
 from .sampler import ChainMeta, ChainOutput
 
-# the spectrum of one FFT block, and split R-hat's deviations of one block of
-# columns, hold at most this many bytes (or those of the fewest columns a
-# block takes, if more), so a diagnostic's transient memory does not grow
-# with the columns
+# the spectrum of one FFT block, and the deviations or quantile copy of one
+# block of columns, hold at most this many bytes (or those of the fewest
+# columns a block takes, if more), so a diagnostic's transient memory does
+# not grow with the columns
 FFT_BLOCK_BYTES = 1 << 18
 # write_trace_csv looks for cell boundaries in blocks of this many bytes of text
 SCAN_BLOCK_BYTES = 1 << 20
@@ -147,7 +155,14 @@ def summarize(chain_output: ChainOutput) -> list[ParameterSummary]:
     n = draws.shape[0]
     if n < 2:
         raise ValueError(f"need >= 2 stored draws to summarize, got {n}")
-    qs = np.quantile(draws, [0.025, 0.25, 0.5, 0.75, 0.975], axis=0).T.tolist()
+    # per block of columns: np.quantile copies and partitions what it is given
+    k = draws.shape[1]
+    qs = np.empty((5, k))
+    step = max(1, FFT_BLOCK_BYTES // (8 * n))
+    for start in range(0, k, step):
+        qs[:, start:start + step] = np.quantile(draws[:, start:start + step],
+                                                [0.025, 0.25, 0.5, 0.75, 0.975], axis=0)
+    qs = qs.T.tolist()
     degenerate = constant_columns(draws)
     return [ParameterSummary(name, mean, lq, median, uq, low, high, ess, flat)
             for name, mean, (low, lq, median, uq, high), ess, flat
@@ -218,54 +233,91 @@ def write_trace_csv(chain_csv_path, meta: ChainMeta, path) -> None:
             fh.write(b"".join(parts))
 
 
-def _stacked(chains) -> tuple[list[np.ndarray], bool]:
-    """Equal-shape chains as (n, k) matrices, and whether they came 1-d."""
-    arrays = [np.asarray(c, dtype=float) for c in chains]
-    if not arrays:
+@dataclass(frozen=True)
+class ChainMoments:
+    """What split_rhat and multichain_ess need of one chain, O(columns) in size.
+
+    `n` is the chain's draw count and `half` = n // 2 the length of each
+    half (an odd last draw is in neither).  `means` and `variances` are
+    (2, k): each half's column means and ddof=1 variances.  `ess` is each
+    column's ESS.  `one_d` records a 1-d chain, whose combined
+    diagnostics are floats rather than arrays.
+    """
+
+    n: int
+    means: np.ndarray
+    variances: np.ndarray
+    ess: np.ndarray
+    one_d: bool = False
+
+    @property
+    def half(self) -> int:
+        return self.n // 2
+
+
+def chain_moments(draws, ess=None) -> ChainMoments:
+    """The ChainMoments of a 1-d chain or an (n, k) draws matrix of >= 4 draws.
+
+    `ess` is each column's ESS, as summarize computes it; when not given
+    it is computed here.  The variances are taken per block of columns,
+    so no half's deviations are held whole.
+    """
+    x, one_d = _as_columns(draws)
+    if x.shape[0] < 4:
+        raise ValueError(f"chains too short to split, length {x.shape[0]}")
+    n = x.shape[0] // 2
+    halves = (x[:n], x[n:2 * n])
+    means = np.array([h.mean(axis=0) for h in halves])
+    # numpy sums a block of two or more columns down the rows, as it sums
+    # the whole half, but a lone column pairwise: a last column left over
+    # joins the block before it
+    k = x.shape[1]
+    step = max(2, FFT_BLOCK_BYTES // (8 * n))
+    variances = np.empty((2, k))
+    for start in range(0, max(k - 1, 1), step):
+        block = slice(start, start + step if start + step < k - 1 else k)
+        variances[:, block] = [h[:, block].var(axis=0, ddof=1) for h in halves]
+    ess = _ess(x, constant_columns(x)) if ess is None else np.array(ess, dtype=float).reshape(k)
+    return ChainMoments(x.shape[0], means, variances, ess, one_d)
+
+
+def _matching(records) -> tuple[list[ChainMoments], bool]:
+    """The records as a list, if they describe equal-shape chains, and whether
+    those came 1-d."""
+    records = list(records)
+    if not records:
         raise ValueError("need at least one chain")
-    shape = arrays[0].shape
-    if len(shape) not in (1, 2) or any(a.shape != shape for a in arrays):
+    first = records[0]
+    if any((r.n, r.means.shape, r.one_d) != (first.n, first.means.shape, first.one_d)
+           for r in records):
         raise ValueError("chains must be of equal length and shape: each 1-d, "
                          "or (n, k) with one column per parameter")
-    return [_as_columns(a)[0] for a in arrays], len(shape) == 1
+    return records, first.one_d
 
 
-def split_rhat(chains) -> float | np.ndarray:
-    """Split-half potential scale reduction across equal-length chains.
+def split_rhat(records) -> float | np.ndarray:
+    """Split-half potential scale reduction across equal-length chains,
+    from one ChainMoments per chain.
 
     Each chain is cut in half, giving 2m pieces; R-hat compares between-
     and within-piece variance.  Values near 1 indicate the pieces agree.
     A float for 1-d chains, one value per column of (n, k) ones; a column
     constant within every piece gets 1 if the pieces agree, else inf.
     """
-    arrays, one_chain = _stacked(chains)
-    n0 = arrays[0].shape[0]
-    if n0 < 4:
-        raise ValueError(f"chains too short to split, length {n0}")
-    n = n0 // 2
-    pieces = [piece for a in arrays for piece in (a[:n], a[n:2 * n])]
-    piece_means = np.array([p.mean(axis=0) for p in pieces])
-    # the variances per block of columns, so no piece's deviations are held
-    # whole.  numpy sums a block of two or more columns down the rows, as it
-    # sums the whole piece, but a lone column pairwise: a last column left
-    # over joins the block before it
-    k = piece_means.shape[1]
-    step = max(2, FFT_BLOCK_BYTES // (8 * n))
-    w = np.empty(k)
-    for start in range(0, max(k - 1, 1), step):
-        block = slice(start, start + step if start + step < k - 1 else k)
-        w[block] = np.mean([p[:, block].var(axis=0, ddof=1) for p in pieces], axis=0)
-    b = n * piece_means.var(axis=0, ddof=1)
+    records, one_d = _matching(records)
+    n = records[0].half
+    w = np.concatenate([r.variances for r in records]).mean(axis=0)
+    b = n * np.concatenate([r.means for r in records]).var(axis=0, ddof=1)
     var_plus = (n - 1) / n * w + b / n
     spread = w > 0.0
     rhat = np.sqrt(var_plus / np.where(spread, w, 1.0))
     rhat = np.where(spread, rhat, np.where(b == 0.0, 1.0, np.inf))
-    return float(rhat[0]) if one_chain else rhat
+    return float(rhat[0]) if one_d else rhat
 
 
-def multichain_ess(chains) -> float | np.ndarray:
-    """Total ESS across independent chains, taken as split_rhat takes them;
-    a constant column counts N per chain, without a warning."""
-    arrays, one_chain = _stacked(chains)
-    total = sum((_ess(a, constant_columns(a)) for a in arrays), 0.0)
-    return float(total[0]) if one_chain else total
+def multichain_ess(records) -> float | np.ndarray:
+    """Total ESS across independent chains, from one ChainMoments per chain,
+    taken as split_rhat takes them: the sum of the chains' own ESS."""
+    records, one_d = _matching(records)
+    total = sum((r.ess for r in records), 0.0)
+    return float(total[0]) if one_d else total

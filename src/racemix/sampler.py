@@ -570,9 +570,8 @@ def run_chain(design: DesignMatrixView, config: ModelConfig, rng_seed=None) -> C
 def _chain_worker(job):
     design, config, seed_seq, finish, index = job
     chain = run_chain(design, config, rng_seed=seed_seq)
-    if finish is not None:
-        finish(index, chain)
-    return chain
+    # the chain is dropped on return: only finish's result leaves the worker
+    return chain if finish is None else finish(index, chain)
 
 
 def spawn_chain_seeds(seed: int, n_chains: int):
@@ -581,14 +580,18 @@ def spawn_chain_seeds(seed: int, n_chains: int):
 
 
 def run_chains(design: DesignMatrixView, config: ModelConfig, n_chains: int,
-               max_workers: int | None = None, finish=None) -> list[ChainOutput]:
+               max_workers: int | None = None, finish=None) -> list:
     """Run n_chains independent chains, concurrently when workers allow.
 
     Chain i uses the i-th SeedSequence child of the schedule seed, so
-    results do not depend on the worker count.  `finish(i, chain)`, when
+    results do not depend on the worker count.  Without `finish` the
+    ChainOutputs are returned, in chain order.  `finish(i, chain)`, when
     given, runs right after chain i (1-based) in the process that sampled
     it, so each chain's own post-processing overlaps the other chains'
-    sampling; with a pool it must pickle (a module-level function or a
+    sampling; its return value takes the chain's place in the list, and
+    the chain itself is dropped there.  So with a pool no draws cross back
+    to this process, only what `finish` returns.  With a pool, `finish`
+    and its results must pickle (a module-level function or a
     functools.partial of one).
     """
     if n_chains < 1:

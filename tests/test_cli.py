@@ -23,13 +23,17 @@ from racemix.model import ModelConfig
 from racemix.predictive import SyntheticSpec, simulate_dataset
 from racemix.diagnostics import (
     autocorrelation,
+    chain_moments,
     constant_columns,
+    effective_sample_size,
+    split_rhat,
     summarize,
     write_summary_csv,
 )
 from racemix.sampler import ChainOutput, SamplerError, load_chain, run_chain, save_chain
 
 from conftest import make_toy_design
+from _oracles import split_rhat_reference
 
 FIT_ARGS = ["--burn-in", "200", "--iterations", "1200", "--thin", "5"]
 
@@ -159,6 +163,28 @@ def test_fit_artifacts_do_not_depend_on_worker_count(dataset_dir, tmp_path):
     manifests = [json.loads((d / "manifest.json").read_text()) for d in (serial, pooled)]
     assert manifests[0]["artifacts"] == manifests[1]["artifacts"]
     assert sorted(names + ["crosschain.csv", "manifest.json"]) == manifests[0]["artifacts"]
+
+
+# the corner-constrained columns are constant, and effective_sample_size says so
+@pytest.mark.filterwarnings("ignore::racemix.diagnostics.DegenerateChainWarning")
+def test_crosschain_equals_the_reference_on_the_saved_chains(dataset_dir, tmp_path):
+    # the workers send back per-chain moments, not draws; what fit combines
+    # from them must be what the saved chains give
+    out = tmp_path / "fit"
+    assert _run(["fit", *_data_args(dataset_dir), *FIT_ARGS, "--chains", "2",
+                 "--seed", "6", "--out", str(out)]).exit_code == 0
+    chains = [load_chain(out / f"chain_{i:02d}.csv", out / f"metadata_{i:02d}.json")
+              for i in (1, 2)]
+    rows = [line.split(",") for line in (out / "crosschain.csv").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == list(chains[0].columns)
+    rhat = split_rhat([chain_moments(c.draws) for c in chains])
+    ess = sum(effective_sample_size(c.draws) for c in chains)
+    for j, row in enumerate(rows):
+        assert float(row[1]) == rhat[j]
+        # the 1-d reference sums each piece in another order
+        reference = split_rhat_reference([c.draws[:, j] for c in chains])
+        assert float(row[1]) == pytest.approx(reference, rel=1e-12)
+        assert float(row[2]) == ess[j]
 
 
 def test_fit_worker_failures_keep_their_exit_codes(dataset_dir, tmp_path, monkeypatch):
@@ -391,6 +417,43 @@ def test_commands_read_only_the_chains_of_the_latest_fit(dataset_dir, tmp_path):
         predicted += int(cells[4])
         observed += int(cells[5])
     assert predicted == 240 * observed
+
+
+def _short_fit_args(dataset_dir, out):
+    return ["fit", *_data_args(dataset_dir), "--burn-in", "50", "--iterations", "200",
+            "--thin", "10", "--out", str(out)]
+
+
+def test_fit_names_the_files_an_earlier_fit_left(dataset_dir, tmp_path):
+    out = tmp_path / "fit"
+    args = _short_fit_args(dataset_dir, out)
+    assert _run(args).exit_code == 0
+    result = _run([*args, "--chains", "2", "--workers", "1"])
+    assert result.exit_code == 0, result.output
+    assert result.stderr.startswith(f"warning: {out} keeps files of an earlier fit")
+    assert result.stderr.rstrip().endswith(": chain.csv, metadata.json, summary.csv")
+    result = _run(args)
+    assert result.exit_code == 0, result.output
+    assert result.stderr.rstrip().endswith(
+        ": chain_01.csv, chain_02.csv, crosschain.csv, metadata_01.json, "
+        "metadata_02.json, summary_01.csv, summary_02.csv")
+    # nothing is deleted
+    assert (out / "crosschain.csv").exists() and (out / "chain_02.csv").exists()
+    # a manifest that cannot be read names nothing, and fit replaces it
+    for damaged in ("{", "[]", '{"artifacts": 3}'):
+        (out / "manifest.json").write_text(damaged)
+        result = _run(args)
+        assert result.exit_code == 0 and result.stderr == "", result.output
+
+
+@pytest.mark.parametrize("chains", ["1", "2"])
+def test_fit_refitted_with_the_same_chain_count_warns_of_nothing(dataset_dir, tmp_path,
+                                                                 chains):
+    args = [*_short_fit_args(dataset_dir, tmp_path / "fit"), "--chains", chains,
+            "--workers", "1"]
+    for _ in range(2):
+        result = _run(args)
+        assert result.exit_code == 0 and result.stderr == "", result.output
 
 
 def test_commands_find_chain_11_of_100_and_name_a_missing_file(tmp_path):

@@ -4,6 +4,7 @@ The AR(1) oracle in _oracles gives chains with known autocorrelation
 rho**k and known asymptotic ESS N*(1-rho)/(1+rho), which pins down the
 estimators without trusting their own code paths.
 """
+import pickle
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from racemix.diagnostics import (
     SUMMARY_HEADER,
     DegenerateChainWarning,
     autocorrelation,
+    chain_moments,
     effective_sample_size,
     multichain_ess,
     split_rhat,
@@ -295,7 +297,7 @@ def test_write_trace_csv_rejects_rows_of_unequal_length(tmp_path, small_fit, dam
 def test_split_rhat_agreeing_chains():
     rng = np.random.default_rng(9)
     chains = [rng.standard_normal(4000), rng.standard_normal(4000)]
-    r = split_rhat(chains)
+    r = split_rhat([chain_moments(c) for c in chains])
     assert abs(r - 1.0) < 0.05
 
 
@@ -303,34 +305,38 @@ def test_split_rhat_detects_disagreement():
     rng = np.random.default_rng(10)
     a = rng.standard_normal(2000)
     b = rng.standard_normal(2000) + 5.0
-    assert split_rhat([a, b]) > 1.3
+    assert split_rhat([chain_moments(a), chain_moments(b)]) > 1.3
 
 
 def test_split_rhat_detects_trend_within_one_chain():
     # split halves disagree even though only one chain is supplied
     drift = np.linspace(0.0, 6.0, 2000) + np.random.default_rng(11).standard_normal(2000)
-    assert split_rhat([drift]) > 1.3
+    assert split_rhat([chain_moments(drift)]) > 1.3
 
 
 def test_split_rhat_validation():
     with pytest.raises(ValueError, match="at least one"):
         split_rhat([])
     with pytest.raises(ValueError, match="equal length"):
-        split_rhat([np.zeros(10), np.zeros(12)])
+        split_rhat([chain_moments(np.zeros(10)), chain_moments(np.zeros(12))])
+    with pytest.raises(ValueError, match="equal length"):  # equal halves, unequal chains
+        multichain_ess([chain_moments(np.zeros(10)), chain_moments(np.zeros(11))])
     with pytest.raises(ValueError, match="too short"):
-        split_rhat([np.zeros(3)])
+        split_rhat([chain_moments(np.zeros(3))])
 
 
 def test_split_rhat_constant_chains():
-    assert split_rhat([np.full(10, 2.0), np.full(10, 2.0)]) == 1.0
-    assert split_rhat([np.full(10, 1.0), np.full(10, 2.0)]) == np.inf
+    same = [chain_moments(np.full(10, 2.0)), chain_moments(np.full(10, 2.0))]
+    apart = [chain_moments(np.full(10, 1.0)), chain_moments(np.full(10, 2.0))]
+    assert split_rhat(same) == 1.0
+    assert split_rhat(apart) == np.inf
 
 
 def test_multichain_ess_sums_over_chains():
     rng = np.random.default_rng(12)
     a = rng.standard_normal(5000)
     b = rng.standard_normal(5000)
-    total = multichain_ess([a, b])
+    total = multichain_ess([chain_moments(a), chain_moments(b)])
     assert total == pytest.approx(
         effective_sample_size(a) + effective_sample_size(b))
     assert abs(total - 10_000) < 1_000
@@ -395,23 +401,39 @@ def test_columnwise_functions_equal_their_one_column_calls(monkeypatch, block_by
 def test_multichain_columnwise_equals_per_column_calls(stack):
     a, b = _probe_columns(600, seed=50), _probe_columns(600, seed=60)
     b[:, 0] = 7.0  # constant in each chain, but the chains disagree
-    chains = stack([a, b])
-    rhat, ess = split_rhat(chains), multichain_ess(chains)
+    records = [chain_moments(c) for c in stack([a, b])]
+    rhat, ess = split_rhat(records), multichain_ess(records)
     for j in range(a.shape[1]):
         cols = [a[:, j], b[:, j]]
-        assert rhat[j] == pytest.approx(split_rhat(cols), rel=1e-12)
+        col_records = [chain_moments(c) for c in cols]
+        assert rhat[j] == pytest.approx(split_rhat(col_records), rel=1e-12)
         assert rhat[j] == pytest.approx(split_rhat_reference(cols), rel=1e-12)
-        assert ess[j] == pytest.approx(multichain_ess(cols), rel=1e-12)
+        assert ess[j] == pytest.approx(multichain_ess(col_records), rel=1e-12)
         assert ess[j] == pytest.approx(sum(map(ess_reference, cols)), rel=1e-12)
     assert rhat[0] == np.inf and ess[0] == 1200.0
-    assert split_rhat(stack([a, a]))[0] == 1.0  # constant, and the chains agree
+    # constant, and the chains agree
+    assert split_rhat([chain_moments(c) for c in stack([a, a])])[0] == 1.0
 
 
 def test_split_rhat_in_column_blocks_equals_one_block(monkeypatch):
     rng = np.random.default_rng(70)
     chains = [rng.standard_normal((1000, 7)).cumsum(axis=0) for _ in range(2)]
-    whole = split_rhat(chains)
+    whole = split_rhat([chain_moments(c) for c in chains])
     # 1 byte: blocks of 2, 2 and 3 columns; numpy sums a lone column's
     # deviations pairwise, a wider block's row by row as the whole matrix
     monkeypatch.setattr(diagnostics, "FFT_BLOCK_BYTES", 1)
-    assert np.array_equal(split_rhat(chains), whole)
+    assert np.array_equal(split_rhat([chain_moments(c) for c in chains]), whole)
+
+
+def test_chain_moments_is_small_and_keeps_the_given_ess():
+    # what a chain worker sends back instead of its 2,500 x 223 draws (4.46 MB)
+    draws = np.random.default_rng(71).standard_normal((2500, 223))
+    ess = effective_sample_size(draws)
+    record = chain_moments(draws, ess.tolist())
+    assert len(pickle.dumps(record)) < 64 * 1024
+    assert record.n == 2500 and record.half == 1250 and not record.one_d
+    assert record.means.shape == record.variances.shape == (2, 223)
+    assert np.array_equal(record.ess, ess)
+    assert np.array_equal(chain_moments(draws).ess, ess)
+    one = chain_moments(draws[:, 0])
+    assert one.one_d and isinstance(multichain_ess([one, one]), float)

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -587,6 +588,38 @@ def test_run_chains_parallel_equals_serial():
     assert not np.array_equal(serial[0].draws, serial[1].draws)
     with pytest.raises(SamplerError):
         run_chains(design, cfg, 0)
+
+
+def _chain_digest(index, chain):
+    # a module-level finish, so that it pickles to the pool's workers
+    return index, chain.draws.shape, chain.draws.sum()
+
+
+def test_run_chains_returns_finish_results_in_chain_order():
+    design = make_toy_design()
+    cfg = small_config(iterations=100)
+    serial = run_chains(design, cfg, 3, max_workers=1, finish=_chain_digest)
+    pooled = run_chains(design, cfg, 3, max_workers=2, finish=_chain_digest)
+    assert serial == pooled
+    chains = run_chains(design, cfg, 3, max_workers=1)
+    assert serial == [_chain_digest(i, c) for i, c in enumerate(chains, start=1)]
+
+
+def test_run_chains_with_finish_keeps_no_chain():
+    # 3,000 stored draws: they dominate what a toy chain allocates
+    design = make_toy_design()
+    cfg = small_config(iterations=3000, thin=1)
+    # also loads the modules the sampler imports on first use, before tracing
+    shape = run_chain(design, cfg).draws.shape
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        digests = run_chains(design, cfg, 2, max_workers=1, finish=_chain_digest)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert [d[1] for d in digests] == [shape] * 2
+    assert held < 8 * shape[0] * shape[1]
 
 
 def test_spawn_chain_seeds_are_stable():

@@ -30,10 +30,10 @@ import numpy as np
 from . import __version__
 from .diagnostics import (
     ChainMoments,
-    autocorrelation,
+    autocorrelation,  # noqa: F401 -- perfbench/tracing.py wraps it by this name
     chain_moments,
     constant_columns,
-    effective_sample_size,
+    ess_and_rho1,
     multichain_ess,
     split_rhat,
     summarize,
@@ -533,10 +533,7 @@ def diagnose(fit_dir, index, out_root):
     diag_path = os.path.join(out_root, _artifact_name("diagnostics", "csv", index, n_chains))
     # constant (corner-constrained) columns get ESS N and rho1 0, without a warning
     degenerate = constant_columns(chain.draws)
-    free = chain.draws[:, ~degenerate]
-    ess, rho1 = np.full(degenerate.size, float(chain.n_stored)), np.zeros(degenerate.size)
-    ess[~degenerate] = effective_sample_size(free)
-    rho1[~degenerate] = autocorrelation(free, 1)[1]
+    ess, rho1 = ess_and_rho1(chain.draws, degenerate)
     with open(diag_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("parameter,ess,rho1,degenerate\n")
         for row in zip(chain.columns, ess.tolist(), rho1.tolist(), degenerate.astype(int)):

@@ -4,8 +4,8 @@ Each diagnostic takes a 1-d chain or an (n, k) draws matrix, one column
 per parameter, and gives one result per column.  Autocorrelations are
 the biased FFT estimator, one FFT per block of columns; ESS is Geyer's
 initial positive sequence, or N for a constant column or fewer than 10
-draws.  Quantiles are type-7 (numpy's default), taken per block of
-columns.
+draws; ess_and_rho1 reads lag 1 from the same FFT as the ESS.  Quantiles
+are type-7 (numpy's default), taken per block of columns.
 
 Split R-hat and the total ESS across chains combine one ChainMoments per
 chain: each half's column means and variances and the chain's ESS, a
@@ -84,14 +84,29 @@ def _geyer_ess(acf: np.ndarray, n: int) -> np.ndarray:
     return n / np.maximum(tau, 1.0)
 
 
+def ess_and_rho1(draws: np.ndarray, constant: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's ESS and lag-1 autocorrelation, from one FFT per block of columns.
+
+    `draws` is an (n, k) matrix and `constant` its constant_columns mask.
+    A constant column gets ESS N and rho1 0, without a warning; under 10
+    draws every column's ESS is N.  The FFT size and the blocks depend on
+    n alone, so rho1 equals autocorrelation(draws, 1)[1] bit for bit, and
+    the ESS effective_sample_size(draws).
+    """
+    n = draws.shape[0]
+    ess, rho1 = np.full(draws.shape[1], float(n)), np.zeros(draws.shape[1])
+    for block, acf in _acf_blocks(draws, np.flatnonzero(~constant), n - 1 if n >= 10 else 1):
+        if n >= 10:
+            ess[block] = _geyer_ess(acf, n)
+        rho1[block] = acf[:, 1]
+    return ess, rho1
+
+
 def _ess(x: np.ndarray, constant: np.ndarray) -> np.ndarray:
     """Each column's ESS: N if constant or under 10 draws, else Geyer's."""
-    n = x.shape[0]
-    ess = np.full(x.shape[1], float(n))
-    if n >= 10:
-        for block, acf in _acf_blocks(x, np.flatnonzero(~constant), n - 1):
-            ess[block] = _geyer_ess(acf, n)
-    return ess
+    if x.shape[0] < 10:
+        return np.full(x.shape[1], float(x.shape[0]))
+    return ess_and_rho1(x, constant)[0]
 
 
 def autocorrelation(chain, max_lag: int) -> np.ndarray:

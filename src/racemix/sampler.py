@@ -8,8 +8,9 @@ precisions, m_rho and phi, beta and the free athlete effects are jointly
 Gaussian.  A sweep visits, in order:
 
 1. the location block: beta from its conditional with the free athletes
-   integrated out (one Cholesky factorisation of a p x p precision built
-   from race-level statistics), then the athletes given beta;
+   integrated out (one Cholesky factorisation of a (2p + 1)-square matrix
+   that holds the p x p precision built from race-level statistics), then
+   the athletes given beta;
 2. the rainfall hyper-mean m_rho (Normal) and the carryover ratio phi,
    whose conditional is nonstandard and is updated by slice sampling with
    stepping out and shrinkage;
@@ -57,8 +58,9 @@ from .model import linear_predictor_all  # noqa: F401
 # log-target calls per update, against 6.3 at width 0.5
 SLICE_WIDTH = 1.0
 SLICE_MAX_STEPS = 50
-# rows of a chain CSV formatted per write
-WRITE_BLOCK_ROWS = 256
+# rows of a chain CSV formatted per write: their text is the largest
+# transient of a chain worker, about 0.6 MB at 32 rows of 223 columns
+WRITE_BLOCK_ROWS = 32
 # sweeps whose standard Normal and Gamma variates are drawn by one
 # generator call each: 64 x (p + athletes + 1) normals is about 110 KB
 # at league scale
@@ -66,6 +68,11 @@ VARIATE_BLOCK = 64
 
 # smallest positive normal float64; floor for underflowing Gamma draws
 TINY_PRECISION = float(np.finfo(float).tiny)
+
+# the trailing diagonal of the matrix LocationBlock.draw factorises; any
+# value far above the largest entry of Q^-1 and of b'Q^-1 b does, since the
+# draw reads no column of the factor that depends on it
+KAPPA = 1e150
 
 # The draws-row layout: these scalars in this order (lambda_wind only when
 # the windspeed term is fitted), then each effect block's levels in level
@@ -181,16 +188,13 @@ def slice_update_phi(phi_current, rho_prev, m_rho, v_rho_prev, a_phi, b_phi, rng
     input included) and failing to bracket the slice within
     SLICE_MAX_STEPS step-outs are errors carrying the full conditioning state.
     """
-    def logf(p):
-        return phi_log_target(p, rho_prev, m_rho, v_rho_prev, a_phi, b_phi)
-
     def conditioning():
         return (f"phi={phi_current} rho_prev={rho_prev} m_rho={m_rho} "
                 f"v_rho_prev={v_rho_prev} a_phi={a_phi} b_phi={b_phi}")
 
     if not phi_current > 0.0:  # NaN included
         raise SamplerError(f"phi must be positive: {conditioning()}")
-    log_fx = logf(phi_current)
+    log_fx = phi_log_target(phi_current, rho_prev, m_rho, v_rho_prev, a_phi, b_phi)
     if not math.isfinite(log_fx):
         raise SamplerError(f"phi's log target is {log_fx}: {conditioning()}")
     log_y = log_fx - rng.exponential()
@@ -199,7 +203,9 @@ def slice_update_phi(phi_current, rho_prev, m_rho, v_rho_prev, a_phi, b_phi, rng
     left = phi_current - SLICE_WIDTH * u
     right = left + SLICE_WIDTH
     steps = 0
-    while left > 0.0 and logf(left) > log_y:
+    # no closure around phi_log_target: one Python call fewer per evaluation
+    while (left > 0.0
+           and phi_log_target(left, rho_prev, m_rho, v_rho_prev, a_phi, b_phi) > log_y):
         left -= SLICE_WIDTH
         steps += 1
         if steps > SLICE_MAX_STEPS:
@@ -207,7 +213,7 @@ def slice_update_phi(phi_current, rho_prev, m_rho, v_rho_prev, a_phi, b_phi, rng
                                f"step-outs: {conditioning()}")
     left = max(left, 0.0)
     steps = 0
-    while logf(right) > log_y:
+    while phi_log_target(right, rho_prev, m_rho, v_rho_prev, a_phi, b_phi) > log_y:
         right += SLICE_WIDTH
         steps += 1
         if steps > SLICE_MAX_STEPS:
@@ -216,7 +222,7 @@ def slice_update_phi(phi_current, rho_prev, m_rho, v_rho_prev, a_phi, b_phi, rng
 
     for _ in range(10_000):
         prop = left + rng.random() * (right - left)
-        if logf(prop) >= log_y:
+        if phi_log_target(prop, rho_prev, m_rho, v_rho_prev, a_phi, b_phi) >= log_y:
             return prop
         if prop < phi_current:
             left = prop
@@ -251,7 +257,14 @@ class LocationBlock:
     (rainfall in mm against indicators); `unit` converts back.
 
     draw() writes beta and the athletes into a draws row, at
-    `beta_columns` and `athletes`.
+    `beta_columns` and `athletes`.  It factorises the augmented matrix
+
+        A = [[Q, ., .], [I, kappa I, .], [b', 0, kappa]]
+
+    of size 2p + 1 (only its lower triangle is read): the factor's first p
+    columns are [L; L^-T; (L^-1 b)'] with L L' = Q, whatever kappa is.
+    kappa (KAPPA) only has to keep the trailing pivots positive.  Q and b
+    are copied into `augmented` each sweep; its other blocks are set once.
 
     The same statistics give the residual sum of squares of a state
     without a pass over the observations: with m = X beta the race means,
@@ -275,7 +288,7 @@ class LocationBlock:
         n_races = design.race_course.size
         course = np.eye(lc)[design.race_course, 1:]
         season = np.eye(ls)[design.race_season, 1:]
-        self.x = x = np.column_stack([np.ones(n_races), *covariates, course, season])
+        x = np.column_stack([np.ones(n_races), *covariates, course, season])
         k = 1 + len(covariates)  # first course[1:] column
         p = x.shape[1]
         rows = _block_slices(config.include_windspeed, design)
@@ -287,7 +300,10 @@ class LocationBlock:
         self.race_y = race_y = np.bincount(race_idx, weights=design.y, minlength=n_races)
         athlete_race = np.bincount(design.athlete_idx * n_races + race_idx,
                                    minlength=la * n_races).reshape(la, n_races)  # M'
-        self.g = athlete_race @ x
+        g = athlete_race @ x
+        # G stacked over X: draw() forms G beta and the race means X beta in
+        # one product
+        self.gx = np.concatenate([g, x])
         self.n_a = athlete_race.sum(axis=1).astype(float)
         self.s_ya = np.bincount(design.athlete_idx, weights=design.y, minlength=la)
         self.yy = float(design.y @ design.y)
@@ -298,7 +314,7 @@ class LocationBlock:
         data[p] = x1.T @ race_y
         # coefficient -w^2 for each distinct count of the free athletes
         self.distinct_counts, group = np.unique(self.n_a[1:], return_inverse=True)
-        stats = np.column_stack([self.g, self.s_ya])[1:]
+        stats = np.column_stack([g, self.s_ya])[1:]
         moments = [stats[group == j].T @ stats[group == j]
                    for j in range(self.distinct_counts.size)]
         # prior terms, coefficients (1, tau_course, tau_season, m_rho, phi m_rho)
@@ -323,6 +339,9 @@ class LocationBlock:
         # the coefficients of the basis, rewritten in place by precision()
         self.coef = np.empty(basis.shape[0])
         self.coef[-5] = 1.0
+        self.augmented = np.zeros((2 * p + 1, 2 * p + 1))
+        self.augmented[p:2 * p, :p] = np.eye(p)
+        np.fill_diagonal(self.augmented[p:, p:], KAPPA)
 
     def precision(self, tau_obs, tau_athlete, tau_course, tau_season, m_rho, phi):
         """Q and b of the conditional N(Q^-1 b, Q^-1) of beta / unit.
@@ -348,29 +367,36 @@ class LocationBlock:
              m_rho, phi) -> float:
         """Redraw beta and the athlete effects in the draws row `row`; returns e'e.
 
-        beta = Q^-1 (b + L z_beta) with L L' = Q is N(Q^-1 b, Q^-1): one
-        Cholesky factorisation and one solve, in the scaled units.  The
-        athletes are then drawn from their conditional given beta, with
-        z_athletes (one standard Normal per athlete), and the new state's
-        residual sum of squares is taken from the race and athlete
-        statistics.
+        With F the Cholesky factor of the augmented matrix (see the class),
+        beta / unit = F[p:2p, :p] (F[2p, :p] + z_beta) = Q^-1 b + L^-T z_beta,
+        which is N(Q^-1 b, Q^-1): one factorisation and one product, in the
+        scaled units.  A NaN anywhere in Q or b reaches the factor's last
+        pivot, so checking that one pivot catches it.  The athletes are then
+        drawn from their conditional given beta, with z_athletes (one
+        standard Normal per athlete), and the new state's residual sum of
+        squares is taken from the race and athlete statistics.
         """
         q, b = self.precision(tau_obs, tau_athlete, tau_course, tau_season, m_rho, phi)
+        p = b.size
+        augmented = self.augmented
+        augmented[:p, :p] = q
+        augmented[2 * p, :p] = b
         try:
-            if not q.diagonal().min() > 0.0:  # NaN included
+            f = np.linalg.cholesky(augmented)
+            if not f[-1, -1] > 0.0:  # NaN included
                 raise np.linalg.LinAlgError("Matrix is not positive definite")
-            chol = np.linalg.cholesky(q)
-            beta = self.unit * np.linalg.solve(q, b + chol @ z_beta)
         except np.linalg.LinAlgError as exc:
             raise SamplerError(
                 f"location block precision is not positive definite ({exc}) at "
                 f"tau_obs={tau_obs!r} tau_athlete={tau_athlete!r} "
                 f"tau_course={tau_course!r} tau_season={tau_season!r}") from exc
+        beta = self.unit * (f[p:2 * p, :p] @ (f[2 * p, :p] + z_beta))
         row[self.beta_columns] = beta
-        r = self.s_ya - self.g @ beta
+        gm = self.gx @ beta
+        r = self.s_ya - gm[:self.s_ya.size]
         a = gibbs_random_effect(r, self.n_a, tau_obs, tau_athlete, z_athletes)
         row[self.athletes] = a
-        m = self.x @ beta
+        m = gm[self.s_ya.size:]
         return float(self.yy + (self.race_n * m) @ m + (self.n_a * a) @ a
                      - 2.0 * (m @ self.race_y + a @ r))
 

@@ -16,7 +16,9 @@ from racemix.diagnostics import (
     DegenerateChainWarning,
     autocorrelation,
     chain_moments,
+    constant_columns,
     effective_sample_size,
+    ess_and_rho1,
     multichain_ess,
     split_rhat,
     summarize,
@@ -395,6 +397,27 @@ def test_columnwise_functions_equal_their_one_column_calls(monkeypatch, block_by
         np.testing.assert_allclose(acf[:, j], acf_reference(x[:, j], max_lag),
                                    rtol=0.0, atol=1e-12)
         assert ess[j] == pytest.approx(ess_reference(x[:, j]), rel=1e-12)
+
+
+@pytest.mark.parametrize("block_bytes", [1, diagnostics.FFT_BLOCK_BYTES])
+@pytest.mark.parametrize("n", [5, 600])
+def test_ess_and_rho1_equal_the_separate_calls_bit_for_bit(monkeypatch, block_bytes, n):
+    # one FFT pass gives what effective_sample_size and autocorrelation give
+    # on the non-constant columns, lag 1 whatever the longest lag asked for
+    monkeypatch.setattr(diagnostics, "FFT_BLOCK_BYTES", block_bytes)
+    x = _probe_columns(n, seed=41)
+    constant = constant_columns(x)
+    free = ~constant
+    assert constant[0] and free[1:].all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegenerateChainWarning)
+        ess, rho1 = ess_and_rho1(x, constant)
+        assert np.array_equal(ess[free], effective_sample_size(x[:, free]))
+        for max_lag in (1, n - 1):
+            assert np.array_equal(rho1[free], autocorrelation(x[:, free], max_lag)[1])
+    assert ess[0] == n and rho1[0] == 0.0
+    if n < 10:
+        assert np.all(ess == n)
 
 
 @pytest.mark.parametrize("stack", [list, np.stack])

@@ -369,8 +369,9 @@ def _reingest_from_manifest(fit_dir, manifest, meta, data, covariates, rainfall)
     """Rebuild the design a fit used, preferring explicit path overrides.
 
     Without overrides the manifest's recorded paths are reused and their
-    digests must still match.  Centering constants come from the chain
-    metadata so the design matches the stored draws exactly.
+    digests must still match.  The response and centering constants, all
+    of the model that the design depends on, come from the chain metadata,
+    so the design matches the stored draws exactly.
     """
     roles = {"data": data, "covariates": covariates, "rainfall": rainfall}
     paths = {}
@@ -395,19 +396,13 @@ def _reingest_from_manifest(fit_dir, manifest, meta, data, covariates, rainfall)
                             f"(sha256 mismatch); pass --{role} to override")
         paths[role] = path
 
-    model_doc = manifest.get("config", {}).get("model", {})
-    config = ModelConfig.from_dict(model_doc) if model_doc else ModelConfig()
-    config.response = meta.response
-    config.include_windspeed = meta.include_windspeed
-    config.d_bar = meta.d_bar
-    config.w_bar = meta.w_bar
-
     sex = manifest.get("config", {}).get("sex")
     if sex is None:
         raise DataError("manifest does not record the fitted sex")
     observations = parse_results(paths["data"], sex)
     contexts = parse_races(paths["covariates"])
     rain = parse_rainfall(paths["rainfall"])
+    config = ModelConfig(response=meta.response, d_bar=meta.d_bar, w_bar=meta.w_bar)
     design = build_design(observations, contexts, rain, config)
     return design, observations, paths
 

@@ -102,13 +102,6 @@ def ess_and_rho1(draws: np.ndarray, constant: np.ndarray) -> tuple[np.ndarray, n
     return ess, rho1
 
 
-def _ess(x: np.ndarray, constant: np.ndarray) -> np.ndarray:
-    """Each column's ESS: N if constant or under 10 draws, else Geyer's."""
-    if x.shape[0] < 10:
-        return np.full(x.shape[1], float(x.shape[0]))
-    return ess_and_rho1(x, constant)[0]
-
-
 def autocorrelation(chain, max_lag: int) -> np.ndarray:
     """Sample autocorrelations at lags 0..max_lag, shape (max_lag + 1,) or
     (max_lag + 1, k); lag 0 is exactly 1.  A constant column has none: by
@@ -140,7 +133,7 @@ def effective_sample_size(chain) -> float | np.ndarray:
     constant = constant_columns(x)
     if constant.any():
         warnings.warn("constant column(s): reporting ESS = N", DegenerateChainWarning)
-    ess = _ess(x, constant)
+    ess = ess_and_rho1(x, constant)[0]
     return float(ess[0]) if one_chain else ess
 
 
@@ -182,7 +175,7 @@ def summarize(chain_output: ChainOutput) -> list[ParameterSummary]:
     return [ParameterSummary(name, mean, lq, median, uq, low, high, ess, flat)
             for name, mean, (low, lq, median, uq, high), ess, flat
             in zip(chain_output.columns, draws.mean(axis=0).tolist(), qs,
-                   _ess(draws, degenerate).tolist(), degenerate.tolist())]
+                   ess_and_rho1(draws, degenerate)[0].tolist(), degenerate.tolist())]
 
 
 SUMMARY_HEADER = "parameter,mean,lq,median,uq,ci95_low,ci95_high,ess"
@@ -292,7 +285,9 @@ def chain_moments(draws, ess=None) -> ChainMoments:
     for start in range(0, max(k - 1, 1), step):
         block = slice(start, start + step if start + step < k - 1 else k)
         variances[:, block] = [h[:, block].var(axis=0, ddof=1) for h in halves]
-    ess = _ess(x, constant_columns(x)) if ess is None else np.array(ess, dtype=float).reshape(k)
+    if ess is None:
+        ess = ess_and_rho1(x, constant_columns(x))[0]
+    ess = np.array(ess, dtype=float).reshape(k)
     return ChainMoments(x.shape[0], means, variances, ess, one_d)
 
 

@@ -24,6 +24,7 @@ as the reference target for the samplers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, asdict
 from typing import TYPE_CHECKING
 
@@ -41,6 +42,27 @@ RESPONSES = (RESPONSE_LOG_TIME, RESPONSE_LOG_PACE)
 
 class ConfigError(ValueError):
     """Raised for invalid prior or MCMC configuration."""
+
+
+def json_number(value, name: str, integer: bool = False):
+    """A JSON document's value for a numeric field, as a float (an int if
+    `integer`); ConfigError naming the field for a bool, a string or, for
+    an integer field, a fraction."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{name} must be {'an integer' if integer else 'a number'}, "
+                          f"got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _numeric_fields(cls, d: dict, what: str, integer: bool):
+    """A validated `cls` from a JSON object of its numeric fields."""
+    unknown = set(d) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
+    cfg = cls(**{k: json_number(v, f"{what} {k}", integer) for k, v in d.items()})
+    cfg.validate()
+    return cfg
 
 
 def normal_logpdf(x: float, mean: float, var: float) -> float:
@@ -113,15 +135,7 @@ class PriorConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PriorConfig":
-        unknown = set(d) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ConfigError(f"unknown prior fields: {sorted(unknown)}")
-        try:
-            cfg = cls(**{k: float(v) for k, v in d.items()})
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"prior values must be numbers: {exc}") from None
-        cfg.validate()
-        return cfg
+        return _numeric_fields(cls, d, "prior", integer=False)
 
 
 @dataclass
@@ -152,15 +166,7 @@ class McmcSchedule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "McmcSchedule":
-        unknown = set(d) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ConfigError(f"unknown mcmc fields: {sorted(unknown)}")
-        try:
-            sched = cls(**{k: int(v) for k, v in d.items()})
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"mcmc values must be integers: {exc}") from None
-        sched.validate()
-        return sched
+        return _numeric_fields(cls, d, "mcmc", integer=True)
 
 
 @dataclass
@@ -203,14 +209,15 @@ class ModelConfig:
         unknown = set(d) - {"response", "include_windspeed", "priors", "mcmc", "d_bar", "w_bar"}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        try:
-            d_bar = None if d.get("d_bar") is None else float(d["d_bar"])
-            w_bar = None if d.get("w_bar") is None else float(d["w_bar"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"d_bar and w_bar must be numbers: {exc}") from None
+        d_bar, w_bar = (None if d.get(name) is None else json_number(d[name], name)
+                        for name in ("d_bar", "w_bar"))
+        include_windspeed = d.get("include_windspeed", False)
+        if not isinstance(include_windspeed, bool):
+            raise ConfigError(f"include_windspeed must be true or false, "
+                              f"got {include_windspeed!r}")
         cfg = cls(
             response=d.get("response", RESPONSE_LOG_TIME),
-            include_windspeed=bool(d.get("include_windspeed", False)),
+            include_windspeed=include_windspeed,
             priors=PriorConfig.from_dict(d.get("priors", {})),
             mcmc=McmcSchedule.from_dict(d.get("mcmc", {})),
             d_bar=d_bar, w_bar=w_bar,
@@ -290,23 +297,14 @@ class ParameterState:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ParameterState":
+        vectors = {name: np.array([json_number(v, name) for v in d.get(name, [])], dtype=float)
+                   for name in ("athlete_effects", "course_effects", "season_effects")}
+        scalars = {name: json_number(d[name], name)
+                   for name in ("intercept", "gamma_dist", "rho_cur", "rho_prev", "m_rho",
+                                "phi", "tau_obs", "tau_athlete", "tau_course", "tau_season")}
         lam = d.get("lambda_wind")
-        state = cls(
-            intercept=float(d["intercept"]),
-            athlete_effects=np.asarray(d.get("athlete_effects", []), dtype=float),
-            course_effects=np.asarray(d.get("course_effects", []), dtype=float),
-            season_effects=np.asarray(d.get("season_effects", []), dtype=float),
-            gamma_dist=float(d["gamma_dist"]),
-            rho_cur=float(d["rho_cur"]),
-            rho_prev=float(d["rho_prev"]),
-            m_rho=float(d["m_rho"]),
-            phi=float(d["phi"]),
-            tau_obs=float(d["tau_obs"]),
-            tau_athlete=float(d["tau_athlete"]),
-            tau_course=float(d["tau_course"]),
-            tau_season=float(d["tau_season"]),
-            lambda_wind=None if lam is None else float(lam),
-        )
+        state = cls(**vectors, **scalars,
+                    lambda_wind=None if lam is None else json_number(lam, "lambda_wind"))
         state.validate()
         return state
 

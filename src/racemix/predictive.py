@@ -9,8 +9,12 @@ log-scale coefficient into seconds at a given base finish time.
 
 A race's field shares every term of the linear predictor but the athlete
 effect, so each draw's mean is one race-level offset plus the athletes'
-effects, and ppc_report sorts each draw's field once for its range and
-quantiles.  Predictive noise is generated in fixed-size chunks with
+effects.  ppc_report sorts each draw's field once: its end columns give
+the histogram's span, and the mean over draws of the sorted fields gives
+the predicted five-number summary.  A type-7 quantile of a sorted field
+is a fixed linear combination of two of its order statistics, so the
+quantile of that mean field is the mean of the draws' quantiles, up to
+rounding.  Predictive noise is generated in fixed-size chunks with
 per-chunk child generators, so results are reproducible no matter how
 the chunks are scheduled.
 """
@@ -34,7 +38,13 @@ from .ingest import (
     parse_month,
     previous_month,
 )
-from .model import RESPONSE_LOG_PACE, RESPONSE_LOG_TIME, ConfigError, ParameterState
+from .model import (
+    RESPONSE_LOG_PACE,
+    RESPONSE_LOG_TIME,
+    ConfigError,
+    ParameterState,
+    json_number,
+)
 from .sampler import ChainOutput
 
 PPC_CHUNK = 2048
@@ -140,23 +150,26 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticSpec":
-        base = cls()
+        """A validated spec from a JSON object; fields left out keep their
+        defaults, and an unknown field or a value of the wrong JSON type is
+        a ConfigError naming the field."""
+        if not isinstance(d, dict):
+            raise ConfigError("spec must be a JSON object")
+        unknown = set(d) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ConfigError(f"unknown spec fields: {sorted(unknown)}")
+        values = dict(d)
         try:
-            spec = cls(
-                n_athletes=int(d.get("n_athletes", base.n_athletes)),
-                n_courses=int(d.get("n_courses", base.n_courses)),
-                n_seasons=int(d.get("n_seasons", base.n_seasons)),
-                n_races=int(d.get("n_races", base.n_races)),
-                mean_finishers=int(d.get("mean_finishers", base.mean_finishers)),
-                truth=(ParameterState.from_dict(d["truth"]) if "truth" in d
-                       else _default_truth()),
-                distance_range=tuple(d.get("distance_range", base.distance_range)),
-                windspeed_range=tuple(d.get("windspeed_range", base.windspeed_range)),
-                rainfall_range=tuple(d.get("rainfall_range", base.rainfall_range)),
-                seed=int(d.get("seed", base.seed)),
-                sex=d.get("sex", base.sex),
-                response=d.get("response", base.response),
-            )
+            for name in ("n_athletes", "n_courses", "n_seasons", "n_races",
+                         "mean_finishers", "seed"):
+                if name in values:
+                    values[name] = json_number(values[name], name, integer=True)
+            for name in ("distance_range", "windspeed_range", "rainfall_range"):
+                if name in values:
+                    values[name] = tuple(json_number(v, name) for v in values[name])
+            if "truth" in values:
+                values["truth"] = ParameterState.from_dict(values["truth"])
+            spec = cls(**values)
         except KeyError as exc:
             raise ConfigError(f"spec is missing field {exc}") from None
         except (AttributeError, TypeError, ValueError) as exc:
@@ -396,30 +409,6 @@ def posterior_predictive_race(chain: ChainOutput, design, course: str,
     return pred
 
 
-def _sorted_quantiles(rows: np.ndarray, qs) -> np.ndarray:
-    """np.quantile(rows, qs, axis=1) of rows already sorted along axis 1.
-
-    Numpy's type-7 rule, bit for bit: its neighbours and weights, its
-    two-sided interpolation (from the upper neighbour when the weight is
-    >= 0.5) and NaN for a row holding one.  At the last value numpy pairs
-    it with itself under another weight, which gives the same result.
-    Shape (len(qs), n_rows), C-ordered as numpy's, so that a mean over
-    axis 1 sums in numpy's order.
-    """
-    m = rows.shape[1]
-    index = (m - 1) * np.asarray(qs, dtype=float)
-    below = np.floor(index)
-    t = (index - below)[:, None]
-    below = below.astype(np.intp)
-    neighbours = rows[:, np.concatenate((below, np.minimum(below + 1, m - 1)))].T
-    a, b = np.ascontiguousarray(neighbours).reshape(2, len(qs), -1)
-    diff = b - a
-    out = a + diff * t
-    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
-    out[:, np.isnan(rows[:, -1])] = np.nan
-    return out
-
-
 @dataclass(frozen=True)
 class PpcRaceReport:
     """Observed vs predicted five-number summary for one race (minutes),
@@ -441,12 +430,14 @@ def ppc_report(chain: ChainOutput, design, observed, rng,
                bins: int = 30) -> list[PpcRaceReport]:
     """One report per observed race, in the design's race order.
 
-    The predicted summary is the mean over posterior draws of each order
-    statistic of that draw's simulated field; discrepancies are observed
-    minus predicted.  The histograms bin the same simulated fields and
-    the observed times into `bins` equal-width bins spanning both.  Each
-    draw's field is sorted once: its end columns give the bins' span, and
-    the quantiles are read from the sorted rows.
+    The predicted summary is the type-7 five-number summary of the mean
+    sorted field: each draw's simulated field is sorted, and the k-th
+    fastest time is averaged over draws.  Each type-7 quantile is linear
+    in two order statistics, so this equals the mean over draws of each
+    field's own summary, up to rounding.  Discrepancies are observed minus
+    predicted.  The histograms bin the same simulated fields and the
+    observed times into `bins` equal-width bins spanning both; the sorted
+    fields' end columns give the bins' span.
     """
     _check_chain_matches_design(chain, design)
     if not observed:
@@ -473,9 +464,7 @@ def ppc_report(chain: ChainOutput, design, observed, rng,
         hi = max(float(pred[:, -1].max()), float(obs_times.max()))
         edges = np.linspace(lo, hi if hi > lo else lo + 1.0, bins + 1)
         predicted_counts = np.histogram(pred, bins=edges)[0]
-        # sorting moves no value between draws, so these quantiles equal the
-        # unsorted field's
-        pred_summary = _sorted_quantiles(pred, FIVE_NUMBER_QS).mean(axis=1)
+        pred_summary = np.quantile(pred.mean(axis=0), FIVE_NUMBER_QS)
         disc = obs_summary - pred_summary
         reports.append(PpcRaceReport(
             course=course, season=season, n_finishers=obs_times.size,

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -354,6 +355,25 @@ def test_fit_non_numeric_config_value_exits_2(dataset_dir, tmp_path, doc):
         assert f"{name} must be a finite number" in result.output
 
 
+@pytest.mark.parametrize("doc,args,field", [
+    ({"include_windspeed": "false"}, FIT_ARGS, "include_windspeed"),
+    ({"mcmc": {"burn_in": 200, "iterations": 1200, "thin": 2.9}}, [], "mcmc thin"),
+    ({"mcmc": {"seed": True}}, FIT_ARGS, "mcmc seed"),
+    ({"priors": {"v_intercept": True}}, FIT_ARGS, "prior v_intercept"),
+    ({"d_bar": False}, FIT_ARGS, "d_bar"),
+])
+def test_fit_config_value_of_the_wrong_json_type_exits_2(dataset_dir, tmp_path, doc, args,
+                                                         field):
+    # a bool is not a number, a fraction not an integer and a string not a bool
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    result = _run(["fit", *_data_args(dataset_dir), *args, "--config", str(config),
+                   "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert f"error: {field} must be" in result.output
+    assert not (tmp_path / "out" / "chain.csv").exists()
+
+
 def test_fit_default_out_uses_env_root(dataset_dir, tmp_path):
     result = _run(["fit", *_data_args(dataset_dir), *FIT_ARGS],
                   env={"RACEMIX_OUT_ROOT": str(tmp_path)})
@@ -603,6 +623,24 @@ def test_ppc_detects_changed_inputs(tmp_path):
     assert result.exit_code == 0, result.output
 
 
+def test_ppc_reads_no_model_config_from_the_manifest(fit_dir, tmp_path):
+    # the design comes from the chain metadata: a manifest model config that
+    # would not parse does not matter
+    env = {"SOURCE_DATE_EPOCH": "0"}
+    fit = tmp_path / "fit"
+    shutil.copytree(fit_dir, fit, ignore=shutil.ignore_patterns("ppc"))
+    assert _run(["ppc", "--fit", str(fit), "--seed", "4", "--out", str(tmp_path / "a")],
+                env=env).exit_code == 0
+    manifest = json.loads((fit / "manifest.json").read_text())
+    manifest["config"]["model"]["priors"]["v_nonsense"] = 1.0
+    (fit / "manifest.json").write_text(json.dumps(manifest))
+    result = _run(["ppc", "--fit", str(fit), "--seed", "4", "--out", str(tmp_path / "b")],
+                  env=env)
+    assert result.exit_code == 0, result.output
+    for name in ("ppc.csv", "histograms.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 # ---------------------------------------------------------------- simulate
 
 def test_simulate_default_spec(tmp_path):
@@ -638,6 +676,23 @@ def test_simulate_invalid_spec_exits_2(tmp_path):
                    "--out", str(tmp_path / "out")])
     assert result.exit_code == 2
     assert "n_athletes" in result.output
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"n_athletes": 20.9}, "n_athletes must be an integer, got 20.9"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"rainfall_range": [10.0, "120"]}, "rainfall_range must be a number, got '120'"),
+    ({"n_athlete": 20}, "unknown spec fields: ['n_athlete']"),
+    ({"truth": dict(SyntheticSpec().to_dict()["truth"], tau_obs=True)},
+     "tau_obs must be a number, got True"),
+])
+def test_simulate_spec_value_of_the_wrong_json_type_or_name_exits_2(tmp_path, doc, message):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc))
+    result = _run(["simulate", "--spec", str(spec_path), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulated_data_refits(tmp_path):

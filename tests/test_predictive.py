@@ -13,6 +13,7 @@ import scipy.stats
 
 from racemix.ingest import (
     DataError,
+    RaceContext,
     RaceObservation,
     build_design,
     parse_races,
@@ -36,12 +37,12 @@ from racemix.predictive import (
     posterior_predictive_race,
     ppc_report,
     simulate_dataset,
-    _sorted_quantiles,
     write_ppc_csv,
 )
 from racemix.sampler import ChainOutput, run_chain
 
 from _oracles import chain_state
+from conftest import TOY_CONTEXTS, TOY_OBSERVATIONS, TOY_RAINFALL
 
 
 def _flat_truth(n_athletes, n_courses, n_seasons, intercept=math.log(40.0),
@@ -372,35 +373,46 @@ def test_ppc_report_self_consistency(small_sim, small_fit):
             assert abs(r.discrepancy[k]) < 0.20 * r.observed[k]
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 8, 170])
-def test_sorted_quantiles_equal_numpy_quantile(m):
-    rng = np.random.default_rng(m)
-    rows = np.exp(rng.normal(3.8, 0.3, (300, m)))
-    if m > 2:
-        # non-finite values: numpy's neighbours and weights give NaN, not a bound
-        rows[1, 0], rows[2, 1], rows[3, :2] = np.nan, np.inf, -np.inf
-    with np.errstate(invalid="ignore"):
-        expected = np.quantile(rows, FIVE_NUMBER_QS, axis=1)
-        got = _sorted_quantiles(np.sort(rows, axis=1), FIVE_NUMBER_QS)
-    assert np.array_equal(got, expected, equal_nan=True)
-    # the ppc summary is their mean over draws, summed in numpy's order
-    assert np.array_equal(got.mean(axis=1), expected.mean(axis=1), equal_nan=True)
+def _assert_summaries_are_of_the_mean_sorted_field(reports, chain, design, seed):
+    """Each report's predicted summary is, exactly, the five-number summary of
+    its race's mean sorted field, and the mean of the draws' own summaries
+    to within rounding; returns each race's unsorted predicted field."""
+    fields = []
+    for r, child in zip(reports, np.random.default_rng(seed).spawn(len(reports))):
+        pred = posterior_predictive_race(chain, design, r.course, r.season, child)
+        mean_field = np.sort(pred, axis=1).mean(axis=0)
+        assert r.predicted == tuple(float(v) for v in np.quantile(mean_field, FIVE_NUMBER_QS))
+        per_draw = np.quantile(pred, FIVE_NUMBER_QS, axis=1).mean(axis=1)
+        np.testing.assert_allclose(r.predicted, per_draw, rtol=1e-13, atol=0.0)
+        fields.append(pred)
+    return fields
 
 
 def test_ppc_report_summaries_equal_those_of_the_unsorted_fields(small_sim, long_fits):
     design, chain = long_fits[RESPONSE_LOG_TIME, False]
     reports = ppc_report(chain, design, small_sim.observations,
                          np.random.default_rng(12), bins=17)
-    children = np.random.default_rng(12).spawn(len(reports))
-    for r, child in zip(reports, children):
-        pred = posterior_predictive_race(chain, design, r.course, r.season, child)
+    fields = _assert_summaries_are_of_the_mean_sorted_field(reports, chain, design, 12)
+    for r, pred in zip(reports, fields):
         obs = [o.finish_time for o in small_sim.observations
                if (o.course, o.season) == (r.course, r.season)]
-        predicted = np.quantile(pred, [0.0, 0.25, 0.5, 0.75, 1.0], axis=1).mean(axis=1)
-        assert r.predicted == tuple(float(v) for v in predicted)
         edges = np.linspace(min(pred.min(), min(obs)), max(pred.max(), max(obs)), 18)
         assert np.array_equal(r.bin_edges, edges)
         assert np.array_equal(r.predicted_counts, np.histogram(pred, bins=edges)[0])
+
+
+def test_ppc_report_summaries_of_fields_of_one_to_three_finishers():
+    # the toy races have 3 and 2 finishers; a third race has one
+    observations = TOY_OBSERVATIONS + [
+        RaceObservation("A3", "Coxhoe", "18/19", 50.4, "2018-12")]
+    contexts = TOY_CONTEXTS + [RaceContext("Coxhoe", "18/19", 6.0, 8.0, "2018-12")]
+    rainfall = dict(TOY_RAINFALL, **{"2018-12": 71.0})
+    config = ModelConfig(mcmc=McmcSchedule(burn_in=50, iterations=300, thin=1, seed=5))
+    design = build_design(observations, contexts, rainfall, config)
+    chain = run_chain(design, config)
+    reports = ppc_report(chain, design, observations, np.random.default_rng(3))
+    assert sorted(r.n_finishers for r in reports) == [1, 2, 3]
+    _assert_summaries_are_of_the_mean_sorted_field(reports, chain, design, 3)
 
 
 def test_ppc_report_is_deterministic(small_sim, small_fit):

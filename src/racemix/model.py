@@ -55,6 +55,14 @@ def json_number(value, name: str, integer: bool = False):
     return int(value) if integer else float(value)
 
 
+def json_numbers(value, name: str) -> list[float]:
+    """A JSON document's array of numbers for a field, as floats;
+    ConfigError naming the field for anything but an array of numbers."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be an array of numbers, got {value!r}")
+    return [json_number(v, name) for v in value]
+
+
 def _numeric_fields(cls, d: dict, what: str, integer: bool):
     """A validated `cls` from a JSON object of its numeric fields."""
     unknown = set(d) - set(cls.__dataclass_fields__)
@@ -296,16 +304,30 @@ class ParameterState:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ParameterState":
-        vectors = {name: np.array([json_number(v, name) for v in d.get(name, [])], dtype=float)
+    def from_dict(cls, d: dict, what: str = "state") -> "ParameterState":
+        """A validated state from a JSON object named `what`; an unknown or
+        missing field, a value of the wrong JSON type or an invalid state
+        is a ConfigError naming the field."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"{what} must be a JSON object, got {d!r}")
+        unknown = set(d) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
+        vectors = {name: np.array(json_numbers(d.get(name, []), f"{what}.{name}"), dtype=float)
                    for name in ("athlete_effects", "course_effects", "season_effects")}
-        scalars = {name: json_number(d[name], name)
-                   for name in ("intercept", "gamma_dist", "rho_cur", "rho_prev", "m_rho",
-                                "phi", "tau_obs", "tau_athlete", "tau_course", "tau_season")}
+        scalar_names = ("intercept", "gamma_dist", "rho_cur", "rho_prev", "m_rho",
+                        "phi", "tau_obs", "tau_athlete", "tau_course", "tau_season")
+        missing = [name for name in scalar_names if name not in d]
+        if missing:
+            raise ConfigError(f"{what} is missing fields {missing}")
+        scalars = {name: json_number(d[name], f"{what}.{name}") for name in scalar_names}
         lam = d.get("lambda_wind")
         state = cls(**vectors, **scalars,
-                    lambda_wind=None if lam is None else json_number(lam, "lambda_wind"))
-        state.validate()
+                    lambda_wind=None if lam is None else json_number(lam, f"{what}.lambda_wind"))
+        try:
+            state.validate()
+        except ValueError as exc:
+            raise ConfigError(f"{what}: {exc}") from None
         return state
 
 

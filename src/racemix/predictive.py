@@ -16,7 +16,9 @@ is a fixed linear combination of two of its order statistics, so the
 quantile of that mean field is the mean of the draws' quantiles, up to
 rounding.  Predictive noise is generated in fixed-size chunks with
 per-chunk child generators, so results are reproducible no matter how
-the chunks are scheduled.
+the chunks are scheduled.  ppc_report simulates its races on a thread
+pool of one thread per usable CPU; each race draws from its own spawned
+child generator, so the reports do not depend on the thread count.
 """
 from __future__ import annotations
 
@@ -44,6 +46,7 @@ from .model import (
     ConfigError,
     ParameterState,
     json_number,
+    json_numbers,
 )
 from .sampler import ChainOutput
 
@@ -151,29 +154,26 @@ class SyntheticSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticSpec":
         """A validated spec from a JSON object; fields left out keep their
-        defaults, and an unknown field or a value of the wrong JSON type is
-        a ConfigError naming the field."""
+        defaults.  The `*_range` pairs are arrays of numbers and `truth` is
+        an object of every ParameterState field but the optional effect
+        vectors and lambda_wind.  An unknown field or a value of the wrong
+        JSON type, here or in `truth`, is a ConfigError naming the field."""
         if not isinstance(d, dict):
             raise ConfigError("spec must be a JSON object")
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown spec fields: {sorted(unknown)}")
         values = dict(d)
-        try:
-            for name in ("n_athletes", "n_courses", "n_seasons", "n_races",
-                         "mean_finishers", "seed"):
-                if name in values:
-                    values[name] = json_number(values[name], name, integer=True)
-            for name in ("distance_range", "windspeed_range", "rainfall_range"):
-                if name in values:
-                    values[name] = tuple(json_number(v, name) for v in values[name])
-            if "truth" in values:
-                values["truth"] = ParameterState.from_dict(values["truth"])
-            spec = cls(**values)
-        except KeyError as exc:
-            raise ConfigError(f"spec is missing field {exc}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad spec value: {exc}") from None
+        for name in ("n_athletes", "n_courses", "n_seasons", "n_races",
+                     "mean_finishers", "seed"):
+            if name in values:
+                values[name] = json_number(values[name], name, integer=True)
+        for name in ("distance_range", "windspeed_range", "rainfall_range"):
+            if name in values:
+                values[name] = tuple(json_numbers(values[name], name))
+        if "truth" in values:
+            values["truth"] = ParameterState.from_dict(values["truth"], "truth")
+        spec = cls(**values)
         spec.validate()
         return spec
 
@@ -426,6 +426,14 @@ class PpcRaceReport:
     observed_counts: np.ndarray = field(compare=False, repr=False)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def ppc_report(chain: ChainOutput, design, observed, rng,
                bins: int = 30) -> list[PpcRaceReport]:
     """One report per observed race, in the design's race order.
@@ -438,6 +446,14 @@ def ppc_report(chain: ChainOutput, design, observed, rng,
     predicted.  The histograms bin the same simulated fields and the
     observed times into `bins` equal-width bins spanning both; the sorted
     fields' end columns give the bins' span.
+
+    Races are reported on a thread pool of one thread per usable CPU (at
+    most one per race); numpy releases the GIL for the noise, exp, sort
+    and binning.  Each race draws from its own child of `rng`, so the
+    reports do not depend on the thread count or on scheduling, and each
+    thread holds one race's simulated field at a time.  An exception
+    raised for one race propagates as it is, and races not yet started
+    are not run.
     """
     _check_chain_matches_design(chain, design)
     if not observed:
@@ -453,10 +469,10 @@ def ppc_report(chain: ChainOutput, design, observed, rng,
         raise DataError(f"observed races not in design: {shown}; "
                         f"available races: {avail}")
     races = [r for r in design_races if r in groups]
-    reports = []
-    children = rng.spawn(len(races))
-    for (course, season), child in zip(races, children):
-        obs_times = np.asarray(groups[(course, season)], dtype=float)
+
+    def report(race, child) -> PpcRaceReport:
+        course, season = race
+        obs_times = np.asarray(groups[race], dtype=float)
         obs_summary = np.quantile(obs_times, FIVE_NUMBER_QS)
         pred = posterior_predictive_race(chain, design, course, season, child)
         pred.sort(axis=1)
@@ -466,7 +482,7 @@ def ppc_report(chain: ChainOutput, design, observed, rng,
         predicted_counts = np.histogram(pred, bins=edges)[0]
         pred_summary = np.quantile(pred.mean(axis=0), FIVE_NUMBER_QS)
         disc = obs_summary - pred_summary
-        reports.append(PpcRaceReport(
+        return PpcRaceReport(
             course=course, season=season, n_finishers=obs_times.size,
             observed=tuple(float(v) for v in obs_summary),
             predicted=tuple(float(v) for v in pred_summary),
@@ -474,8 +490,16 @@ def ppc_report(chain: ChainOutput, design, observed, rng,
             low_power=obs_times.size < 5,
             bin_edges=edges,
             predicted_counts=predicted_counts,
-            observed_counts=np.histogram(obs_times, bins=edges)[0]))
-    return reports
+            observed_counts=np.histogram(obs_times, bins=edges)[0])
+
+    # imported here, as run_chains imports its process pool, so that the
+    # commands that run no ppc do not load the executor
+    from concurrent.futures import ThreadPoolExecutor
+    pool = ThreadPoolExecutor(max_workers=min(len(races), _usable_cpus()))
+    try:
+        return list(pool.map(report, races, rng.spawn(len(races))))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 PPC_HEADER = ("course,season,n_finishers,"

@@ -18,8 +18,9 @@ import pytest
 from click.testing import CliRunner
 
 import racemix
+import racemix.predictive
 from racemix.cli import main
-from racemix.ingest import build_design, parse_races, parse_rainfall, parse_results
+from racemix.ingest import DataError, build_design, parse_races, parse_rainfall, parse_results
 from racemix.model import ModelConfig
 from racemix.predictive import SyntheticSpec, simulate_dataset
 from racemix.diagnostics import (
@@ -587,6 +588,23 @@ def test_ppc_unknown_race_exits_2(fit_dir, tmp_path):
     assert "Atlantis" in result.output
 
 
+def test_ppc_error_raised_for_one_race_exits_2(fit_dir, tmp_path, monkeypatch):
+    # the race is simulated on a pool thread; its DataError must still reach
+    # the command's error handler as a DataError
+    simulate = racemix.predictive.posterior_predictive_race
+
+    def failing(chain, design, course, season, rng):
+        if (course, season) == design.races()[1]:
+            raise DataError("bad race")
+        return simulate(chain, design, course, season, rng)
+
+    monkeypatch.setattr(racemix.predictive, "posterior_predictive_race", failing)
+    result = _run(["ppc", "--fit", str(fit_dir), "--out", str(tmp_path / "ppc")])
+    assert result.exit_code == 2
+    assert "bad race" in result.output
+    assert not (tmp_path / "ppc" / "ppc.csv").exists()
+
+
 def test_ppc_is_deterministic(fit_dir, tmp_path):
     env = {"SOURCE_DATE_EPOCH": "1700000000"}
     a, b = tmp_path / "a", tmp_path / "b"
@@ -685,6 +703,16 @@ def test_simulate_invalid_spec_exits_2(tmp_path):
     ({"n_athlete": 20}, "unknown spec fields: ['n_athlete']"),
     ({"truth": dict(SyntheticSpec().to_dict()["truth"], tau_obs=True)},
      "tau_obs must be a number, got True"),
+    ({"rainfall_range": 5}, "rainfall_range must be an array of numbers, got 5"),
+    ({"distance_range": "ab"}, "distance_range must be an array of numbers, got 'ab'"),
+    ({"truth": [1]}, "truth must be a JSON object, got [1]"),
+    ({"truth": {"athlete_effects": 3}},
+     "truth.athlete_effects must be an array of numbers, got 3"),
+    ({"truth": dict(SyntheticSpec().to_dict()["truth"], tau_obss=300.0)},
+     "unknown truth fields: ['tau_obss']"),
+    ({"truth": {"intercept": 3.85}}, "truth is missing fields ['gamma_dist', "),
+    ({"truth": dict(SyntheticSpec().to_dict()["truth"], tau_obs=-1.0)},
+     "truth: tau_obs must be positive, got -1.0"),
 ])
 def test_simulate_spec_value_of_the_wrong_json_type_or_name_exits_2(tmp_path, doc, message):
     spec_path = tmp_path / "spec.json"

@@ -4,12 +4,17 @@ The simulator is itself an oracle for the sampler, so it gets worked-
 example treatment here: degenerate-noise datasets must reproduce the
 generating state exactly, and the noise scale must match 1/tau.
 """
+import concurrent.futures
 import dataclasses
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 import scipy.stats
+
+import racemix.predictive
 
 from racemix.ingest import (
     DataError,
@@ -32,6 +37,7 @@ from racemix.predictive import (
     FIVE_NUMBER_QS,
     PPC_CHUNK,
     PPC_HEADER,
+    PpcRaceReport,
     SyntheticSpec,
     effect_on_time,
     posterior_predictive_race,
@@ -421,6 +427,88 @@ def test_ppc_report_is_deterministic(small_sim, small_fit):
     a = ppc_report(chain, design, sub, np.random.default_rng(6))
     b = ppc_report(chain, design, sub, np.random.default_rng(6))
     assert a == b
+
+
+def _serial_reports(chain, design, observed, seed, bins):
+    """ppc_report's reports built one race after another, in design order."""
+    groups = {}
+    for o in observed:
+        groups.setdefault((o.course, o.season), []).append(o.finish_time)
+    races = [race for race in design.races() if race in groups]
+    reports = []
+    for (course, season), child in zip(races, np.random.default_rng(seed).spawn(len(races))):
+        obs = np.asarray(groups[course, season])
+        pred = np.sort(posterior_predictive_race(chain, design, course, season, child), axis=1)
+        edges = np.linspace(min(pred.min(), obs.min()), max(pred.max(), obs.max()), bins + 1)
+        obs_summary = np.quantile(obs, FIVE_NUMBER_QS)
+        pred_summary = np.quantile(pred.mean(axis=0), FIVE_NUMBER_QS)
+        reports.append(PpcRaceReport(
+            course=course, season=season, n_finishers=obs.size,
+            observed=tuple(float(v) for v in obs_summary),
+            predicted=tuple(float(v) for v in pred_summary),
+            discrepancy=tuple(float(v) for v in obs_summary - pred_summary),
+            low_power=obs.size < 5, bin_edges=edges,
+            predicted_counts=np.histogram(pred, bins=edges)[0],
+            observed_counts=np.histogram(obs, bins=edges)[0]))
+    return reports
+
+
+def _assert_bit_identical(reports, expected):
+    # every field, the arrays that PpcRaceReport.__eq__ skips included
+    assert len(reports) == len(expected)
+    for got, want in zip(reports, expected):
+        for f in dataclasses.fields(PpcRaceReport):
+            a, b = np.asarray(getattr(got, f.name)), np.asarray(getattr(want, f.name))
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+
+
+def _set_usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
+def test_ppc_report_does_not_depend_on_the_worker_count(small_sim, small_fit, monkeypatch):
+    design, _, chain = small_fit
+    pool_sizes = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    runs = []
+    for n_cpus in (1, 4):
+        _set_usable_cpus(monkeypatch, n_cpus)
+        runs.append(ppc_report(chain, design, small_sim.observations,
+                               np.random.default_rng(21), bins=13))
+    # without an affinity mask, the machine's CPU count; never more threads than races
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    runs.append(ppc_report(chain, design, small_sim.observations,
+                           np.random.default_rng(21), bins=13))
+    assert pool_sizes == [1, 4, len(design.races())]
+    expected = _serial_reports(chain, design, small_sim.observations, 21, 13)
+    for reports in runs:
+        _assert_bit_identical(reports, expected)
+
+
+def test_ppc_report_propagates_an_error_raised_for_one_race(small_sim, small_fit, monkeypatch):
+    design, _, chain = small_fit
+    simulate = racemix.predictive.posterior_predictive_race
+    failing_race = design.races()[5]
+
+    def failing(chain, design, course, season, rng):
+        if (course, season) == failing_race:
+            raise DataError("bad race")
+        return simulate(chain, design, course, season, rng)
+
+    monkeypatch.setattr(racemix.predictive, "posterior_predictive_race", failing)
+    _set_usable_cpus(monkeypatch, 4)
+    threads = threading.active_count()
+    with pytest.raises(DataError, match="bad race"):
+        ppc_report(chain, design, small_sim.observations, np.random.default_rng(4))
+    assert threading.active_count() == threads  # the pool's threads are gone
 
 
 def test_ppc_report_low_power_flag(small_sim, small_fit):

@@ -22,6 +22,7 @@ import hashlib
 import json
 import os
 import sys
+import traceback
 from typing import NamedTuple
 
 import click
@@ -58,10 +59,18 @@ from .predictive import (
     posterior_predictive_race,  # noqa: F401 -- perfbench/tracing.py wraps it by this name
     ppc_report,
     simulate_dataset,
+    usable_cpus,
     write_histograms_csv,
     write_ppc_csv,
 )
-from .sampler import SCALAR_COLUMNS, SamplerError, load_chain, run_chains, save_chain
+from .sampler import (
+    SCALAR_COLUMNS,
+    SamplerError,
+    load_chain,
+    load_chain_meta,
+    run_chains,
+    save_chain,
+)
 
 ENV_OUT_ROOT = "RACEMIX_OUT_ROOT"
 
@@ -128,6 +137,9 @@ def _write_manifest(out_dir, command, config, seed, inputs, artifacts) -> None:
 
 
 def _read_manifest(fit_dir) -> dict:
+    """A fit directory's manifest.json, with the fields the post-fit commands
+    read checked: `config` and `inputs` are objects (empty when absent), and
+    each input is an object whose `path` and `sha256` are strings."""
     path = os.path.join(fit_dir, "manifest.json")
     if not os.path.exists(path):
         raise DataError(f"no manifest.json in {fit_dir}; is this a fit directory?")
@@ -135,6 +147,15 @@ def _read_manifest(fit_dir) -> dict:
         manifest = json.load(fh)
     if not isinstance(manifest, dict):
         raise DataError(f"{path} is not a JSON object")
+    for key in ("config", "inputs"):
+        if not isinstance(manifest.setdefault(key, {}), dict):
+            raise DataError(f"{path}: {key} is not a JSON object")
+    for role, recorded in manifest["inputs"].items():
+        if not isinstance(recorded, dict):
+            raise DataError(f"{path}: inputs.{role} is not a JSON object")
+        for key in ("path", "sha256"):
+            if not isinstance(recorded.get(key), str):
+                raise DataError(f"{path}: inputs.{role}.{key} is not a string")
     return manifest
 
 
@@ -216,14 +237,15 @@ def _earlier_artifacts(out_dir) -> list[str]:
     return [name for name in artifacts if isinstance(name, str)]
 
 
-def _load_indexed_chain(fit_dir, manifest, index):
-    """The index-th (1-based) chain of a fit directory, and its chain count.
+def _indexed_chain_files(fit_dir, manifest, index):
+    """The draws and metadata paths of the index-th (1-based) chain of a fit
+    directory, and its chain count.
 
     The count is the one the fit recorded in its manifest, and the file
     names come from it as `fit` made them: files of an earlier fit into
     the same directory are never read.
     """
-    n_chains = manifest.get("config", {}).get("chains")
+    n_chains = manifest["config"].get("chains")
     if type(n_chains) is not int or n_chains < 1:
         raise DataError(f"{os.path.join(fit_dir, 'manifest.json')} records no chain "
                         f"count (config.chains)")
@@ -234,9 +256,16 @@ def _load_indexed_chain(fit_dir, manifest, index):
     for path in paths:
         if not os.path.exists(path):
             raise DataError(f"{path} is missing; the manifest records {n_chains} chain(s)")
-    chain = load_chain(*paths)
+    return paths[0], paths[1], n_chains
+
+
+def _load_indexed_chain(fit_dir, manifest, index):
+    """The index-th (1-based) chain of a fit directory, of at least 2 draws,
+    and its chain count (see _indexed_chain_files)."""
+    chain_path, meta_path, n_chains = _indexed_chain_files(fit_dir, manifest, index)
+    chain = load_chain(chain_path, meta_path)
     if chain.n_stored < 2:
-        raise DataError(f"{paths[0]} holds {chain.n_stored} draw(s); need at least 2")
+        raise DataError(f"{chain_path} holds {chain.n_stored} draw(s); need at least 2")
     return chain, n_chains
 
 
@@ -379,14 +408,10 @@ def _reingest_from_manifest(fit_dir, manifest, meta, data, covariates, rainfall)
         if override is not None:
             paths[role] = override
             continue
-        recorded = manifest.get("inputs", {}).get(role)
+        recorded = manifest["inputs"].get(role)
         if recorded is None:
             raise DataError(f"manifest records no {role!r} input; pass --{role}")
-        try:
-            path, recorded_digest = recorded["path"], recorded["sha256"]
-        except (KeyError, TypeError):
-            raise DataError(f"manifest input {role!r} lacks a path or sha256; "
-                            f"pass --{role}") from None
+        path, recorded_digest = recorded["path"], recorded["sha256"]
         if not os.path.exists(path):
             raise DataError(f"recorded {role} input {path} no longer exists; "
                             f"pass --{role}")
@@ -396,7 +421,7 @@ def _reingest_from_manifest(fit_dir, manifest, meta, data, covariates, rainfall)
                             f"(sha256 mismatch); pass --{role} to override")
         paths[role] = path
 
-    sex = manifest.get("config", {}).get("sex")
+    sex = manifest["config"].get("sex")
     if sex is None:
         raise DataError("manifest does not record the fitted sex")
     observations = parse_results(paths["data"], sex)
@@ -507,6 +532,77 @@ def simulate(spec_path, seed, out_dir):
                f"{len(data.contexts)} races")
 
 
+def _diagnostics_table(chain) -> str:
+    """The text of a chain's diagnostics.csv: each column's ESS and lag-1
+    autocorrelation, and whether the column is constant.
+
+    Constant (corner-constrained) columns get ESS N and rho1 0, without a
+    warning.
+    """
+    degenerate = constant_columns(chain.draws)
+    ess, rho1 = ess_and_rho1(chain.draws, degenerate)
+    rows = zip(chain.columns, ess.tolist(), rho1.tolist(), degenerate.astype(int))
+    return "parameter,ess,rho1,degenerate\n" + "".join(
+        "{},{!r},{!r},{}\n".format(*row) for row in rows)
+
+
+def _read_diagnostics(fit_dir, manifest, index):
+    """diagnose's read half: the chain's diagnostics.csv text, its draw
+    count and its column count."""
+    chain, _ = _load_indexed_chain(fit_dir, manifest, index)
+    return _diagnostics_table(chain), chain.n_stored, len(chain.columns)
+
+
+def _diagnose_worker(sender, fit_dir, manifest, index) -> None:
+    """The forked worker of diagnose: sends (result, None) of
+    _read_diagnostics, or (None, (exception, traceback text))."""
+    try:
+        reply = (_read_diagnostics(fit_dir, manifest, index), None)
+    except Exception as exc:
+        reply = (None, (exc, traceback.format_exc()))
+    sender.send(reply)
+    sender.close()
+
+
+def _worker_result(receiver, worker):
+    """What the worker sent: its result, or its exception raised again here."""
+    try:
+        result, error = receiver.recv()
+    except EOFError:
+        worker.join()
+        raise RuntimeError(f"the diagnose worker exited with code {worker.exitcode} "
+                           f"without a result") from None
+    if error is not None:
+        exc, worker_traceback = error
+        raise exc from RuntimeError(f"in the diagnose worker:\n{worker_traceback}")
+    return result
+
+
+def _diagnose_forked(context, fit_dir, manifest, index, chain_path, meta, trace_path):
+    """_read_diagnostics in a forked worker while this process exports the
+    trace to trace_path; the worker's result.
+
+    The worker's error wins over the export's, so a bad cell is named by
+    its line as in the serial order.
+    """
+    receiver, sender = context.Pipe(duplex=False)
+    worker = context.Process(target=_diagnose_worker,
+                             args=(sender, fit_dir, manifest, index))
+    with sender:  # the worker holds its own copy; a worker that dies unheard is an EOF
+        worker.start()
+    try:
+        try:
+            write_trace_csv(chain_path, meta, trace_path)
+        finally:
+            # raised here, the worker's error replaces any error of the export
+            result = _worker_result(receiver, worker)
+    finally:
+        # a worker still sending gets a broken pipe, so the join cannot block
+        receiver.close()
+        worker.join()
+    return result
+
+
 @main.command()
 @click.option("--fit", "fit_dir", required=True,
               type=click.Path(exists=True, file_okay=False))
@@ -515,26 +611,54 @@ def simulate(spec_path, seed, out_dir):
               help="Output directory [default: the fit directory]")
 @_cli_errors
 def diagnose(fit_dir, index, out_root):
-    """Export tidy traces and per-parameter ESS/autocorrelation tables."""
-    chain, n_chains = _load_indexed_chain(fit_dir, _read_manifest(fit_dir), index)
+    """Export tidy traces and per-parameter ESS/autocorrelation tables.
+    \f
+    The chain is read and its ESS and lag-1 autocorrelations computed in one
+    half; the other half re-lays the chain CSV's text into trace.csv.  When
+    more than one CPU is usable and the platform can fork, a forked worker
+    runs the read half while this process writes the trace; otherwise the
+    read runs first and the export second.  Either way the files are the
+    same and a bad chain file exits 2 naming its line.  The trace is written
+    as `<trace name>.tmp` and renamed to its name once the chain has been
+    read and the export has finished, and diagnostics.csv is written after
+    it: a failed read or export creates or changes neither file, and leaves
+    no temporary file.
+    """
+    manifest = _read_manifest(fit_dir)
+    chain_path, meta_path, n_chains = _indexed_chain_files(fit_dir, manifest, index)
+    meta = load_chain_meta(meta_path)
     if out_root is None:
         out_root = fit_dir
     os.makedirs(out_root, exist_ok=True)
-
-    chain_path = os.path.join(fit_dir, _artifact_name("chain", "csv", index, n_chains))
     trace_path = os.path.join(out_root, _artifact_name("trace", "csv", index, n_chains))
-    write_trace_csv(chain_path, chain.meta, trace_path)
-
     diag_path = os.path.join(out_root, _artifact_name("diagnostics", "csv", index, n_chains))
-    # constant (corner-constrained) columns get ESS N and rho1 0, without a warning
-    degenerate = constant_columns(chain.draws)
-    ess, rho1 = ess_and_rho1(chain.draws, degenerate)
+
+    context = None
+    if usable_cpus() > 1:
+        # imported here, as run_chains imports its process pool.  fork, not
+        # spawn: a spawned worker would import numpy and racemix again,
+        # which costs about what the overlap saves; and diagnose has started
+        # no thread that could hold a lock across the fork
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+    # the trace replaces trace_path only once the chain has been read
+    partial = trace_path + ".tmp"
+    try:
+        if context is None:
+            table, n_draws, n_columns = _read_diagnostics(fit_dir, manifest, index)
+            write_trace_csv(chain_path, meta, partial)
+        else:
+            table, n_draws, n_columns = _diagnose_forked(
+                context, fit_dir, manifest, index, chain_path, meta, partial)
+        os.replace(partial, trace_path)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
     with open(diag_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("parameter,ess,rho1,degenerate\n")
-        for row in zip(chain.columns, ess.tolist(), rho1.tolist(), degenerate.astype(int)):
-            fh.write("{},{!r},{!r},{}\n".format(*row))
+        fh.write(table)
     click.echo(f"wrote {trace_path} and {diag_path} "
-               f"({chain.n_stored} draws, {len(chain.columns)} parameters)")
+               f"({n_draws} draws, {n_columns} parameters)")
 
 
 if __name__ == "__main__":

@@ -200,8 +200,11 @@ def write_trace_csv(chain_csv_path, meta: ChainMeta, path) -> None:
     column order.  Each value is the chain CSV's own cell text, moved
     without parsing or formatting a float: for a file save_chain wrote,
     repr of the draw.  The file is read as load_chain reads it (a header
-    line, any line ending, empty lines skipped); run load_chain first to
-    have a bad cell named by its line.
+    line, any line ending, empty lines skipped), but no cell is checked:
+    `racemix diagnose` also reads the file with load_chain, before this
+    export or beside it in a forked worker, and reports load_chain's error,
+    which names a bad cell's line, in place of this function's.  A file
+    whose rows do not all have the header's cell count raises ValueError.
     """
     with open(chain_csv_path, "rb") as fh:
         text = fh.read()

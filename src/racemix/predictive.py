@@ -426,7 +426,7 @@ class PpcRaceReport:
     observed_counts: np.ndarray = field(compare=False, repr=False)
 
 
-def _usable_cpus() -> int:
+def usable_cpus() -> int:
     """The CPUs this process may run on: its affinity mask where the
     platform has one, else the machine's CPU count."""
     if hasattr(os, "sched_getaffinity"):
@@ -495,7 +495,7 @@ def ppc_report(chain: ChainOutput, design, observed, rng,
     # imported here, as run_chains imports its process pool, so that the
     # commands that run no ppc do not load the executor
     from concurrent.futures import ThreadPoolExecutor
-    pool = ThreadPoolExecutor(max_workers=min(len(races), _usable_cpus()))
+    pool = ThreadPoolExecutor(max_workers=min(len(races), usable_cpus()))
     try:
         return list(pool.map(report, races, rng.spawn(len(races))))
     finally:

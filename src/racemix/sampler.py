@@ -676,16 +676,23 @@ def _chain_parse_error(csv_path, header, reason) -> DataError:
     return DataError(f"{csv_path}: {reason}")
 
 
-def load_chain(csv_path, meta_path) -> ChainOutput:
-    """Reload a persisted chain; floats round-trip exactly."""
+def load_chain_meta(meta_path) -> ChainMeta:
+    """A chain's metadata JSON, as load_chain reads it."""
     with open(meta_path, "r", encoding="utf-8") as fh:
         meta_dict = json.load(fh)
+    if not isinstance(meta_dict, dict):
+        raise DataError(f"{meta_path} is not a JSON object")
     try:
-        meta = ChainMeta.from_dict(meta_dict)
+        return ChainMeta.from_dict(meta_dict)
     except KeyError as exc:
         raise DataError(f"{meta_path}: missing metadata field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise DataError(f"{meta_path}: bad metadata value: {exc}") from None
+
+
+def load_chain(csv_path, meta_path) -> ChainOutput:
+    """Reload a persisted chain; floats round-trip exactly."""
+    meta = load_chain_meta(meta_path)
     with open(csv_path, "r", encoding="utf-8") as fh:
         header = tuple(fh.readline().strip().split(","))
         if header != parameter_columns(meta):

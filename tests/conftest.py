@@ -1,4 +1,7 @@
 """Shared fixtures: a fixed 5-observation toy model and a small synthetic fit."""
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,24 @@ TOY_CONTEXTS = [
 ]
 
 TOY_RAINFALL = {"2017-09": 80.0, "2017-10": 55.0, "2018-10": 95.0, "2018-11": 62.0}
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail a test that leaves a child process running, such as a chain pool
+    worker or diagnose's forked worker; the process is then ended."""
+    yield
+    left = multiprocessing.active_children()
+    for process in left:
+        process.terminate()
+        process.join(10)
+    assert not left, f"processes left running: {left}"
+
+
+def set_usable_cpus(monkeypatch, n):
+    """Make racemix.predictive.usable_cpus() return n."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
 
 
 def make_toy_design(response="log_time", include_windspeed=False):

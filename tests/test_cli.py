@@ -7,6 +7,7 @@ manifest timestamp.
 """
 import json
 import math
+import multiprocessing
 import os
 import re
 import shutil
@@ -18,6 +19,7 @@ import pytest
 from click.testing import CliRunner
 
 import racemix
+import racemix.cli
 import racemix.predictive
 from racemix.cli import main
 from racemix.ingest import DataError, build_design, parse_races, parse_rainfall, parse_results
@@ -34,7 +36,7 @@ from racemix.diagnostics import (
 )
 from racemix.sampler import ChainOutput, SamplerError, load_chain, run_chain, save_chain
 
-from conftest import make_toy_design
+from conftest import make_toy_design, set_usable_cpus
 from _oracles import split_rhat_reference
 
 FIT_ARGS = ["--burn-in", "200", "--iterations", "1200", "--thin", "5"]
@@ -500,7 +502,8 @@ def test_commands_find_chain_11_of_100_and_name_a_missing_file(tmp_path):
     assert "chain_07.csv is missing" in result.output
 
 
-@pytest.mark.parametrize("damage", ["one_draw", "bad_cell", "ragged_row", "missing_meta_key"])
+@pytest.mark.parametrize("damage", ["one_draw", "bad_cell", "ragged_row", "missing_meta_key",
+                                    "meta_not_object"])
 def test_summarize_damaged_chain_exits_2(fit_dir, tmp_path, damage):
     # with only input errors mapped to exit 2, damaged chain files must
     # still surface as input errors, not as tracebacks
@@ -514,7 +517,8 @@ def test_summarize_damaged_chain_exits_2(fit_dir, tmp_path, damage):
     # the message names the file and the 1-based line; the header is line 1
     where = {"bad_cell": "chain.csv, line 4, column 1 (intercept)",
              # the blank line 4 counts, although parsing skips it
-             "ragged_row": f"chain.csv, line 5: {n_columns - 1} cell(s), expected {n_columns}"}
+             "ragged_row": f"chain.csv, line 5: {n_columns - 1} cell(s), expected {n_columns}",
+             "meta_not_object": "metadata.json is not a JSON object"}
     if damage == "one_draw":
         chain.write_text("\n".join(lines[:2]) + "\n")
     elif damage == "bad_cell":
@@ -522,10 +526,12 @@ def test_summarize_damaged_chain_exits_2(fit_dir, tmp_path, damage):
     elif damage == "ragged_row":
         ragged = lines[3].rsplit(",", 1)[0]
         chain.write_text("\n".join(lines[:3] + ["", ragged] + lines[4:]) + "\n")
-    else:
+    elif damage == "missing_meta_key":
         doc = json.loads(meta.read_text())
         del doc["thin"]
         meta.write_text(json.dumps(doc))
+    else:
+        meta.write_text("[]")
     result = _run(["summarize", "--fit", str(copy)])
     assert result.exit_code == 2
     assert "error" in result.output
@@ -659,6 +665,33 @@ def test_ppc_reads_no_model_config_from_the_manifest(fit_dir, tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+@pytest.mark.parametrize("command", ["summarize", "ppc", "diagnose"])
+@pytest.mark.parametrize("field, value", [
+    pytest.param(field, value, id=field) for field, value in (
+        ("config", []),
+        ("inputs", []),
+        ("inputs.data", "results.csv"),
+        ("inputs.data.path", 5),
+        ("inputs.rainfall.sha256", None))])
+def test_post_fit_commands_refuse_a_malformed_manifest(fit_dir, tmp_path, command, field,
+                                                       value):
+    # each is an input error naming the field, not a traceback; a path of 5
+    # would otherwise be taken for file descriptor 5
+    fit = tmp_path / "fit"
+    shutil.copytree(fit_dir, fit, ignore=shutil.ignore_patterns("ppc"))
+    manifest = json.loads((fit / "manifest.json").read_text())
+    *parents, key = field.split(".")
+    doc = manifest
+    for parent in parents:
+        doc = doc[parent]
+    doc[key] = value
+    (fit / "manifest.json").write_text(json.dumps(manifest))
+    result = _run([command, "--fit", str(fit), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    kind = "a string" if field.endswith(("path", "sha256")) else "a JSON object"
+    assert f"manifest.json: {field} is not {kind}" in result.output
+
+
 # ---------------------------------------------------------------- simulate
 
 def test_simulate_default_spec(tmp_path):
@@ -770,3 +803,134 @@ def test_diagnose_defaults_into_fit_dir(fit_dir):
     assert result.exit_code == 0
     assert (fit_dir / "trace.csv").exists()
     assert (fit_dir / "diagnostics.csv").exists()
+
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="diagnose forks its worker only where fork exists")
+
+
+@pytest.fixture(scope="session")
+def two_chain_fit_dir(dataset_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli-fit-2") / "fit"
+    result = _run(["fit", *_data_args(dataset_dir), *FIT_ARGS, "--chains", "2",
+                   "--workers", "1", "--seed", "12", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    return out
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Count the diagnose runs that take the forked path."""
+    calls = []
+    forked = racemix.cli._diagnose_forked
+
+    def counting(*args):
+        calls.append(args)
+        return forked(*args)
+
+    monkeypatch.setattr(racemix.cli, "_diagnose_forked", counting)
+    return calls
+
+
+@needs_fork
+def test_diagnose_files_do_not_depend_on_the_cpu_count(two_chain_fit_dir, tmp_path,
+                                                       monkeypatch, forks):
+    # the serial order with one usable CPU, the forked worker with two
+    runs = []
+    for n_cpus in (1, 2):
+        set_usable_cpus(monkeypatch, n_cpus)
+        out = tmp_path / f"cpus{n_cpus}"
+        result = _run(["diagnose", "--fit", str(two_chain_fit_dir), "--index", "2",
+                       "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert len(forks) == n_cpus - 1
+        runs.append((result.output.replace(str(out), "<out>"),
+                     {p.name: p.read_bytes() for p in out.iterdir()}))
+    assert runs[0] == runs[1]
+    assert sorted(runs[0][1]) == ["diagnostics_02.csv", "trace_02.csv"]
+    assert "(240 draws" in runs[0][0]
+    assert not (two_chain_fit_dir / "trace_02.csv").exists()
+
+
+def _damage_chain(fit, damage):
+    chain = fit / "chain.csv"
+    lines = chain.read_text().splitlines()
+    if damage == "bad_cell":
+        lines[3] = "abc" + lines[3][1:]
+    else:
+        # write_trace_csv refuses this file too, but the read's error is the one shown
+        lines[4] = lines[4].rsplit(",", 1)[0]
+    chain.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+@pytest.mark.parametrize("damage, where", [
+    ("bad_cell", "chain.csv, line 4, column 1 (intercept): cannot parse"),
+    ("ragged_row", "chain.csv, line 5: "),
+])
+def test_diagnose_bad_chain_exits_2_and_keeps_the_earlier_trace(fit_dir, tmp_path,
+                                                                monkeypatch, n_cpus,
+                                                                damage, where):
+    fit = tmp_path / "fit"
+    shutil.copytree(fit_dir, fit, ignore=shutil.ignore_patterns(
+        "ppc", "trace.csv", "diagnostics.csv"))
+    _damage_chain(fit, damage)
+    (fit / "trace.csv").write_bytes(b"an earlier trace\n")
+    names = sorted(p.name for p in fit.iterdir())
+    set_usable_cpus(monkeypatch, n_cpus)
+    result = _run(["diagnose", "--fit", str(fit)])
+    assert result.exit_code == 2, result.output
+    assert where in result.output
+    assert sorted(p.name for p in fit.iterdir()) == names
+    assert (fit / "trace.csv").read_bytes() == b"an earlier trace\n"
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_diagnose_export_error_exits_2_and_writes_no_table(fit_dir, tmp_path, monkeypatch,
+                                                            n_cpus):
+    def failing(chain_csv_path, meta, path):
+        with open(path, "wb") as fh:
+            fh.write(b"iteration,parameter,value\n")
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(racemix.cli, "write_trace_csv", failing)
+    set_usable_cpus(monkeypatch, n_cpus)
+    out = tmp_path / "out"
+    result = _run(["diagnose", "--fit", str(fit_dir), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "no space left on device" in result.output
+    assert list(out.iterdir()) == []
+
+
+@needs_fork
+def test_diagnose_worker_bug_is_not_an_input_error(fit_dir, tmp_path, monkeypatch, forks):
+    def failing(draws, constant):
+        raise RuntimeError("a bug in the worker")
+
+    monkeypatch.setattr(racemix.cli, "ess_and_rho1", failing)
+    set_usable_cpus(monkeypatch, 2)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="a bug in the worker") as info:
+        _run(["diagnose", "--fit", str(fit_dir), "--out", str(out)])
+    assert len(forks) == 1
+    # the worker's own traceback is the cause
+    assert "in failing" in str(info.value.__cause__)
+    assert list(out.iterdir()) == []
+
+
+@needs_fork
+def test_diagnose_worker_that_dies_unheard_is_an_internal_error(fit_dir, tmp_path,
+                                                                monkeypatch, forks):
+    parent = os.getpid()
+
+    def dying(*args):
+        if os.getpid() == parent:
+            raise AssertionError("the read ran in the test process")
+        os._exit(7)
+
+    monkeypatch.setattr(racemix.cli, "_read_diagnostics", dying)
+    set_usable_cpus(monkeypatch, 2)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="exited with code 7 without a result"):
+        _run(["diagnose", "--fit", str(fit_dir), "--out", str(out)])
+    assert list(out.iterdir()) == []

@@ -48,7 +48,7 @@ from racemix.predictive import (
 from racemix.sampler import ChainOutput, run_chain
 
 from _oracles import chain_state
-from conftest import TOY_CONTEXTS, TOY_OBSERVATIONS, TOY_RAINFALL
+from conftest import TOY_CONTEXTS, TOY_OBSERVATIONS, TOY_RAINFALL, set_usable_cpus
 
 
 def _flat_truth(n_athletes, n_courses, n_seasons, intercept=math.log(40.0),
@@ -462,11 +462,6 @@ def _assert_bit_identical(reports, expected):
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
 
 
-def _set_usable_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: n)
-
-
 def test_ppc_report_does_not_depend_on_the_worker_count(small_sim, small_fit, monkeypatch):
     design, _, chain = small_fit
     pool_sizes = []
@@ -479,7 +474,7 @@ def test_ppc_report_does_not_depend_on_the_worker_count(small_sim, small_fit, mo
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     runs = []
     for n_cpus in (1, 4):
-        _set_usable_cpus(monkeypatch, n_cpus)
+        set_usable_cpus(monkeypatch, n_cpus)
         runs.append(ppc_report(chain, design, small_sim.observations,
                                np.random.default_rng(21), bins=13))
     # without an affinity mask, the machine's CPU count; never more threads than races
@@ -504,7 +499,7 @@ def test_ppc_report_propagates_an_error_raised_for_one_race(small_sim, small_fit
         return simulate(chain, design, course, season, rng)
 
     monkeypatch.setattr(racemix.predictive, "posterior_predictive_race", failing)
-    _set_usable_cpus(monkeypatch, 4)
+    set_usable_cpus(monkeypatch, 4)
     threads = threading.active_count()
     with pytest.raises(DataError, match="bad race"):
         ppc_report(chain, design, small_sim.observations, np.random.default_rng(4))

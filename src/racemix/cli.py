@@ -22,7 +22,6 @@ import hashlib
 import json
 import os
 import sys
-import traceback
 from typing import NamedTuple
 
 import click
@@ -532,75 +531,21 @@ def simulate(spec_path, seed, out_dir):
                f"{len(data.contexts)} races")
 
 
-def _diagnostics_table(chain) -> str:
-    """The text of a chain's diagnostics.csv: each column's ESS and lag-1
-    autocorrelation, and whether the column is constant.
+def _read_diagnostics(fit_dir, manifest, index):
+    """diagnose's read half: the text of the chain's diagnostics.csv (each
+    column's ESS and lag-1 autocorrelation, and whether the column is
+    constant), its draw count and its column count.
 
     Constant (corner-constrained) columns get ESS N and rho1 0, without a
     warning.
     """
+    chain, _ = _load_indexed_chain(fit_dir, manifest, index)
     degenerate = constant_columns(chain.draws)
     ess, rho1 = ess_and_rho1(chain.draws, degenerate)
     rows = zip(chain.columns, ess.tolist(), rho1.tolist(), degenerate.astype(int))
-    return "parameter,ess,rho1,degenerate\n" + "".join(
+    table = "parameter,ess,rho1,degenerate\n" + "".join(
         "{},{!r},{!r},{}\n".format(*row) for row in rows)
-
-
-def _read_diagnostics(fit_dir, manifest, index):
-    """diagnose's read half: the chain's diagnostics.csv text, its draw
-    count and its column count."""
-    chain, _ = _load_indexed_chain(fit_dir, manifest, index)
-    return _diagnostics_table(chain), chain.n_stored, len(chain.columns)
-
-
-def _diagnose_worker(sender, fit_dir, manifest, index) -> None:
-    """The forked worker of diagnose: sends (result, None) of
-    _read_diagnostics, or (None, (exception, traceback text))."""
-    try:
-        reply = (_read_diagnostics(fit_dir, manifest, index), None)
-    except Exception as exc:
-        reply = (None, (exc, traceback.format_exc()))
-    sender.send(reply)
-    sender.close()
-
-
-def _worker_result(receiver, worker):
-    """What the worker sent: its result, or its exception raised again here."""
-    try:
-        result, error = receiver.recv()
-    except EOFError:
-        worker.join()
-        raise RuntimeError(f"the diagnose worker exited with code {worker.exitcode} "
-                           f"without a result") from None
-    if error is not None:
-        exc, worker_traceback = error
-        raise exc from RuntimeError(f"in the diagnose worker:\n{worker_traceback}")
-    return result
-
-
-def _diagnose_forked(context, fit_dir, manifest, index, chain_path, meta, trace_path):
-    """_read_diagnostics in a forked worker while this process exports the
-    trace to trace_path; the worker's result.
-
-    The worker's error wins over the export's, so a bad cell is named by
-    its line as in the serial order.
-    """
-    receiver, sender = context.Pipe(duplex=False)
-    worker = context.Process(target=_diagnose_worker,
-                             args=(sender, fit_dir, manifest, index))
-    with sender:  # the worker holds its own copy; a worker that dies unheard is an EOF
-        worker.start()
-    try:
-        try:
-            write_trace_csv(chain_path, meta, trace_path)
-        finally:
-            # raised here, the worker's error replaces any error of the export
-            result = _worker_result(receiver, worker)
-    finally:
-        # a worker still sending gets a broken pipe, so the join cannot block
-        receiver.close()
-        worker.join()
-    return result
+    return table, chain.n_stored, len(chain.columns)
 
 
 @main.command()
@@ -615,14 +560,17 @@ def diagnose(fit_dir, index, out_root):
     \f
     The chain is read and its ESS and lag-1 autocorrelations computed in one
     half; the other half re-lays the chain CSV's text into trace.csv.  When
-    more than one CPU is usable and the platform can fork, a forked worker
-    runs the read half while this process writes the trace; otherwise the
-    read runs first and the export second.  Either way the files are the
-    same and a bad chain file exits 2 naming its line.  The trace is written
-    as `<trace name>.tmp` and renamed to its name once the chain has been
-    read and the export has finished, and diagnostics.csv is written after
-    it: a failed read or export creates or changes neither file, and leaves
-    no temporary file.
+    more than one CPU is usable and the platform can fork, the read half
+    runs on a one-process concurrent.futures pool, forked, while this
+    process writes the trace; otherwise the read runs first and the export
+    second.  Either way the files are the same and a bad chain file exits 2
+    naming its line: the worker's exception is raised here with its own
+    type and the worker's traceback as its cause, in place of any error of
+    the export.  A worker that dies raises BrokenProcessPool, a
+    RuntimeError.  The trace is written as `<trace name>.tmp` and renamed to
+    its name once the chain has been read and the export has finished, and
+    diagnostics.csv is written after it: a failed read or export creates or
+    changes neither file, and leaves no temporary file.
     """
     manifest = _read_manifest(fit_dir)
     chain_path, meta_path, n_chains = _indexed_chain_files(fit_dir, manifest, index)
@@ -637,8 +585,9 @@ def diagnose(fit_dir, index, out_root):
     if usable_cpus() > 1:
         # imported here, as run_chains imports its process pool.  fork, not
         # spawn: a spawned worker would import numpy and racemix again,
-        # which costs about what the overlap saves; and diagnose has started
-        # no thread that could hold a lock across the fork
+        # which costs about what the overlap saves.  No thread runs at the
+        # fork: diagnose starts none, and the pool forks its worker before
+        # it starts its own
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
             context = multiprocessing.get_context("fork")
@@ -649,8 +598,15 @@ def diagnose(fit_dir, index, out_root):
             table, n_draws, n_columns = _read_diagnostics(fit_dir, manifest, index)
             write_trace_csv(chain_path, meta, partial)
         else:
-            table, n_draws, n_columns = _diagnose_forked(
-                context, fit_dir, manifest, index, chain_path, meta, partial)
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+                read = pool.submit(_read_diagnostics, fit_dir, manifest, index)
+                try:
+                    write_trace_csv(chain_path, meta, partial)
+                finally:
+                    # raised here, the worker's error replaces any error of the
+                    # export, so a bad cell is named by its line as in the serial order
+                    table, n_draws, n_columns = read.result()
         os.replace(partial, trace_path)
     finally:
         if os.path.exists(partial):

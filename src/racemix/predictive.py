@@ -419,7 +419,6 @@ class PpcRaceReport:
     n_finishers: int
     observed: tuple[float, float, float, float, float]
     predicted: tuple[float, float, float, float, float]
-    discrepancy: tuple[float, float, float, float, float]
     low_power: bool  # fewer than 5 finishers: quartiles are unstable
     bin_edges: np.ndarray = field(compare=False, repr=False)
     predicted_counts: np.ndarray = field(compare=False, repr=False)
@@ -442,10 +441,9 @@ def ppc_report(chain: ChainOutput, design, observed, rng,
     sorted field: each draw's simulated field is sorted, and the k-th
     fastest time is averaged over draws.  Each type-7 quantile is linear
     in two order statistics, so this equals the mean over draws of each
-    field's own summary, up to rounding.  Discrepancies are observed minus
-    predicted.  The histograms bin the same simulated fields and the
-    observed times into `bins` equal-width bins spanning both; the sorted
-    fields' end columns give the bins' span.
+    field's own summary, up to rounding.  The histograms bin the same
+    simulated fields and the observed times into `bins` equal-width bins
+    spanning both; the sorted fields' end columns give the bins' span.
 
     Races are reported on a thread pool of one thread per usable CPU (at
     most one per race); numpy releases the GIL for the noise, exp, sort
@@ -481,12 +479,10 @@ def ppc_report(chain: ChainOutput, design, observed, rng,
         edges = np.linspace(lo, hi if hi > lo else lo + 1.0, bins + 1)
         predicted_counts = np.histogram(pred, bins=edges)[0]
         pred_summary = np.quantile(pred.mean(axis=0), FIVE_NUMBER_QS)
-        disc = obs_summary - pred_summary
         return PpcRaceReport(
             course=course, season=season, n_finishers=obs_times.size,
             observed=tuple(float(v) for v in obs_summary),
             predicted=tuple(float(v) for v in pred_summary),
-            discrepancy=tuple(float(v) for v in disc),
             low_power=obs_times.size < 5,
             bin_edges=edges,
             predicted_counts=predicted_counts,

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import __version__
 from .ingest import DataError, DesignMatrixView
-from .model import ModelConfig
+from .model import RESPONSES, McmcSchedule, ModelConfig, json_number
 # not called by the sweep; perfbench/tracing.py wraps it by this name here
 from .model import linear_predictor_all  # noqa: F401
 
@@ -431,16 +431,32 @@ class ChainMeta:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChainMeta":
+        """The metadata of a JSON object; KeyError for a missing field, and
+        ValueError naming the field for a value of the wrong type or out of
+        range.  Values are checked, never coerced."""
+        schedule = McmcSchedule(**{name: json_number(d[name], name, integer=True)
+                                   for name in ("seed", "burn_in", "iterations", "thin")})
+        schedule.validate()
+        include_windspeed = d["include_windspeed"]
+        if not isinstance(include_windspeed, bool):
+            raise ValueError(f"include_windspeed must be true or false, "
+                             f"got {include_windspeed!r}")
+        if d["response"] not in RESPONSES:
+            raise ValueError(f"response must be one of {RESPONSES}, got {d['response']!r}")
+        levels = {name: d[name] for name in ("athletes", "courses", "seasons")}
+        for name, values in levels.items():
+            if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+                raise ValueError(f"{name} must be an array of strings")
         entropy, spawn_key = d.get("seed_entropy"), d.get("seed_spawn_key")
         return cls(
-            seed=int(d["seed"]), burn_in=int(d["burn_in"]),
-            iterations=int(d["iterations"]), thin=int(d["thin"]),
-            response=d["response"], include_windspeed=bool(d["include_windspeed"]),
-            d_bar=float(d["d_bar"]), w_bar=float(d["w_bar"]),
-            athletes=tuple(d["athletes"]), courses=tuple(d["courses"]),
-            seasons=tuple(d["seasons"]), version=d.get("version", "unknown"),
-            seed_entropy=None if entropy is None else int(entropy),
-            seed_spawn_key=None if spawn_key is None else tuple(int(k) for k in spawn_key))
+            **asdict(schedule), response=d["response"], include_windspeed=include_windspeed,
+            d_bar=json_number(d["d_bar"], "d_bar"), w_bar=json_number(d["w_bar"], "w_bar"),
+            **{name: tuple(values) for name, values in levels.items()},
+            version=d.get("version", "unknown"),
+            seed_entropy=None if entropy is None else json_number(
+                entropy, "seed_entropy", integer=True),
+            seed_spawn_key=None if spawn_key is None else tuple(
+                json_number(k, "seed_spawn_key", integer=True) for k in spawn_key))
 
 
 def _scalar_columns(include_windspeed: bool) -> tuple[str, ...]:

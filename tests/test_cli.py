@@ -5,6 +5,7 @@ schedules so the whole module stays fast.  Byte-level idempotency is
 asserted on the data artifacts, with SOURCE_DATE_EPOCH pinning the
 manifest timestamp.
 """
+import concurrent.futures
 import json
 import math
 import multiprocessing
@@ -78,15 +79,17 @@ def test_version_flag():
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    # a fresh interpreter: summarize, ppc, diagnose and one-chain fits start no pool
+    # a fresh interpreter: summarize, ppc, diagnose and one-chain fits start no
+    # pool, and each command imports multiprocessing only when it needs it
     src = os.path.dirname(os.path.dirname(racemix.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, racemix.cli; print('concurrent.futures.process' in sys.modules)"
+    code = ("import sys, racemix.cli; print([name for name in "
+            "('concurrent.futures.process', 'multiprocessing') if name in sys.modules])")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------- fit
@@ -502,8 +505,25 @@ def test_commands_find_chain_11_of_100_and_name_a_missing_file(tmp_path):
     assert "chain_07.csv is missing" in result.output
 
 
+# metadata values that were once coerced or let through (thin 2.9 read as 2,
+# "false" as True, a string of level names as one level per character)
+META_DAMAGE = {
+    "meta_thin_fraction": ({"thin": 2.9}, "thin must be an integer, got 2.9"),
+    "meta_thin_zero": ({"thin": 0}, "thin must be >= 1, got 0"),
+    "meta_burn_in_negative": ({"burn_in": -1}, "burn_in must be >= 0, got -1"),
+    "meta_seed_bool": ({"seed": True}, "seed must be an integer, got True"),
+    "meta_windspeed_string": ({"include_windspeed": "false"},
+                              "include_windspeed must be true or false, got 'false'"),
+    "meta_d_bar_string": ({"d_bar": "6.2"}, "d_bar must be a number, got '6.2'"),
+    "meta_response_unknown": ({"response": "log_speed"},
+                              "response must be one of ('log_time', 'log_pace'), "
+                              "got 'log_speed'"),
+    "meta_courses_string": ({"courses": "C00C01C02"}, "courses must be an array of strings"),
+}
+
+
 @pytest.mark.parametrize("damage", ["one_draw", "bad_cell", "ragged_row", "missing_meta_key",
-                                    "meta_not_object"])
+                                    "meta_not_object", *META_DAMAGE])
 def test_summarize_damaged_chain_exits_2(fit_dir, tmp_path, damage):
     # with only input errors mapped to exit 2, damaged chain files must
     # still surface as input errors, not as tracebacks
@@ -518,7 +538,9 @@ def test_summarize_damaged_chain_exits_2(fit_dir, tmp_path, damage):
     where = {"bad_cell": "chain.csv, line 4, column 1 (intercept)",
              # the blank line 4 counts, although parsing skips it
              "ragged_row": f"chain.csv, line 5: {n_columns - 1} cell(s), expected {n_columns}",
-             "meta_not_object": "metadata.json is not a JSON object"}
+             "meta_not_object": "metadata.json is not a JSON object",
+             **{name: f"metadata.json: bad metadata value: {message}"
+                for name, (_, message) in META_DAMAGE.items()}}
     if damage == "one_draw":
         chain.write_text("\n".join(lines[:2]) + "\n")
     elif damage == "bad_cell":
@@ -530,8 +552,10 @@ def test_summarize_damaged_chain_exits_2(fit_dir, tmp_path, damage):
         doc = json.loads(meta.read_text())
         del doc["thin"]
         meta.write_text(json.dumps(doc))
-    else:
+    elif damage == "meta_not_object":
         meta.write_text("[]")
+    else:
+        meta.write_text(json.dumps({**json.loads(meta.read_text()), **META_DAMAGE[damage][0]}))
     result = _run(["summarize", "--fit", str(copy)])
     assert result.exit_code == 2
     assert "error" in result.output
@@ -820,16 +844,17 @@ def two_chain_fit_dir(dataset_dir, tmp_path_factory):
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Count the diagnose runs that take the forked path."""
-    calls = []
-    forked = racemix.cli._diagnose_forked
+    """The keyword arguments of each process pool constructed, such as the
+    one diagnose forks its worker in."""
+    pools = []
 
-    def counting(*args):
-        calls.append(args)
-        return forked(*args)
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(racemix.cli, "_diagnose_forked", counting)
-    return calls
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    return pools
 
 
 @needs_fork
@@ -846,6 +871,9 @@ def test_diagnose_files_do_not_depend_on_the_cpu_count(two_chain_fit_dir, tmp_pa
         assert len(forks) == n_cpus - 1
         runs.append((result.output.replace(str(out), "<out>"),
                      {p.name: p.read_bytes() for p in out.iterdir()}))
+    # one worker, forked whatever the platform's default start method
+    assert forks[0]["max_workers"] == 1
+    assert forks[0]["mp_context"].get_start_method() == "fork"
     assert runs[0] == runs[1]
     assert sorted(runs[0][1]) == ["diagnostics_02.csv", "trace_02.csv"]
     assert "(240 draws" in runs[0][0]
@@ -919,18 +947,26 @@ def test_diagnose_worker_bug_is_not_an_input_error(fit_dir, tmp_path, monkeypatc
 
 
 @needs_fork
-def test_diagnose_worker_that_dies_unheard_is_an_internal_error(fit_dir, tmp_path,
-                                                                monkeypatch, forks):
+@pytest.mark.parametrize("command, patched", [("fit", "save_chain"), ("diagnose", "load_chain")])
+def test_pool_worker_that_dies_is_an_internal_error(dataset_dir, fit_dir, tmp_path, monkeypatch,
+                                                    forks, command, patched):
+    # the forked worker looks the patched function up by name in racemix.cli
     parent = os.getpid()
 
     def dying(*args):
         if os.getpid() == parent:
-            raise AssertionError("the read ran in the test process")
+            raise AssertionError("the worker's call ran in the test process")
         os._exit(7)
 
-    monkeypatch.setattr(racemix.cli, "_read_diagnostics", dying)
+    monkeypatch.setattr(racemix.cli, patched, dying)
     set_usable_cpus(monkeypatch, 2)
+    if command == "fit":
+        args = ["fit", *_data_args(dataset_dir), *FIT_ARGS, "--chains", "2"]
+    else:
+        args = ["diagnose", "--fit", str(fit_dir)]
     out = tmp_path / "out"
-    with pytest.raises(RuntimeError, match="exited with code 7 without a result"):
-        _run(["diagnose", "--fit", str(fit_dir), "--out", str(out)])
+    with pytest.raises(RuntimeError, match="terminated abruptly"):
+        _run([*args, "--out", str(out)])
+    assert len(forks) == 1
+    # no manifest.json, chain files, trace or table
     assert list(out.iterdir()) == []

@@ -58,7 +58,6 @@ from .predictive import (
     posterior_predictive_race,  # noqa: F401 -- perfbench/tracing.py wraps it by this name
     ppc_report,
     simulate_dataset,
-    usable_cpus,
     write_histograms_csv,
     write_ppc_csv,
 )
@@ -69,6 +68,7 @@ from .sampler import (
     load_chain_meta,
     run_chains,
     save_chain,
+    usable_cpus,
 )
 
 ENV_OUT_ROOT = "RACEMIX_OUT_ROOT"
@@ -296,9 +296,8 @@ def main():
 @click.option("--thin", type=int, default=None,
               help=f"[default: {_DEFAULTS.mcmc.thin}]")
 @click.option("--chains", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Independent chains run concurrently with spawned seeds.")
-@click.option("--workers", type=click.IntRange(min=1), default=None,
-              help="Process pool size for --chains > 1 (default: one per chain).")
+              help="Independent chains with spawned seeds, run on at most one "
+                   "process per usable CPU.")
 @click.option("--d-bar", type=float, default=None,
               help="Override the distance centering constant.")
 @click.option("--w-bar", type=float, default=None,
@@ -309,7 +308,7 @@ def main():
               help=f"Output directory [default: $%s/fit or ./fit]" % ENV_OUT_ROOT)
 @_cli_errors
 def fit(data, covariates, rainfall, sex, response, windspeed, seed, burn_in,
-        iterations, thin, chains, workers, d_bar, w_bar, config_path, out_dir):
+        iterations, thin, chains, d_bar, w_bar, config_path, out_dir):
     """Fit the model by MCMC and write chain, summary and manifest files."""
     config = _merged_config(config_path, response, windspeed, seed,
                             burn_in, iterations, thin, d_bar, w_bar)
@@ -332,7 +331,7 @@ def fit(data, covariates, rainfall, sex, response, windspeed, seed, burn_in,
                f"{len(design.courses)} courses, {len(design.seasons)} seasons; "
                f"{chains} chain(s)")
 
-    reports = run_chains(design, config, chains, max_workers=workers,
+    reports = run_chains(design, config, chains,
                          finish=functools.partial(_write_chain, out_dir, chains))
     for i, report in enumerate(reports, start=1):
         click.echo(f"chain {i}: {report.sweeps} sweeps in {report.sampling_s:.2f} s "
@@ -453,7 +452,7 @@ def _parse_race_filter(races_arg, design):
 @click.option("--races", default="all", show_default=True,
               help='"all" or a comma list of Course:Season filters.')
 @click.option("--index", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True,
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
               help="Seed for the predictive noise.")
 @click.option("--bins", type=click.IntRange(min=2), default=30, show_default=True,
               help="Histogram bin count per race.")
@@ -478,10 +477,7 @@ def ppc(fit_dir, races, index, seed, bins, data, covariates, rainfall, out_dir):
         out_dir = os.path.join(fit_dir, "ppc")
     os.makedirs(out_dir, exist_ok=True)
 
-    # the noise comes from the seed's first spawned child: that stream is
-    # what makes a given --seed reproduce the same ppc.csv
-    reports = ppc_report(chain, design, selected,
-                         np.random.default_rng(seed).spawn(1)[0], bins)
+    reports = ppc_report(chain, design, selected, np.random.default_rng(seed), bins)
     ppc_path = os.path.join(out_dir, "ppc.csv")
     write_ppc_csv(reports, ppc_path)
     write_histograms_csv(reports, os.path.join(out_dir, "histograms.csv"))

@@ -129,6 +129,13 @@ def _parse_float(value, what, path, lineno):
     return out
 
 
+def _check_month(text, path, lineno) -> None:
+    try:
+        parse_month(text)
+    except DataError as exc:
+        raise DataError(f"{path}: line {lineno}: {exc}") from None
+
+
 def parse_results(path, sex_filter: str) -> list[RaceObservation]:
     """Read results.csv, keeping only rows whose sex matches the filter.
 
@@ -146,10 +153,7 @@ def parse_results(path, sex_filter: str) -> list[RaceObservation]:
         finish_time = _parse_float(time_text, "finish time", path, lineno)
         if finish_time <= 0.0:
             raise DataError(f"{path}: nonpositive finish time, line {lineno}")
-        try:
-            parse_month(month_text)
-        except DataError as exc:
-            raise DataError(f"{path}: line {lineno}: {exc}") from None
+        _check_month(month_text, path, lineno)
         observations.append(RaceObservation(
             athlete_id=athlete_id, course=course, season=season,
             finish_time=finish_time, race_month=month_text, line=lineno))
@@ -170,10 +174,7 @@ def parse_races(path) -> list[RaceContext]:
         windspeed = _parse_float(wind_text, "windspeed", path, lineno)
         if windspeed < 0.0:
             raise DataError(f"{path}: line {lineno}: negative windspeed {windspeed}")
-        try:
-            parse_month(month_text)
-        except DataError as exc:
-            raise DataError(f"{path}: line {lineno}: {exc}") from None
+        _check_month(month_text, path, lineno)
         key = (course, season)
         if key in seen:
             raise DataError(f"{path}: line {lineno}: duplicate race {course} {season} "
@@ -189,10 +190,7 @@ def parse_rainfall(path) -> dict[str, float]:
     table = {}
     for lineno, row in _open_rows(path, RAINFALL_HEADER):
         month_text, rain_text = row
-        try:
-            parse_month(month_text)
-        except DataError as exc:
-            raise DataError(f"{path}: line {lineno}: {exc}") from None
+        _check_month(month_text, path, lineno)
         rain = _parse_float(rain_text, "rainfall", path, lineno)
         if rain < 0.0:
             raise DataError(f"{path}: line {lineno}: negative rainfall {rain}")

@@ -156,6 +156,8 @@ class McmcSchedule:
     seed: int = 0
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.burn_in < 0:
             raise ConfigError(f"burn_in must be >= 0, got {self.burn_in}")
         if self.thin < 1:

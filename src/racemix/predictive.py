@@ -14,11 +14,10 @@ the histogram's span, and the mean over draws of the sorted fields gives
 the predicted five-number summary.  A type-7 quantile of a sorted field
 is a fixed linear combination of two of its order statistics, so the
 quantile of that mean field is the mean of the draws' quantiles, up to
-rounding.  Predictive noise is generated in fixed-size chunks with
-per-chunk child generators, so results are reproducible no matter how
-the chunks are scheduled.  ppc_report simulates its races on a thread
-pool of one thread per usable CPU; each race draws from its own spawned
-child generator, so the reports do not depend on the thread count.
+rounding.  ppc_report simulates its races on a thread pool of one
+thread per usable CPU; each race draws its noise from its own spawned
+child generator, PPC_CHUNK draws at a time to bound memory, so the
+reports depend on neither the thread count nor the chunk size.
 """
 from __future__ import annotations
 
@@ -48,7 +47,7 @@ from .model import (
     json_number,
     json_numbers,
 )
-from .sampler import ChainOutput
+from .sampler import ChainOutput, usable_cpus
 
 PPC_CHUNK = 2048
 
@@ -107,6 +106,8 @@ class SyntheticSpec:
                      "mean_finishers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_races > self.n_courses * self.n_seasons:
             raise ConfigError(
                 f"n_races={self.n_races} exceeds the {self.n_courses}x"
@@ -374,9 +375,9 @@ def posterior_predictive_race(chain: ChainOutput, design, course: str,
     Y* ~ N(mu, 1/tau) per athlete, back-transformed to minutes (times the
     race distance under the log-pace response).  Every term of mu but the
     athlete effect is shared by the whole field, so it is computed once
-    per draw as a race-level offset from the design's race row.  Noise
-    is chunked with spawned child generators, so parallel evaluation of
-    chunks would give the same numbers.
+    per draw as a race-level offset from the design's race row.  The
+    noise comes from `rng` PPC_CHUNK draws at a time, which bounds memory
+    and does not change the numbers.
     """
     _check_chain_matches_design(chain, design)
     r = design.race_index(course, season)
@@ -396,11 +397,9 @@ def posterior_predictive_race(chain: ChainOutput, design, course: str,
 
     sd = 1.0 / np.sqrt(chain.column("tau_obs"))
     n_draws = chain.n_stored
-    n_chunks = (n_draws + PPC_CHUNK - 1) // PPC_CHUNK
-    for j, child in enumerate(rng.spawn(n_chunks)):
-        i0 = j * PPC_CHUNK
+    for i0 in range(0, n_draws, PPC_CHUNK):
         i1 = min(i0 + PPC_CHUNK, n_draws)
-        z = child.standard_normal((i1 - i0, rows.size))
+        z = rng.standard_normal((i1 - i0, rows.size))
         z *= sd[i0:i1, None]
         pred[i0:i1] += z
     np.exp(pred, out=pred)
@@ -423,14 +422,6 @@ class PpcRaceReport:
     bin_edges: np.ndarray = field(compare=False, repr=False)
     predicted_counts: np.ndarray = field(compare=False, repr=False)
     observed_counts: np.ndarray = field(compare=False, repr=False)
-
-
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the
-    platform has one, else the machine's CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def ppc_report(chain: ChainOutput, design, observed, rng,

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 import warnings
 from dataclasses import dataclass, field, asdict
@@ -621,31 +622,41 @@ def spawn_chain_seeds(seed: int, n_chains: int):
     return np.random.SeedSequence(seed).spawn(n_chains)
 
 
-def run_chains(design: DesignMatrixView, config: ModelConfig, n_chains: int,
-               max_workers: int | None = None, finish=None) -> list:
-    """Run n_chains independent chains, concurrently when workers allow.
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Chain i uses the i-th SeedSequence child of the schedule seed, so
-    results do not depend on the worker count.  Without `finish` the
-    ChainOutputs are returned, in chain order.  `finish(i, chain)`, when
-    given, runs right after chain i (1-based) in the process that sampled
-    it, so each chain's own post-processing overlaps the other chains'
-    sampling; its return value takes the chain's place in the list, and
-    the chain itself is dropped there.  So with a pool no draws cross back
-    to this process, only what `finish` returns.  With a pool, `finish`
-    and its results must pickle (a module-level function or a
-    functools.partial of one).
+
+def run_chains(design: DesignMatrixView, config: ModelConfig, n_chains: int, finish=None) -> list:
+    """Run n_chains independent chains on min(n_chains, usable_cpus())
+    processes: one after another in this process when that is one, else
+    on a process pool of that size.
+
+    Chain i uses the i-th SeedSequence child of the schedule seed, so its
+    draws depend on neither the chain count nor the pool size.  Without
+    `finish` the ChainOutputs are returned, in chain order.  `finish(i,
+    chain)`, when given, runs right after chain i (1-based) in the process
+    that sampled it, so each chain's own post-processing overlaps the
+    other chains' sampling; its return value takes the chain's place in
+    the list, and the chain itself is dropped there.  So with a pool no
+    draws cross back to this process, only what `finish` returns.  With a
+    pool, `finish` and its results must pickle (a module-level function or
+    a functools.partial of one).
     """
     if n_chains < 1:
         raise SamplerError(f"n_chains must be >= 1, got {n_chains}")
     seeds = spawn_chain_seeds(config.mcmc.seed, n_chains)
     jobs = [(design, config, ss, finish, i) for i, ss in enumerate(seeds, start=1)]
-    if n_chains == 1 or max_workers == 1:
+    workers = min(n_chains, usable_cpus())
+    if workers == 1:
         return [_chain_worker(job) for job in jobs]
-    # imported here, so that one-chain fits and the commands that read a fit
+    # imported here, so that in-process fits and the commands that read a fit
     # do not load multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=max_workers or n_chains) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_chain_worker, jobs))
 
 

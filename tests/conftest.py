@@ -39,7 +39,7 @@ def no_process_left_running():
 
 
 def set_usable_cpus(monkeypatch, n):
-    """Make racemix.predictive.usable_cpus() return n."""
+    """Make racemix.sampler.usable_cpus() return n."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: n)
 

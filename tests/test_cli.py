@@ -131,10 +131,11 @@ def test_fit_seed_changes_draws(dataset_dir, tmp_path):
     assert (a / "chain.csv").read_bytes() != (b / "chain.csv").read_bytes()
 
 
-def test_fit_multichain_artifacts(dataset_dir, tmp_path):
+def test_fit_multichain_artifacts(dataset_dir, tmp_path, monkeypatch):
+    set_usable_cpus(monkeypatch, 1)
     out = tmp_path / "fit2"
     result = _run(["fit", *_data_args(dataset_dir), *FIT_ARGS,
-                   "--chains", "2", "--workers", "1", "--out", str(out)])
+                   "--chains", "2", "--out", str(out)])
     assert result.exit_code == 0, result.output
     for name in ("chain_01.csv", "chain_02.csv", "metadata_01.json",
                  "metadata_02.json", "summary_01.csv", "summary_02.csv",
@@ -155,21 +156,35 @@ def test_fit_multichain_artifacts(dataset_dir, tmp_path):
         assert float(rhat) >= 1.0 or np.isfinite(float(rhat))
 
 
-def test_fit_artifacts_do_not_depend_on_worker_count(dataset_dir, tmp_path):
-    # pooled chains write their own files in their workers; the bytes must
-    # match those written one chain after another in this process
-    env = {"SOURCE_DATE_EPOCH": "1700000000"}
-    args = ["fit", *_data_args(dataset_dir), *FIT_ARGS, "--chains", "2", "--seed", "8"]
-    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
-    assert _run([*args, "--workers", "1", "--out", str(serial)], env=env).exit_code == 0
-    assert _run([*args, "--out", str(pooled)], env=env).exit_code == 0
-    names = [f"{stem}_{i:02d}.{ext}" for i in (1, 2)
-             for stem, ext in (("chain", "csv"), ("metadata", "json"), ("summary", "csv"))]
-    for name in names + ["crosschain.csv"]:
-        assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
-    manifests = [json.loads((d / "manifest.json").read_text()) for d in (serial, pooled)]
-    assert manifests[0]["artifacts"] == manifests[1]["artifacts"]
-    assert sorted(names + ["crosschain.csv", "manifest.json"]) == manifests[0]["artifacts"]
+def test_chain_files_do_not_depend_on_the_chain_count_or_the_pool_size(
+        dataset_dir, tmp_path, monkeypatch, forks):
+    # SeedSequence(seed).spawn(n)[i] does not depend on n, so chain i's files
+    # are the same in a fit of any chain count, whether its chains ran in this
+    # process one after another (one usable CPU) or on a pool (two)
+    args = ["fit", *_data_args(dataset_dir), *FIT_ARGS, "--seed", "8"]
+    files, crosschain = {}, {}
+    for n_cpus in (1, 2):
+        set_usable_cpus(monkeypatch, n_cpus)
+        for chains in (1, 2, 3):
+            out = tmp_path / f"cpus{n_cpus}-chains{chains}"
+            assert _run([*args, "--chains", str(chains), "--out", str(out)]).exit_code == 0
+            for i in range(1, chains + 1):
+                for stem, ext in (("chain", "csv"), ("metadata", "json"), ("summary", "csv")):
+                    name = f"{stem}.{ext}" if chains == 1 else f"{stem}_{i:02d}.{ext}"
+                    files.setdefault((i, stem), []).append((out / name).read_bytes())
+            if chains > 1:
+                crosschain.setdefault(chains, []).append((out / "crosschain.csv").read_bytes())
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["artifacts"] == sorted(p.name for p in out.iterdir())
+        # a pool of two for two chains and for three
+        assert [pool["max_workers"] for pool in forks] == ([] if n_cpus == 1 else [2, 2])
+    assert {key: len(texts) for key, texts in files.items()} == {
+        (i, stem): 2 * (4 - i) for i in (1, 2, 3) for stem in ("chain", "metadata", "summary")}
+    for key, texts in files.items():
+        assert len(set(texts)) == 1, key
+    for chains, texts in crosschain.items():
+        assert len(texts) == 2 and texts[0] == texts[1], chains
+    assert files[1, "chain"][0] != files[2, "chain"][0]
 
 
 # the corner-constrained columns are constant, and effective_sample_size says so
@@ -367,6 +382,8 @@ def test_fit_non_numeric_config_value_exits_2(dataset_dir, tmp_path, doc):
     ({"mcmc": {"seed": True}}, FIT_ARGS, "mcmc seed"),
     ({"priors": {"v_intercept": True}}, FIT_ARGS, "prior v_intercept"),
     ({"d_bar": False}, FIT_ARGS, "d_bar"),
+    ({"mcmc": {"seed": -5}}, FIT_ARGS, "seed"),
+    ({}, [*FIT_ARGS, "--seed", "-3"], "seed"),
 ])
 def test_fit_config_value_of_the_wrong_json_type_exits_2(dataset_dir, tmp_path, doc, args,
                                                          field):
@@ -377,7 +394,7 @@ def test_fit_config_value_of_the_wrong_json_type_exits_2(dataset_dir, tmp_path, 
                    "--out", str(tmp_path / "out")])
     assert result.exit_code == 2, result.output
     assert f"error: {field} must be" in result.output
-    assert not (tmp_path / "out" / "chain.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_fit_default_out_uses_env_root(dataset_dir, tmp_path):
@@ -416,15 +433,15 @@ def test_summarize_non_fit_directory_exits_2(tmp_path):
     assert result.exit_code == 2
 
 
-def test_commands_read_only_the_chains_of_the_latest_fit(dataset_dir, tmp_path):
+def test_commands_read_only_the_chains_of_the_latest_fit(dataset_dir, tmp_path, monkeypatch):
     # a one-chain fit leaves chain.csv behind; a two-chain fit into the
     # same directory must not have it read back
     out = tmp_path / "fit"
     data = _data_args(dataset_dir)
     assert _run(["fit", *data, "--burn-in", "100", "--iterations", "600", "--thin", "5",
                  "--out", str(out)]).exit_code == 0
-    assert _run(["fit", *data, *FIT_ARGS, "--chains", "2", "--workers", "1",
-                 "--out", str(out)]).exit_code == 0
+    set_usable_cpus(monkeypatch, 1)
+    assert _run(["fit", *data, *FIT_ARGS, "--chains", "2", "--out", str(out)]).exit_code == 0
     assert (out / "chain.csv").exists()
     for index in (1, 2):
         summary = tmp_path / f"summary_{index}.csv"
@@ -450,11 +467,12 @@ def _short_fit_args(dataset_dir, out):
             "--thin", "10", "--out", str(out)]
 
 
-def test_fit_names_the_files_an_earlier_fit_left(dataset_dir, tmp_path):
+def test_fit_names_the_files_an_earlier_fit_left(dataset_dir, tmp_path, monkeypatch):
+    set_usable_cpus(monkeypatch, 1)
     out = tmp_path / "fit"
     args = _short_fit_args(dataset_dir, out)
     assert _run(args).exit_code == 0
-    result = _run([*args, "--chains", "2", "--workers", "1"])
+    result = _run([*args, "--chains", "2"])
     assert result.exit_code == 0, result.output
     assert result.stderr.startswith(f"warning: {out} keeps files of an earlier fit")
     assert result.stderr.rstrip().endswith(": chain.csv, metadata.json, summary.csv")
@@ -474,9 +492,9 @@ def test_fit_names_the_files_an_earlier_fit_left(dataset_dir, tmp_path):
 
 @pytest.mark.parametrize("chains", ["1", "2"])
 def test_fit_refitted_with_the_same_chain_count_warns_of_nothing(dataset_dir, tmp_path,
-                                                                 chains):
-    args = [*_short_fit_args(dataset_dir, tmp_path / "fit"), "--chains", chains,
-            "--workers", "1"]
+                                                                 monkeypatch, chains):
+    set_usable_cpus(monkeypatch, 1)
+    args = [*_short_fit_args(dataset_dir, tmp_path / "fit"), "--chains", chains]
     for _ in range(2):
         result = _run(args)
         assert result.exit_code == 0 and result.stderr == "", result.output
@@ -512,6 +530,7 @@ META_DAMAGE = {
     "meta_thin_zero": ({"thin": 0}, "thin must be >= 1, got 0"),
     "meta_burn_in_negative": ({"burn_in": -1}, "burn_in must be >= 0, got -1"),
     "meta_seed_bool": ({"seed": True}, "seed must be an integer, got True"),
+    "meta_seed_negative": ({"seed": -1}, "seed must be >= 0, got -1"),
     "meta_windspeed_string": ({"include_windspeed": "false"},
                               "include_windspeed must be true or false, got 'false'"),
     "meta_d_bar_string": ({"d_bar": "6.2"}, "d_bar must be a number, got '6.2'"),
@@ -616,6 +635,14 @@ def test_ppc_unknown_race_exits_2(fit_dir, tmp_path):
                    "--out", str(tmp_path / "ppc")])
     assert result.exit_code == 2
     assert "Atlantis" in result.output
+
+
+def test_ppc_negative_seed_exits_2(fit_dir, tmp_path):
+    result = _run(["ppc", "--fit", str(fit_dir), "--seed", "-2",
+                   "--out", str(tmp_path / "ppc")])
+    assert result.exit_code == 2
+    assert "--seed" in result.output
+    assert not (tmp_path / "ppc").exists()
 
 
 def test_ppc_error_raised_for_one_race_exits_2(fit_dir, tmp_path, monkeypatch):
@@ -746,11 +773,14 @@ def test_simulate_spec_file_and_determinism(tmp_path):
 
 def test_simulate_invalid_spec_exits_2(tmp_path):
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps({"n_athletes": 0}))
-    result = _run(["simulate", "--spec", str(spec_path),
-                   "--out", str(tmp_path / "out")])
-    assert result.exit_code == 2
-    assert "n_athletes" in result.output
+    for doc, args, message in (({"n_athletes": 0}, [], "n_athletes"),
+                               ({}, ["--seed", "-1"], "seed must be >= 0, got -1")):
+        spec_path.write_text(json.dumps(doc))
+        result = _run(["simulate", "--spec", str(spec_path), *args,
+                       "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("doc,message", [
@@ -770,6 +800,7 @@ def test_simulate_invalid_spec_exits_2(tmp_path):
     ({"truth": {"intercept": 3.85}}, "truth is missing fields ['gamma_dist', "),
     ({"truth": dict(SyntheticSpec().to_dict()["truth"], tau_obs=-1.0)},
      "truth: tau_obs must be positive, got -1.0"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
 ])
 def test_simulate_spec_value_of_the_wrong_json_type_or_name_exits_2(tmp_path, doc, message):
     spec_path = tmp_path / "spec.json"
@@ -836,8 +867,10 @@ needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_meth
 @pytest.fixture(scope="session")
 def two_chain_fit_dir(dataset_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("cli-fit-2") / "fit"
-    result = _run(["fit", *_data_args(dataset_dir), *FIT_ARGS, "--chains", "2",
-                   "--workers", "1", "--seed", "12", "--out", str(out)])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        set_usable_cpus(monkeypatch, 1)
+        result = _run(["fit", *_data_args(dataset_dir), *FIT_ARGS, "--chains", "2",
+                       "--seed", "12", "--out", str(out)])
     assert result.exit_code == 0, result.output
     return out
 

@@ -74,6 +74,8 @@ def test_mcmc_schedule_validation():
         McmcSchedule(burn_in=-1).validate()
     with pytest.raises(ConfigError):
         McmcSchedule(thin=0).validate()
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        McmcSchedule(seed=-1).validate()
 
 
 def test_model_config_roundtrip_and_validation():

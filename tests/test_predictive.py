@@ -77,6 +77,7 @@ def _flat_truth(n_athletes, n_courses, n_seasons, intercept=math.log(40.0),
     ({"windspeed_range": (-1.0, 5.0)}, "nonnegative"),
     ({"sex": "X"}, "sex"),
     ({"response": "pace"}, "response"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
 ])
 def test_spec_validation_errors(changes, match):
     spec = dataclasses.replace(SyntheticSpec(), **changes)
@@ -311,9 +312,7 @@ def test_predictive_race_is_the_linear_predictor_plus_chunked_noise(
     rows = np.nonzero(design.race_idx == 1)[0]
     pred = posterior_predictive_race(chain, design, course, season,
                                      np.random.default_rng(31))
-    children = np.random.default_rng(31).spawn(2)
-    z = np.vstack([children[0].standard_normal((PPC_CHUNK, rows.size)),
-                   children[1].standard_normal((chain.n_stored - PPC_CHUNK, rows.size))])
+    z = np.random.default_rng(31).standard_normal((chain.n_stored, rows.size))
     for i in range(chain.n_stored):
         state = chain_state(chain, chain.draws[i])
         assert (state.lambda_wind is not None) == windspeed
@@ -322,6 +321,18 @@ def test_predictive_race_is_the_linear_predictor_plus_chunked_noise(
         if response == RESPONSE_LOG_PACE:
             want = want * design.race_dist[design.race_idx[rows]]
         np.testing.assert_allclose(pred[i], want, rtol=1e-12, atol=0.0)
+
+
+def test_predictive_race_does_not_depend_on_the_chunk_size(long_fits, monkeypatch):
+    design, chain = long_fits[RESPONSE_LOG_TIME, False]
+    course, season = design.races()[1]
+    preds = []
+    for chunk in (7, 2048):
+        monkeypatch.setattr(racemix.predictive, "PPC_CHUNK", chunk)
+        preds.append(posterior_predictive_race(chain, design, course, season,
+                                               np.random.default_rng(5)))
+    assert chain.n_stored > 2048
+    assert np.array_equal(preds[0], preds[1])
 
 
 def test_predictive_race_rejects_mismatched_design(small_fit, toy_design):

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_toy_design, make_toy_state
+from conftest import make_toy_design, make_toy_state, set_usable_cpus
 
 from racemix.ingest import build_design
 from racemix.model import McmcSchedule, ModelConfig, ParameterState, linear_predictor_all
@@ -631,35 +631,29 @@ def test_metadata_without_chain_seed_fields_loads(tmp_path):
     assert np.array_equal(again.draws, chain.draws)
 
 
-def test_run_chains_parallel_equals_serial():
-    design = make_toy_design()
-    cfg = small_config(iterations=100)
-    serial = run_chains(design, cfg, 2, max_workers=1)
-    parallel = run_chains(design, cfg, 2, max_workers=2)
-    for s, p in zip(serial, parallel):
-        assert np.array_equal(s.draws, p.draws)
-    assert not np.array_equal(serial[0].draws, serial[1].draws)
-    with pytest.raises(SamplerError):
-        run_chains(design, cfg, 0)
-
-
 def _chain_digest(index, chain):
     # a module-level finish, so that it pickles to the pool's workers
     return index, chain.draws.shape, chain.draws.sum()
 
 
-def test_run_chains_returns_finish_results_in_chain_order():
+def test_run_chains_returns_finish_results_in_chain_order(monkeypatch):
     design = make_toy_design()
     cfg = small_config(iterations=100)
-    serial = run_chains(design, cfg, 3, max_workers=1, finish=_chain_digest)
-    pooled = run_chains(design, cfg, 3, max_workers=2, finish=_chain_digest)
+    set_usable_cpus(monkeypatch, 1)
+    serial = run_chains(design, cfg, 3, finish=_chain_digest)
+    chains = run_chains(design, cfg, 3)
+    set_usable_cpus(monkeypatch, 2)
+    pooled = run_chains(design, cfg, 3, finish=_chain_digest)
     assert serial == pooled
-    chains = run_chains(design, cfg, 3, max_workers=1)
     assert serial == [_chain_digest(i, c) for i, c in enumerate(chains, start=1)]
+    assert not np.array_equal(chains[0].draws, chains[1].draws)
+    with pytest.raises(SamplerError):
+        run_chains(design, cfg, 0)
 
 
-def test_run_chains_with_finish_keeps_no_chain():
+def test_run_chains_with_finish_keeps_no_chain(monkeypatch):
     # 3,000 stored draws: they dominate what a toy chain allocates
+    set_usable_cpus(monkeypatch, 1)
     design = make_toy_design()
     cfg = small_config(iterations=3000, thin=1)
     # also loads the modules the sampler imports on first use, before tracing
@@ -667,7 +661,7 @@ def test_run_chains_with_finish_keeps_no_chain():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        digests = run_chains(design, cfg, 2, max_workers=1, finish=_chain_digest)
+        digests = run_chains(design, cfg, 2, finish=_chain_digest)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

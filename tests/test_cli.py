@@ -156,8 +156,8 @@ def test_fit_multichain_artifacts(dataset_dir, tmp_path, monkeypatch):
         assert float(rhat) >= 1.0 or np.isfinite(float(rhat))
 
 
-def test_chain_files_do_not_depend_on_the_chain_count_or_the_pool_size(
-        dataset_dir, tmp_path, monkeypatch, forks):
+def test_fit_artifacts_do_not_depend_on_worker_count(dataset_dir, tmp_path, monkeypatch,
+                                                     forks):
     # SeedSequence(seed).spawn(n)[i] does not depend on n, so chain i's files
     # are the same in a fit of any chain count, whether its chains ran in this
     # process one after another (one usable CPU) or on a pool (two)

@@ -631,6 +631,20 @@ def test_metadata_without_chain_seed_fields_loads(tmp_path):
     assert np.array_equal(again.draws, chain.draws)
 
 
+def test_run_chains_parallel_equals_serial(monkeypatch):
+    design = make_toy_design()
+    cfg = small_config(iterations=100)
+    set_usable_cpus(monkeypatch, 1)
+    serial = run_chains(design, cfg, 2)
+    set_usable_cpus(monkeypatch, 2)
+    parallel = run_chains(design, cfg, 2)
+    for s, p in zip(serial, parallel):
+        assert np.array_equal(s.draws, p.draws)
+    assert not np.array_equal(serial[0].draws, serial[1].draws)
+    with pytest.raises(SamplerError):
+        run_chains(design, cfg, 0)
+
+
 def _chain_digest(index, chain):
     # a module-level finish, so that it pickles to the pool's workers
     return index, chain.draws.shape, chain.draws.sum()
@@ -646,9 +660,6 @@ def test_run_chains_returns_finish_results_in_chain_order(monkeypatch):
     pooled = run_chains(design, cfg, 3, finish=_chain_digest)
     assert serial == pooled
     assert serial == [_chain_digest(i, c) for i, c in enumerate(chains, start=1)]
-    assert not np.array_equal(chains[0].draws, chains[1].draws)
-    with pytest.raises(SamplerError):
-        run_chains(design, cfg, 0)
 
 
 def test_run_chains_with_finish_keeps_no_chain(monkeypatch):

@@ -318,15 +318,15 @@ def fit(data, covariates, rainfall, sex, response, windspeed, seed, burn_in,
             f"--iterations {config.mcmc.iterations} / --thin {config.mcmc.thin} stores "
             f"{config.mcmc.n_stored} draw(s) per chain; need at least 2 "
             f"(4 with --chains > 1)")
-    if out_dir is None:
-        out_dir = os.path.join(_out_root(), "fit")
-    os.makedirs(out_dir, exist_ok=True)
-    earlier = _earlier_artifacts(out_dir)
-
     observations = parse_results(data, sex)
     contexts = parse_races(covariates)
     rain = parse_rainfall(rainfall)
     design = build_design(observations, contexts, rain, config)
+    # made only once the inputs are good, so bad input leaves no directory
+    if out_dir is None:
+        out_dir = os.path.join(_out_root(), "fit")
+    os.makedirs(out_dir, exist_ok=True)
+    earlier = _earlier_artifacts(out_dir)
     click.echo(f"fitting {design.n_obs} observations: {len(design.athletes)} athletes, "
                f"{len(design.courses)} courses, {len(design.seasons)} seasons; "
                f"{chains} chain(s)")
@@ -473,11 +473,11 @@ def ppc(fit_dir, races, index, seed, bins, data, covariates, rainfall, out_dir):
     wanted = set(_parse_race_filter(races, design))
     selected = [o for o in observations if (o.course, o.season) in wanted]
 
+    reports = ppc_report(chain, design, selected, np.random.default_rng(seed), bins)
+    # made only once every race is simulated, so a failed race leaves no directory
     if out_dir is None:
         out_dir = os.path.join(fit_dir, "ppc")
     os.makedirs(out_dir, exist_ok=True)
-
-    reports = ppc_report(chain, design, selected, np.random.default_rng(seed), bins)
     ppc_path = os.path.join(out_dir, "ppc.csv")
     write_ppc_csv(reports, ppc_path)
     write_histograms_csv(reports, os.path.join(out_dir, "histograms.csv"))

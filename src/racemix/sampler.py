@@ -29,14 +29,17 @@ A sweep costs tens of microseconds, most of it per-call overhead, so
 run_chain keeps the location parameters in one float64 vector laid out
 like a draws row (the block writes beta and the athletes straight into
 it) and the other scalars as Python floats; a stored draw is one row
-copy.  The standard Normal and Gamma variates of VARIATE_BLOCK sweeps
-come from one generator call each, and the updates take their variates
-rather than the generator; only the slice update draws as it goes.
+copy.  The standard Normal, Gamma and exponential variates of
+VARIATE_BLOCK sweeps, and SLICE_UNIFORMS uniforms per sweep, come from one
+generator call each, and every update takes its variates rather than the
+generator: no update draws as it goes.  A slice update that needs more
+uniforms than its sweep's budget continues from the chain's generator.
 
 Chains are deterministic given a seed; independent chains get
 SeedSequence-spawned child seeds, recorded in each chain's metadata so
 any one chain can be replayed alone.  The variates are drawn in whole
-blocks, so a sweep's draws do not depend on how long the chain runs.
+blocks and the generator is only ever read forward, so a sweep's draws do
+not depend on how long the chain runs.
 """
 from __future__ import annotations
 
@@ -62,17 +65,22 @@ SLICE_MAX_STEPS = 50
 # rows of a chain CSV formatted per write: their text is the largest
 # transient of a chain worker, about 0.6 MB at 32 rows of 223 columns
 WRITE_BLOCK_ROWS = 32
-# sweeps whose standard Normal and Gamma variates are drawn by one
-# generator call each: 64 x (p + athletes + 1) normals is about 110 KB
-# at league scale
+# sweeps whose standard Normal, Gamma, exponential and uniform variates
+# are drawn by one generator call each: 64 x (p + athletes + 1) normals
+# is about 110 KB at league scale
 VARIATE_BLOCK = 64
+# uniforms per sweep for the slice update of phi, drawn with the block:
+# one places the initial interval, the rest are shrinkage proposals, and a
+# sweep that needs more continues from the chain's generator
+SLICE_UNIFORMS = 8
 
 # smallest positive normal float64; floor for underflowing Gamma draws
 TINY_PRECISION = float(np.finfo(float).tiny)
 
 # the trailing diagonal of the matrix LocationBlock.draw factorises; any
-# value far above the largest entry of Q^-1 and of b'Q^-1 b does, since the
-# draw reads no column of the factor that depends on it
+# value far above the largest entry of beta's conditional covariance and of
+# b'Q^-1 b does, since the draw reads no column of the factor that depends
+# on it
 KAPPA = 1e150
 
 # The draws-row layout: these scalars in this order (lambda_wind only when
@@ -181,27 +189,34 @@ def phi_log_target(phi, rho_prev, m_rho, v_rho_prev, a_phi, b_phi) -> float:
             - (rho_prev - phi * m_rho) ** 2 / (2.0 * v_rho_prev))
 
 
-def slice_update_phi(phi_current, rho_prev, m_rho, v_rho_prev, a_phi, b_phi, rng) -> float:
+def _slice_error(reason, phi, rho_prev, m_rho, v_rho_prev, a_phi, b_phi) -> SamplerError:
+    return SamplerError(f"{reason}: phi={phi} rho_prev={rho_prev} m_rho={m_rho} "
+                        f"v_rho_prev={v_rho_prev} a_phi={a_phi} b_phi={b_phi}")
+
+
+def slice_update_phi(phi_current, rho_prev, m_rho, v_rho_prev, a_phi, b_phi,
+                     exponential, uniforms, rng) -> float:
     """One slice-sampling update of phi: stepping out, then shrinkage.
 
-    The interval is clamped at zero on the left (the target has no mass
-    there).  A current point where the log target is not finite (any NaN
-    input included) and failing to bracket the slice within
+    exponential is a standard exponential variate, the slice's depth below
+    the current log target.  uniforms holds at least one Uniform(0, 1)
+    variate: the first places the initial interval, the rest are the
+    shrinkage proposals in order, and any further proposal is drawn from
+    rng.  The interval is clamped at zero on the left (the target has no
+    mass there).  A current point where the log target is not finite (any
+    NaN input included) and failing to bracket the slice within
     SLICE_MAX_STEPS step-outs are errors carrying the full conditioning state.
     """
-    def conditioning():
-        return (f"phi={phi_current} rho_prev={rho_prev} m_rho={m_rho} "
-                f"v_rho_prev={v_rho_prev} a_phi={a_phi} b_phi={b_phi}")
-
     if not phi_current > 0.0:  # NaN included
-        raise SamplerError(f"phi must be positive: {conditioning()}")
+        raise _slice_error("phi must be positive",
+                           phi_current, rho_prev, m_rho, v_rho_prev, a_phi, b_phi)
     log_fx = phi_log_target(phi_current, rho_prev, m_rho, v_rho_prev, a_phi, b_phi)
     if not math.isfinite(log_fx):
-        raise SamplerError(f"phi's log target is {log_fx}: {conditioning()}")
-    log_y = log_fx - rng.exponential()
+        raise _slice_error(f"phi's log target is {log_fx}",
+                           phi_current, rho_prev, m_rho, v_rho_prev, a_phi, b_phi)
+    log_y = log_fx - exponential
 
-    u = rng.random()
-    left = phi_current - SLICE_WIDTH * u
+    left = phi_current - SLICE_WIDTH * uniforms[0]
     right = left + SLICE_WIDTH
     steps = 0
     # no closure around phi_log_target: one Python call fewer per evaluation
@@ -210,26 +225,31 @@ def slice_update_phi(phi_current, rho_prev, m_rho, v_rho_prev, a_phi, b_phi, rng
         left -= SLICE_WIDTH
         steps += 1
         if steps > SLICE_MAX_STEPS:
-            raise SamplerError(f"slice bracket failure (left) after {SLICE_MAX_STEPS} "
-                               f"step-outs: {conditioning()}")
+            raise _slice_error(f"slice bracket failure (left) after "
+                               f"{SLICE_MAX_STEPS} step-outs",
+                               phi_current, rho_prev, m_rho, v_rho_prev, a_phi, b_phi)
     left = max(left, 0.0)
     steps = 0
     while phi_log_target(right, rho_prev, m_rho, v_rho_prev, a_phi, b_phi) > log_y:
         right += SLICE_WIDTH
         steps += 1
         if steps > SLICE_MAX_STEPS:
-            raise SamplerError(f"slice bracket failure (right) after {SLICE_MAX_STEPS} "
-                               f"step-outs: {conditioning()}")
+            raise _slice_error(f"slice bracket failure (right) after "
+                               f"{SLICE_MAX_STEPS} step-outs",
+                               phi_current, rho_prev, m_rho, v_rho_prev, a_phi, b_phi)
 
-    for _ in range(10_000):
-        prop = left + rng.random() * (right - left)
+    given = len(uniforms)
+    for k in range(1, 10_001):
+        u = uniforms[k] if k < given else rng.random()
+        prop = left + u * (right - left)
         if phi_log_target(prop, rho_prev, m_rho, v_rho_prev, a_phi, b_phi) >= log_y:
             return prop
         if prop < phi_current:
             left = prop
         else:
             right = prop
-    raise SamplerError(f"slice shrinkage failed to accept: {conditioning()}")
+    raise _slice_error("slice shrinkage failed to accept",
+                       phi_current, rho_prev, m_rho, v_rho_prev, a_phi, b_phi)
 
 
 class LocationBlock:
@@ -249,23 +269,25 @@ class LocationBlock:
     is G scaled row-wise by w, and P0, m0 are beta's prior precisions and
     means.  Athletes with the same count n_a share w, so G~'G~ and
     G~'(w S_ya) are sums over the distinct counts of w^2 times fixed
-    moments of [G | S_ya].  Q and b are therefore one fixed basis
-    (`basis`) times a short coefficient vector, built in O(R p^2) whatever
-    the number of observations or athletes.
+    moments of [G | S_ya].  Q and b are therefore fixed matrices times a
+    short coefficient vector (`coef`), built in O(R p^2) whatever the
+    number of observations or athletes.
 
-    The basis is kept in units of the columns' weighted norms sqrt(X'NX),
+    Q and b are kept in units of the columns' weighted norms sqrt(X'NX),
     so Q is well scaled however different the covariates' scales are
     (rainfall in mm against indicators); `unit` converts back.
 
     draw() writes beta and the athletes into a draws row, at
     `beta_columns` and `athletes`.  It factorises the augmented matrix
 
-        A = [[Q, ., .], [I, kappa I, .], [b', 0, kappa]]
+        A = [[Q, ., .], [U, kappa I, .], [b', 0, kappa]],   U = diag(unit),
 
     of size 2p + 1 (only its lower triangle is read): the factor's first p
-    columns are [L; L^-T; (L^-1 b)'] with L L' = Q, whatever kappa is.
-    kappa (KAPPA) only has to keep the trailing pivots positive.  Q and b
-    are copied into `augmented` each sweep; its other blocks are set once.
+    columns are [L; U L^-T; (L^-1 b)'] with L L' = Q, whatever kappa is.
+    kappa (KAPPA) only has to keep the trailing pivots positive.  A's
+    first p columns are one fixed basis (`basis`) times `coef`, U sitting
+    in the basis matrix whose coefficient is always 1, so precision()
+    writes every entry that changes with one product.
 
     The same statistics give the residual sum of squares of a state
     without a pass over the observations: with m = X beta the race means,
@@ -309,7 +331,7 @@ class LocationBlock:
         self.s_ya = np.bincount(design.athlete_idx, weights=design.y, minlength=la)
         self.yy = float(design.y @ design.y)
 
-        # each basis matrix is (p + 1) x (p + 1): Q in [:p, :p], b in [p, :p]
+        # built (p + 1)-square: Q in [:p, :p], b in [p, :p]
         x1 = np.column_stack([x, np.zeros(n_races)])
         data = x1.T @ (race_n[:, None] * x1)  # coefficient tau
         data[p] = x1.T @ race_y
@@ -334,21 +356,30 @@ class LocationBlock:
         prior[2, season, season] = 1.0
         basis = np.concatenate([[data], -np.array(moments).reshape(-1, p + 1, p + 1), prior])
         norms = np.sqrt(data.diagonal()[:p])
-        self.unit = 1.0 / np.where(norms > 0.0, norms, 1.0)
-        unit = np.append(self.unit, 1.0)
-        self.basis = (basis * unit[:, None] * unit).reshape(basis.shape[0], -1)
+        self.unit = unit = 1.0 / np.where(norms > 0.0, norms, 1.0)
+        scaled = basis[:, :, :p] * np.append(unit, 1.0)[:, None] * unit
+        # A is stored column-major, so its first p columns, which hold Q, U
+        # and b, are its first p (2p + 1) entries: the basis spans just
+        # those, each matrix's columns laid end to end.  The other columns
+        # hold only kappa's diagonal, written once.
+        n = 2 * p + 1
+        columns = np.zeros((basis.shape[0], p, n))
+        columns[:, :, np.r_[:p, 2 * p]] = scaled.transpose(0, 2, 1)
+        columns[-5, :, p:2 * p] = np.diag(unit)
+        self.basis = columns.reshape(basis.shape[0], -1)
         # the coefficients of the basis, rewritten in place by precision()
         self.coef = np.empty(basis.shape[0])
         self.coef[-5] = 1.0
-        self.augmented = np.zeros((2 * p + 1, 2 * p + 1))
-        self.augmented[p:2 * p, :p] = np.eye(p)
+        self.augmented = np.zeros((n, n), order="F")
         np.fill_diagonal(self.augmented[p:, p:], KAPPA)
+        self._first_columns = self.augmented.reshape(-1, order="F")[:p * n]
 
     def precision(self, tau_obs, tau_athlete, tau_course, tau_season, m_rho, phi):
-        """Q and b of the conditional N(Q^-1 b, Q^-1) of beta / unit.
+        """Write the augmented matrix draw() factorises into `augmented`.
 
-        The free athletes are integrated out.  In beta's own units these
-        are Q / (unit unit') and b / unit.
+        Returns views of its Q and b, those of the conditional
+        N(Q^-1 b, Q^-1) of beta / unit with the free athletes integrated
+        out.  In beta's own units these are Q / (unit unit') and b / unit.
         """
         coef = self.coef
         coef[0] = tau_obs
@@ -360,30 +391,27 @@ class LocationBlock:
         coef[-3] = tau_season
         coef[-2] = m_rho
         coef[-1] = phi * m_rho
+        np.matmul(coef, self.basis, out=self._first_columns)
         p = self.unit.size
-        qb = (coef @ self.basis).reshape(p + 1, p + 1)
-        return qb[:p, :p], qb[p, :p]
+        return self.augmented[:p, :p], self.augmented[2 * p, :p]
 
     def draw(self, row, z_beta, z_athletes, tau_obs, tau_athlete, tau_course, tau_season,
              m_rho, phi) -> float:
         """Redraw beta and the athlete effects in the draws row `row`; returns e'e.
 
         With F the Cholesky factor of the augmented matrix (see the class),
-        beta / unit = F[p:2p, :p] (F[2p, :p] + z_beta) = Q^-1 b + L^-T z_beta,
-        which is N(Q^-1 b, Q^-1): one factorisation and one product, in the
-        scaled units.  A NaN anywhere in Q or b reaches the factor's last
+        beta = F[p:2p, :p] (F[2p, :p] + z_beta) = U (Q^-1 b + L^-T z_beta),
+        which is U N(Q^-1 b, Q^-1): one factorisation and one product, in
+        beta's own units.  A NaN anywhere in Q or b reaches the factor's last
         pivot, so checking that one pivot catches it.  The athletes are then
         drawn from their conditional given beta, with z_athletes (one
         standard Normal per athlete), and the new state's residual sum of
         squares is taken from the race and athlete statistics.
         """
-        q, b = self.precision(tau_obs, tau_athlete, tau_course, tau_season, m_rho, phi)
-        p = b.size
-        augmented = self.augmented
-        augmented[:p, :p] = q
-        augmented[2 * p, :p] = b
+        self.precision(tau_obs, tau_athlete, tau_course, tau_season, m_rho, phi)
+        p = self.unit.size
         try:
-            f = np.linalg.cholesky(augmented)
+            f = np.linalg.cholesky(self.augmented)
             if not f[-1, -1] > 0.0:  # NaN included
                 raise np.linalg.LinAlgError("Matrix is not positive definite")
         except np.linalg.LinAlgError as exc:
@@ -391,7 +419,7 @@ class LocationBlock:
                 f"location block precision is not positive definite ({exc}) at "
                 f"tau_obs={tau_obs!r} tau_athlete={tau_athlete!r} "
                 f"tau_course={tau_course!r} tau_season={tau_season!r}") from exc
-        beta = self.unit * (f[p:2 * p, :p] @ (f[2 * p, :p] + z_beta))
+        beta = f[p:2 * p, :p] @ (f[2 * p, :p] + z_beta)
         row[self.beta_columns] = beta
         gm = self.gx @ beta
         r = self.s_ya - gm[:self.s_ya.size]
@@ -557,7 +585,11 @@ def run_chain(design: DesignMatrixView, config: ModelConfig, rng_seed=None) -> C
     # location value.
     state = np.zeros(len(columns))
     blocks = _block_slices(config.include_windspeed, design)
-    athletes, courses, seasons = (state[blocks[b]] for b in EFFECT_BLOCKS)
+    # the effect blocks lie side by side in the row: one reduceat gives
+    # their three sums of squares
+    effects = state[blocks["athlete"].start:blocks["season"].stop]
+    squares = np.empty_like(effects)
+    block_starts = np.array([0, la, la + lc])
     names = _scalar_columns(config.include_windspeed)
     rho = slice(names.index("rho_cur"), names.index("rho_prev") + 1)
     # m_rho, phi, tau_obs, tau_athlete, tau_course, tau_season: the last
@@ -582,6 +614,8 @@ def run_chain(design: DesignMatrixView, config: ModelConfig, rng_seed=None) -> C
                 z_beta, z_athletes = normals[:, :p], normals[:, p:-1]
                 z_m_rho = normals[:, -1].tolist()
                 gammas = rng.standard_gamma(shapes, size=(VARIATE_BLOCK, 4)).tolist()
+                exponentials = rng.standard_exponential(VARIATE_BLOCK).tolist()
+                uniforms = rng.random((VARIATE_BLOCK, SLICE_UNIFORMS)).tolist()
 
             sum_squares = block.draw(state, z_beta[i], z_athletes[i], tau_obs, tau_athlete,
                                      tau_course, tau_season, m_rho, phi)
@@ -589,14 +623,17 @@ def run_chain(design: DesignMatrixView, config: ModelConfig, rng_seed=None) -> C
             rho_cur, rho_prev = state[rho].tolist()
             m_rho = gibbs_hypermean(rho_cur, rho_prev, phi, v_rho_cur, v_rho_prev, v_m_rho,
                                     z_m_rho[i])
-            phi = slice_update_phi(phi, rho_prev, m_rho, v_rho_prev, a_phi, b_phi, rng)
+            phi = slice_update_phi(phi, rho_prev, m_rho, v_rho_prev, a_phi, b_phi,
+                                   exponentials[i], uniforms[i], rng)
 
             # entry 0 of each effect vector is exactly 0, so whole-vector
             # sums of squares are those of the free levels
+            np.square(effects, out=squares)
+            ss_athlete, ss_course, ss_season = np.add.reduceat(squares, block_starts).tolist()
             g_athlete, g_course, g_season, g_obs = gammas[i]
-            tau_athlete = gibbs_precision(b_athlete, float(athletes @ athletes), g_athlete)
-            tau_course = gibbs_precision(b_course, float(courses @ courses), g_course)
-            tau_season = gibbs_precision(b_season, float(seasons @ seasons), g_season)
+            tau_athlete = gibbs_precision(b_athlete, ss_athlete, g_athlete)
+            tau_course = gibbs_precision(b_course, ss_course, g_course)
+            tau_season = gibbs_precision(b_season, ss_season, g_season)
             tau_obs = gibbs_precision(b_obs, sum_squares, g_obs)
 
             if sweep > sched.burn_in and (sweep - sched.burn_in) % sched.thin == 0:

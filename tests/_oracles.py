@@ -66,6 +66,7 @@ def conditional_ks(name, design, state, priors, n_draws, seed) -> float:
     from scipy import stats as sps
 
     from racemix.sampler import (
+        SLICE_UNIFORMS,
         gibbs_hypermean,
         gibbs_precision,
         gibbs_random_effect,
@@ -180,13 +181,16 @@ def conditional_ks(name, design, state, priors, n_draws, seed) -> float:
         grid = np.linspace(m_star - 10 * sd, m_star + 10 * sd, 2001)
         setter = lambda s, v: setattr(s, "m_rho", v)
         bounded = False
-    elif name == "phi":
+    elif name in ("phi", "phi_overflow"):
+        # the sweep's budget of uniforms, or just one, so that every
+        # shrinkage proposal comes from the generator
+        n_uniforms = SLICE_UNIFORMS if name == "phi" else 1
         draws = np.empty(n_draws)
         phi = state.phi
         for i in range(n_draws):
             phi = slice_update_phi(phi, state.rho_prev, state.m_rho,
                                    priors.v_rho_prev, priors.a_phi, priors.b_phi,
-                                   rng)
+                                   rng.standard_exponential(), rng.random(n_uniforms), rng)
             draws[i] = phi
         # upper bound: far enough out that the gamma tail is negligible
         hi = (40.0 + priors.a_phi * 5.0) / priors.b_phi

@@ -252,6 +252,7 @@ def test_fit_bad_header_exits_2(dataset_dir, tmp_path):
                    "--sex", "M", *FIT_ARGS, "--out", str(tmp_path / "out")])
     assert result.exit_code == 2
     assert "error" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_fit_missing_input_exits_2(dataset_dir, tmp_path):
@@ -659,7 +660,7 @@ def test_ppc_error_raised_for_one_race_exits_2(fit_dir, tmp_path, monkeypatch):
     result = _run(["ppc", "--fit", str(fit_dir), "--out", str(tmp_path / "ppc")])
     assert result.exit_code == 2
     assert "bad race" in result.output
-    assert not (tmp_path / "ppc" / "ppc.csv").exists()
+    assert not (tmp_path / "ppc").exists()
 
 
 def test_ppc_is_deterministic(fit_dir, tmp_path):

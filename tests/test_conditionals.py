@@ -15,7 +15,7 @@ from scipy import stats
 from conftest import make_toy_design, make_toy_state
 
 from racemix.model import PriorConfig
-from racemix.sampler import slice_update_phi
+from racemix.sampler import SLICE_UNIFORMS, slice_update_phi
 
 from _oracles import (
     conditional_ks,
@@ -61,6 +61,15 @@ def test_conditional_lambda_wind_matches_grid_density():
     assert ks < KS_TOL, f"lambda_wind: KS {ks:.4f}"
 
 
+def test_phi_slice_overflow_matches_grid_density():
+    # one uniform per update places the interval, so every shrinkage
+    # proposal is drawn from the generator: the path a sweep takes when it
+    # runs out of its budget of uniforms
+    ks = conditional_ks("phi_overflow", make_toy_design(), make_toy_state(), PriorConfig(),
+                        N_DRAWS, seed=1000 + len(UPDATES))
+    assert ks < KS_TOL, f"phi_overflow: KS {ks:.4f}"
+
+
 @pytest.mark.parametrize("include_windspeed", [False, True])
 def test_location_block_matches_exact_gaussian(include_windspeed):
     # the sweep's joint draw of every location parameter, whitened by the
@@ -89,7 +98,8 @@ def test_phi_slice_preserves_the_stationary_distribution():
     starts = np.interp(rng.random(n), cdf, grid)
     updated = np.array([
         slice_update_phi(s0, state.rho_prev, state.m_rho, priors.v_rho_prev,
-                         priors.a_phi, priors.b_phi, rng)
+                         priors.a_phi, priors.b_phi, rng.standard_exponential(),
+                         rng.random(SLICE_UNIFORMS), rng)
         for s0 in starts])
 
     w = np.exp(logd - logd.max())

@@ -16,6 +16,7 @@ from racemix.predictive import SyntheticSpec, simulate_dataset
 from racemix.sampler import (
     ChainOutput,
     LocationBlock,
+    SLICE_UNIFORMS,
     SamplerError,
     VARIATE_BLOCK,
     WRITE_BLOCK_ROWS,
@@ -221,7 +222,8 @@ def test_slice_decoupled_case_matches_gamma_moments():
     draws = np.empty(20_000)
     for i in range(draws.size):
         phi = slice_update_phi(phi, rho_prev=0.5, m_rho=0.0, v_rho_prev=1.0,
-                               a_phi=3.0, b_phi=2.0, rng=rng)
+                               a_phi=3.0, b_phi=2.0, exponential=rng.standard_exponential(),
+                               uniforms=rng.random(SLICE_UNIFORMS), rng=rng)
         draws[i] = phi
     assert np.all(draws > 0.0)
     # slice chains autocorrelate, so allow a generous Monte Carlo margin
@@ -233,21 +235,43 @@ def test_slice_bracket_failure_raises_with_state():
     # target increasing far beyond the step-out range: bracketing must fail
     with pytest.raises(SamplerError, match="bracket failure"):
         slice_update_phi(1.0, rho_prev=5000.0, m_rho=1.0, v_rho_prev=1.0,
-                         a_phi=1.0, b_phi=1e-6, rng=np.random.default_rng(15))
+                         a_phi=1.0, b_phi=1e-6, exponential=1.0, uniforms=[0.5],
+                         rng=np.random.default_rng(15))
 
 
 def test_slice_rejects_nonpositive_phi():
     with pytest.raises(SamplerError):
-        slice_update_phi(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, np.random.default_rng(0))
+        slice_update_phi(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, [0.5], np.random.default_rng(0))
+
+
+class NoGenerator:
+    """A generator stand-in that fails on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the generator was called: {name}")
+
+
+def test_slice_overflow_continues_from_the_generator():
+    # a thin slice at phi's mode (the target is Gamma(3, 2) with m_rho = 0)
+    # takes several shrinkage proposals; given one uniform, the update draws
+    # each of them from the generator, in the generator's order
+    args = (1.0, 0.5, 0.0, 1.0, 3.0, 2.0, 0.01)
+    rng = np.random.default_rng(19)
+    overflow = slice_update_phi(*args, [0.7], rng)
+    after = rng.random()
+    drawn = np.random.default_rng(19).random(50).tolist()
+    k = drawn.index(after)  # the draws the update took
+    assert k >= 2
+    assert slice_update_phi(*args, [0.7, *drawn[:k]], NoGenerator()) == overflow
+    with pytest.raises(AssertionError, match="generator was called"):
+        slice_update_phi(*args, [0.7, *drawn[:k - 1]], NoGenerator())
 
 
 @pytest.mark.parametrize("phi, rho_prev", [(math.nan, 0.5), (1.0, math.nan)])
 def test_slice_names_its_state_when_an_input_is_nan(phi, rho_prev):
     # before any step-out or shrinkage, so no random number is drawn
-    rng = np.random.default_rng(0)
     with pytest.raises(SamplerError, match=f"phi={phi} rho_prev={rho_prev} m_rho=0.1"):
-        slice_update_phi(phi, rho_prev, 0.1, 1.0, 1.0, 1.0, rng)
-    assert rng.random() == np.random.default_rng(0).random()
+        slice_update_phi(phi, rho_prev, 0.1, 1.0, 1.0, 1.0, 1.0, [0.5], NoGenerator())
 
 
 ### location block
@@ -548,6 +572,76 @@ def test_shorter_chain_is_a_prefix_of_a_longer_one(sweeps):
     long = run_chain(design, small_config(burn_in=3, iterations=2 * VARIATE_BLOCK + 7, thin=1))
     assert short.n_stored == sweeps - 3
     assert np.array_equal(short.draws, long.draws[:short.n_stored])
+
+
+class ReadCount(list):
+    """A list that records the highest index read from it."""
+
+    read = 0
+
+    def __getitem__(self, index):
+        self.read = max(self.read, index + 1)
+        return super().__getitem__(index)
+
+
+def test_a_chain_calls_its_generator_once_per_block_of_each_variate(monkeypatch):
+    # four block draws per VARIATE_BLOCK sweeps; the only other calls are a
+    # slice update's uniforms beyond its budget, made only once it has read
+    # them all.  A per-sweep generator call would show here.
+    import racemix.sampler
+
+    calls = []  # (method, args, kwargs, result, made inside a slice update)
+    updates = []  # (args, result, the generator's results inside the update)
+    make_generator = np.random.default_rng
+    slice_update = racemix.sampler.slice_update_phi
+    inside = []
+
+    class CountingGenerator:
+        def __init__(self, seed):
+            self.generator = make_generator(seed)
+
+        def __getattr__(self, name):
+            method = getattr(self.generator, name)
+
+            def counted(*args, **kwargs):
+                result = method(*args, **kwargs)
+                calls.append((name, args, kwargs, result, bool(inside)))
+                return result
+            return counted
+
+    def counted_slice_update(*args):
+        start = len(calls)
+        inside.append(True)
+        try:
+            result = slice_update(*args)
+        finally:
+            inside.pop()
+        updates.append((args, result, [call[3] for call in calls[start:]]))
+        return result
+
+    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+    monkeypatch.setattr(racemix.sampler, "slice_update_phi", counted_slice_update)
+    sweeps = 10 * VARIATE_BLOCK
+    # seed 103 runs one slice update past its budget, so that path is checked too
+    run_chain(make_toy_design(),
+              small_config(burn_in=40, iterations=sweeps - 40, thin=10, seed=103))
+
+    blocks = [call for call in calls if not call[4]]
+    assert [call[0] for call in blocks] == ["standard_normal", "standard_gamma",
+                                            "standard_exponential", "random"] * 10
+    assert all(len(call[3]) == VARIATE_BLOCK for call in blocks)
+    overflow = [call for call in calls if call[4]]
+    assert overflow
+    assert all(name == "random" and not args and not kwargs
+               for name, args, kwargs, _, _ in overflow)
+    assert len(updates) == sweeps
+    assert len(calls) == 4 * sweeps // VARIATE_BLOCK + len(overflow)
+    for (*state, exponential, uniforms, _), result, drawn in updates:
+        assert len(uniforms) == SLICE_UNIFORMS
+        if drawn:
+            given = ReadCount([*uniforms, *drawn])
+            assert slice_update(*state, exponential, given, NoGenerator()) == result
+            assert given.read == len(given)
 
 
 def test_two_sweep_chain_keeps_the_invariants():

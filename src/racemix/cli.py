@@ -46,6 +46,7 @@ from .ingest import (
     parse_races,
     parse_rainfall,
     parse_results,
+    read_json,
 )
 from .model import (
     RESPONSE_LOG_PACE,
@@ -92,7 +93,7 @@ def _cli_errors(fn):
         except SamplerError as exc:
             click.echo(f"sampler error: {exc}", err=True)
             sys.exit(3)
-        except (DataError, ConfigError, OSError, json.JSONDecodeError) as exc:
+        except (DataError, ConfigError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
     return wrapper
@@ -142,8 +143,7 @@ def _read_manifest(fit_dir) -> dict:
     path = os.path.join(fit_dir, "manifest.json")
     if not os.path.exists(path):
         raise DataError(f"no manifest.json in {fit_dir}; is this a fit directory?")
-    with open(path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = read_json(path)
     if not isinstance(manifest, dict):
         raise DataError(f"{path} is not a JSON object")
     for key in ("config", "inputs"):
@@ -163,8 +163,7 @@ def _merged_config(config_path, response, windspeed, seed, burn_in,
     """defaults < config file < given flags; a flag left out is None."""
     doc = _DEFAULTS.to_dict()
     if config_path is not None:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            user = json.load(fh)
+        user = read_json(config_path)
         if not isinstance(user, dict):
             raise ConfigError("config document must be a JSON object")
         for key, value in user.items():
@@ -502,8 +501,7 @@ def ppc(fit_dir, races, index, seed, bins, data, covariates, rainfall, out_dir):
 def simulate(spec_path, seed, out_dir):
     """Simulate a synthetic dataset in the ingest CSV schemas."""
     if spec_path is not None:
-        with open(spec_path, "r", encoding="utf-8") as fh:
-            spec = SyntheticSpec.from_dict(json.load(fh))
+        spec = SyntheticSpec.from_dict(read_json(spec_path))
     else:
         spec = SyntheticSpec()
     if seed is not None:

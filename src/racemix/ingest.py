@@ -20,6 +20,7 @@ passed through exactly as supplied.
 from __future__ import annotations
 
 import csv
+import json
 import re
 from dataclasses import dataclass
 
@@ -93,6 +94,37 @@ def previous_month(month: str) -> str:
     return format_month(year, m - 1)
 
 
+def not_utf8_error(path) -> DataError:
+    """The error for a file that is not UTF-8 text, naming the line of its
+    first bad byte.
+
+    A UnicodeDecodeError raised while a text stream is read places the byte
+    only within the chunk being decoded, so the file is read again here.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return DataError(f"{path}: line {line}: not UTF-8 text "
+                         f"(byte {data[exc.start]:#04x} at offset {exc.start})")
+    return DataError(f"{path}: not UTF-8 text")
+
+
+def read_json(path):
+    """The JSON document in a file, or DataError naming the file and the line
+    for one that is not UTF-8 or not JSON."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError:
+        raise not_utf8_error(path) from None
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: line {exc.lineno}, column {exc.colno}: "
+                        f"not JSON: {exc.msg}") from None
+
+
 def _open_rows(path, expected_header):
     """Yield (line_number, row) for a validated CSV file; skips blank lines."""
     try:
@@ -102,25 +134,29 @@ def _open_rows(path, expected_header):
     with fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected header "
-                            f"{','.join(expected_header)}") from None
-        header = [h.strip() for h in header]
-        if header != list(expected_header):
-            raise DataError(f"{path}: bad header {','.join(header)!r}, "
-                            f"expected {','.join(expected_header)!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(expected_header):
-                raise DataError(f"{path}: line {lineno}: expected "
-                                f"{len(expected_header)} fields, got {len(row)}")
-            yield lineno, [cell.strip() for cell in row]
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file, expected header "
+                                f"{','.join(expected_header)}")
+            header = [h.strip() for h in header]
+            if header != list(expected_header):
+                raise DataError(f"{path}: bad header {','.join(header)!r}, "
+                                f"expected {','.join(expected_header)!r}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) != len(expected_header):
+                    raise DataError(f"{path}: line {lineno}: expected "
+                                    f"{len(expected_header)} fields, got {len(row)}")
+                yield lineno, [cell.strip() for cell in row]
+        except UnicodeDecodeError:
+            raise not_utf8_error(path) from None
 
 
 def _parse_float(value, what, path, lineno):
     try:
+        if "_" in value:  # float() reads "4_0" as 40: a digit separator, not a number
+            raise ValueError(value)
         out = float(value)
     except ValueError:
         raise DataError(f"{path}: line {lineno}: unparseable {what} {value!r}") from None

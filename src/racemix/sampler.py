@@ -51,9 +51,13 @@ import warnings
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+# the LAPACK dpotrf gufunc behind np.linalg.cholesky, called without the
+# wrapper's array checks and error state: run_chain sets the error state
+# once per chain, and a failed factorisation leaves NaN, which draw() checks
+from numpy.linalg._umath_linalg import cholesky_lo
 
 from . import __version__
-from .ingest import DataError, DesignMatrixView
+from .ingest import DataError, DesignMatrixView, not_utf8_error, read_json
 from .model import RESPONSES, McmcSchedule, ModelConfig, json_number
 # not called by the sweep; perfbench/tracing.py wraps it by this name here
 from .model import linear_predictor_all  # noqa: F401
@@ -336,10 +340,10 @@ class LocationBlock:
         data = x1.T @ (race_n[:, None] * x1)  # coefficient tau
         data[p] = x1.T @ race_y
         # coefficient -w^2 for each distinct count of the free athletes
-        self.distinct_counts, group = np.unique(self.n_a[1:], return_inverse=True)
+        counts, group = np.unique(self.n_a[1:], return_inverse=True)
+        self.distinct_counts = counts.tolist()  # Python floats, for precision()
         stats = np.column_stack([g, self.s_ya])[1:]
-        moments = [stats[group == j].T @ stats[group == j]
-                   for j in range(self.distinct_counts.size)]
+        moments = [stats[group == j].T @ stats[group == j] for j in range(counts.size)]
         # prior terms, coefficients (1, tau_course, tau_season, m_rho, phi m_rho)
         prior = np.zeros((5, p + 1, p + 1))
         fixed = [(pr.m_intercept, pr.v_intercept), (pr.m_gamma_dist, pr.v_gamma_dist)]
@@ -369,7 +373,6 @@ class LocationBlock:
         self.basis = columns.reshape(basis.shape[0], -1)
         # the coefficients of the basis, rewritten in place by precision()
         self.coef = np.empty(basis.shape[0])
-        self.coef[-5] = 1.0
         self.augmented = np.zeros((n, n), order="F")
         np.fill_diagonal(self.augmented[p:, p:], KAPPA)
         self._first_columns = self.augmented.reshape(-1, order="F")[:p * n]
@@ -381,17 +384,15 @@ class LocationBlock:
         N(Q^-1 b, Q^-1) of beta / unit with the free athletes integrated
         out.  In beta's own units these are Q / (unit unit') and b / unit.
         """
-        coef = self.coef
-        coef[0] = tau_obs
-        w2 = coef[1:-5]  # w^2 of each distinct athlete count
-        np.multiply(self.distinct_counts, tau_obs, out=w2)
-        w2 += tau_athlete
-        np.divide(tau_obs * tau_obs, w2, out=w2)
-        coef[-4] = tau_course
-        coef[-3] = tau_season
-        coef[-2] = m_rho
-        coef[-1] = phi * m_rho
-        np.matmul(coef, self.basis, out=self._first_columns)
+        # in basis order: tau, w^2 of each distinct count, U's 1, then the
+        # prior terms.  w^2 is computed on Python floats: for the few
+        # distinct counts, ufunc calls would cost more than the arithmetic
+        tau2 = tau_obs * tau_obs
+        self.coef[:] = [tau_obs,
+                        *[tau2 / (count * tau_obs + tau_athlete)
+                          for count in self.distinct_counts],
+                        1.0, tau_course, tau_season, m_rho, phi * m_rho]
+        np.matmul(self.coef, self.basis, out=self._first_columns)
         p = self.unit.size
         return self.augmented[:p, :p], self.augmented[2 * p, :p]
 
@@ -402,23 +403,26 @@ class LocationBlock:
         With F the Cholesky factor of the augmented matrix (see the class),
         beta = F[p:2p, :p] (F[2p, :p] + z_beta) = U (Q^-1 b + L^-T z_beta),
         which is U N(Q^-1 b, Q^-1): one factorisation and one product, in
-        beta's own units.  A NaN anywhere in Q or b reaches the factor's last
-        pivot, so checking that one pivot catches it.  The athletes are then
-        drawn from their conditional given beta, with z_athletes (one
-        standard Normal per athlete), and the new state's residual sum of
-        squares is taken from the race and athlete statistics.
+        beta's own units.  The athletes are then drawn from their
+        conditional given beta, with z_athletes (one standard Normal per
+        athlete), and the new state's residual sum of squares is taken from
+        the race and athlete statistics.
+
+        The factor comes from LAPACK's gufunc, which fills it with NaN when
+        the matrix is not positive definite; a NaN anywhere in Q or b also
+        reaches the factor's last pivot.  So checking that one pivot turns
+        both into a SamplerError.  The gufunc then also sets numpy's invalid
+        flag: call draw() under np.errstate(invalid="ignore"), as run_chain
+        does, or that flag warns (an error where warnings are errors).
         """
         self.precision(tau_obs, tau_athlete, tau_course, tau_season, m_rho, phi)
         p = self.unit.size
-        try:
-            f = np.linalg.cholesky(self.augmented)
-            if not f[-1, -1] > 0.0:  # NaN included
-                raise np.linalg.LinAlgError("Matrix is not positive definite")
-        except np.linalg.LinAlgError as exc:
+        f = cholesky_lo(self.augmented, signature="d->d")
+        if not f[-1, -1] > 0.0:  # NaN included
             raise SamplerError(
-                f"location block precision is not positive definite ({exc}) at "
+                f"location block precision is not positive definite at "
                 f"tau_obs={tau_obs!r} tau_athlete={tau_athlete!r} "
-                f"tau_course={tau_course!r} tau_season={tau_season!r}") from exc
+                f"tau_course={tau_course!r} tau_season={tau_season!r}")
         beta = f[p:2 * p, :p] @ (f[2 * p, :p] + z_beta)
         row[self.beta_columns] = beta
         gm = self.gx @ beta
@@ -550,6 +554,11 @@ def run_chain(design: DesignMatrixView, config: ModelConfig, rng_seed=None) -> C
 
     rng_seed may be an int or a numpy SeedSequence; by default the
     schedule's seed is used.  Identical seeds give bit-identical output.
+
+    The sweeps run under np.errstate(invalid="ignore"), entered once for
+    the chain, and the caller's error state is back in place when
+    run_chain returns or raises.  A factorisation that fails under it is
+    still a SamplerError (see LocationBlock.draw).
     """
     config.validate()
     if design.n_obs == 0:
@@ -606,42 +615,45 @@ def run_chain(design: DesignMatrixView, config: ModelConfig, rng_seed=None) -> C
               precision_shape(pr.a_tau_season, ls - 1), precision_shape(pr.a_tau_obs, n)]
 
     started = time.perf_counter()
-    try:
-        for sweep in range(1, total + 1):
-            i = (sweep - 1) % VARIATE_BLOCK
-            if i == 0:
-                normals = rng.standard_normal((VARIATE_BLOCK, p + la + 1))
-                z_beta, z_athletes = normals[:, :p], normals[:, p:-1]
-                z_m_rho = normals[:, -1].tolist()
-                gammas = rng.standard_gamma(shapes, size=(VARIATE_BLOCK, 4)).tolist()
-                exponentials = rng.standard_exponential(VARIATE_BLOCK).tolist()
-                uniforms = rng.random((VARIATE_BLOCK, SLICE_UNIFORMS)).tolist()
+    # the error state of every block draw, entered once per chain (see
+    # LocationBlock.draw)
+    with np.errstate(invalid="ignore"):
+        try:
+            for sweep in range(1, total + 1):
+                i = (sweep - 1) % VARIATE_BLOCK
+                if i == 0:
+                    normals = rng.standard_normal((VARIATE_BLOCK, p + la + 1))
+                    z_beta, z_athletes = normals[:, :p], normals[:, p:-1]
+                    z_m_rho = normals[:, -1].tolist()
+                    gammas = rng.standard_gamma(shapes, size=(VARIATE_BLOCK, 4)).tolist()
+                    exponentials = rng.standard_exponential(VARIATE_BLOCK).tolist()
+                    uniforms = rng.random((VARIATE_BLOCK, SLICE_UNIFORMS)).tolist()
 
-            sum_squares = block.draw(state, z_beta[i], z_athletes[i], tau_obs, tau_athlete,
-                                     tau_course, tau_season, m_rho, phi)
+                sum_squares = block.draw(state, z_beta[i], z_athletes[i], tau_obs, tau_athlete,
+                                         tau_course, tau_season, m_rho, phi)
 
-            rho_cur, rho_prev = state[rho].tolist()
-            m_rho = gibbs_hypermean(rho_cur, rho_prev, phi, v_rho_cur, v_rho_prev, v_m_rho,
-                                    z_m_rho[i])
-            phi = slice_update_phi(phi, rho_prev, m_rho, v_rho_prev, a_phi, b_phi,
-                                   exponentials[i], uniforms[i], rng)
+                rho_cur, rho_prev = state[rho].tolist()
+                m_rho = gibbs_hypermean(rho_cur, rho_prev, phi, v_rho_cur, v_rho_prev, v_m_rho,
+                                        z_m_rho[i])
+                phi = slice_update_phi(phi, rho_prev, m_rho, v_rho_prev, a_phi, b_phi,
+                                       exponentials[i], uniforms[i], rng)
 
-            # entry 0 of each effect vector is exactly 0, so whole-vector
-            # sums of squares are those of the free levels
-            np.square(effects, out=squares)
-            ss_athlete, ss_course, ss_season = np.add.reduceat(squares, block_starts).tolist()
-            g_athlete, g_course, g_season, g_obs = gammas[i]
-            tau_athlete = gibbs_precision(b_athlete, ss_athlete, g_athlete)
-            tau_course = gibbs_precision(b_course, ss_course, g_course)
-            tau_season = gibbs_precision(b_season, ss_season, g_season)
-            tau_obs = gibbs_precision(b_obs, sum_squares, g_obs)
+                # entry 0 of each effect vector is exactly 0, so whole-vector
+                # sums of squares are those of the free levels
+                np.square(effects, out=squares)
+                ss_athlete, ss_course, ss_season = np.add.reduceat(squares, block_starts).tolist()
+                g_athlete, g_course, g_season, g_obs = gammas[i]
+                tau_athlete = gibbs_precision(b_athlete, ss_athlete, g_athlete)
+                tau_course = gibbs_precision(b_course, ss_course, g_course)
+                tau_season = gibbs_precision(b_season, ss_season, g_season)
+                tau_obs = gibbs_precision(b_obs, sum_squares, g_obs)
 
-            if sweep > sched.burn_in and (sweep - sched.burn_in) % sched.thin == 0:
-                state[rest] = (m_rho, phi, tau_obs, tau_athlete, tau_course, tau_season)
-                draws[stored] = state
-                stored += 1
-    except SamplerError as exc:
-        raise SamplerError(f"sweep {sweep}: {exc}") from exc
+                if sweep > sched.burn_in and (sweep - sched.burn_in) % sched.thin == 0:
+                    state[rest] = (m_rho, phi, tau_obs, tau_athlete, tau_course, tau_season)
+                    draws[stored] = state
+                    stored += 1
+        except SamplerError as exc:
+            raise SamplerError(f"sweep {sweep}: {exc}") from exc
 
     return ChainOutput(draws=draws, columns=columns, meta=meta,
                        sampling_s=time.perf_counter() - started)
@@ -721,29 +733,34 @@ def _chain_parse_error(csv_path, header, reason) -> DataError:
     the header and skip blank lines; this scan counts the header as line
     1 and skips empty lines as loadtxt does.  Where no cell fails float()
     (loadtxt also refuses, say, "1_0"), loadtxt's own `reason` is kept.
+    The scan can read further than loadtxt did, so it can meet a byte
+    that is not UTF-8, which is then the error.
     """
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        fh.readline()
-        for number, line in enumerate(fh, start=2):
-            cells = line.rstrip("\n").split(",")
-            if cells == [""]:
-                continue
-            if len(cells) != len(header):
-                return DataError(f"{csv_path}, line {number}: {len(cells)} cell(s), "
-                                 f"expected {len(header)}")
-            for column, cell in enumerate(cells):
-                try:
-                    float(cell)
-                except ValueError:
-                    return DataError(f"{csv_path}, line {number}, column {column + 1} "
-                                     f"({header[column]}): cannot parse {cell!r} as a number")
+    try:
+        with open(csv_path, "r", encoding="utf-8") as fh:
+            fh.readline()
+            for number, line in enumerate(fh, start=2):
+                cells = line.rstrip("\n").split(",")
+                if cells == [""]:
+                    continue
+                if len(cells) != len(header):
+                    return DataError(f"{csv_path}, line {number}: {len(cells)} cell(s), "
+                                     f"expected {len(header)}")
+                for column, cell in enumerate(cells):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        return DataError(
+                            f"{csv_path}, line {number}, column {column + 1} "
+                            f"({header[column]}): cannot parse {cell!r} as a number")
+    except UnicodeDecodeError:
+        return not_utf8_error(csv_path)
     return DataError(f"{csv_path}: {reason}")
 
 
 def load_chain_meta(meta_path) -> ChainMeta:
     """A chain's metadata JSON, as load_chain reads it."""
-    with open(meta_path, "r", encoding="utf-8") as fh:
-        meta_dict = json.load(fh)
+    meta_dict = read_json(meta_path)
     if not isinstance(meta_dict, dict):
         raise DataError(f"{meta_path} is not a JSON object")
     try:
@@ -757,18 +774,22 @@ def load_chain_meta(meta_path) -> ChainMeta:
 def load_chain(csv_path, meta_path) -> ChainOutput:
     """Reload a persisted chain; floats round-trip exactly."""
     meta = load_chain_meta(meta_path)
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        header = tuple(fh.readline().strip().split(","))
-        if header != parameter_columns(meta):
-            raise DataError(f"{csv_path}: chain CSV columns do not match metadata")
-        try:
+    try:
+        with open(csv_path, "r", encoding="utf-8") as fh:
+            header = tuple(fh.readline().strip().split(","))
+            if header != parameter_columns(meta):
+                raise DataError(f"{csv_path}: chain CSV columns do not match metadata")
             with warnings.catch_warnings():
                 # a header-only file is a chain of no draws, checked by callers
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 # numpy's C parser rounds correctly: repr text round-trips bit for bit
                 draws = np.loadtxt(fh, delimiter=",", dtype=float, ndmin=2, comments=None)
-        except ValueError as exc:
-            raise _chain_parse_error(csv_path, header, exc) from None
+    # caught before ValueError, its base class; the header's read decodes a
+    # whole chunk of the file, so it can raise one too
+    except UnicodeDecodeError:
+        raise not_utf8_error(csv_path) from None
+    except ValueError as exc:
+        raise _chain_parse_error(csv_path, header, exc) from None
     if draws.size == 0:
         draws = np.empty((0, len(header)))
     elif draws.shape[1] != len(header):

@@ -44,6 +44,16 @@ def set_usable_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "cpu_count", lambda: n)
 
 
+def fail_location_factorisations(monkeypatch):
+    """Make every location block draw factorise its matrix negated, which is
+    not positive definite: LAPACK's own failure, NaN and the invalid flag."""
+    import racemix.sampler
+
+    factor = racemix.sampler.cholesky_lo
+    monkeypatch.setattr(racemix.sampler, "cholesky_lo",
+                        lambda matrix, signature: factor(-matrix, signature=signature))
+
+
 def make_toy_design(response="log_time", include_windspeed=False):
     config = ModelConfig(response=response, include_windspeed=include_windspeed)
     return build_design(TOY_OBSERVATIONS, TOY_CONTEXTS, TOY_RAINFALL, config)

@@ -37,7 +37,7 @@ from racemix.diagnostics import (
 )
 from racemix.sampler import ChainOutput, SamplerError, load_chain, run_chain, save_chain
 
-from conftest import make_toy_design, set_usable_cpus
+from conftest import fail_location_factorisations, make_toy_design, set_usable_cpus
 from _oracles import split_rhat_reference
 
 FIT_ARGS = ["--burn-in", "200", "--iterations", "1200", "--thin", "5"]
@@ -219,9 +219,7 @@ def test_fit_worker_failures_keep_their_exit_codes(dataset_dir, tmp_path, monkey
     assert "chain_02.csv" in result.output
     assert not (blocked / "manifest.json").exists()
     # forked workers inherit the patched factorisation and fail in sweep 1
-    def fail(matrix):
-        raise np.linalg.LinAlgError("Matrix is not positive definite")
-    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    fail_location_factorisations(monkeypatch)
     result = _run([*args, "--out", str(tmp_path / "failed")])
     assert result.exit_code == 3
     assert "sampler error: sweep 1: location block" in result.output
@@ -263,6 +261,55 @@ def test_fit_missing_input_exits_2(dataset_dir, tmp_path):
     assert result.exit_code == 2
 
 
+def _put_bad_byte(path, line):
+    """Start the 1-based `line` of a file with a byte that is not UTF-8."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    path.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("name", ["results.csv", "races.csv", "rainfall.csv", "config.json"])
+def test_fit_input_that_is_not_utf8_exits_2_naming_its_line(dataset_dir, tmp_path, name):
+    data = tmp_path / "data"
+    shutil.copytree(dataset_dir, data)
+    config = data / "config.json"
+    config.write_text(json.dumps({"include_windspeed": False, "mcmc": {"thin": 5}}, indent=2))
+    _put_bad_byte(data / name, 3)
+    result = _run(["fit", *_data_args(data), *FIT_ARGS, "--config", str(config),
+                   "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert f"error: {data / name}: line 3: not UTF-8 text (byte 0xff" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_fit_config_that_is_not_json_exits_2_naming_its_line(dataset_dir, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{\n  "include_windspeed": false,\n  "d_bar" 6.0\n}\n')
+    result = _run(["fit", *_data_args(dataset_dir), *FIT_ARGS, "--config", str(config),
+                   "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert (f"error: {config}: line 3, column 11: not JSON: Expecting ':' delimiter"
+            in result.output)
+
+
+@pytest.mark.parametrize("name, column", [("results.csv", "finish_time_min"),
+                                          ("races.csv", "distance_miles"),
+                                          ("rainfall.csv", "rainfall_mm")])
+def test_fit_underscored_number_exits_2_naming_its_line(dataset_dir, tmp_path, name, column):
+    # float() reads "4_0" as 40, a valid value in each of these columns
+    data = tmp_path / "data"
+    shutil.copytree(dataset_dir, data)
+    lines = (data / name).read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[lines[0].split(",").index(column)] = "4_0"
+    lines[2] = ",".join(cells)
+    (data / name).write_text("\n".join(lines) + "\n")
+    result = _run(["fit", *_data_args(data), *FIT_ARGS, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert f"error: {data / name}: line 3: unparseable" in result.output
+    assert "'4_0'" in result.output
+
+
 @pytest.mark.parametrize("iterations,chains", [(3, 2), (1, 1)])
 def test_fit_too_few_stored_draws_exits_2_before_sampling(dataset_dir, tmp_path,
                                                           iterations, chains):
@@ -286,9 +333,7 @@ def test_fit_sampler_failure_exits_3(dataset_dir, tmp_path, monkeypatch):
 
 
 def test_fit_location_block_failure_exits_3(dataset_dir, tmp_path, monkeypatch):
-    def fail(matrix):
-        raise np.linalg.LinAlgError("Matrix is not positive definite")
-    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    fail_location_factorisations(monkeypatch)
     result = _run(["fit", *_data_args(dataset_dir), *FIT_ARGS,
                    "--out", str(tmp_path / "out")])
     assert result.exit_code == 3
@@ -945,6 +990,36 @@ def test_diagnose_bad_chain_exits_2_and_keeps_the_earlier_trace(fit_dir, tmp_pat
     assert where in result.output
     assert sorted(p.name for p in fit.iterdir()) == names
     assert (fit / "trace.csv").read_bytes() == b"an earlier trace\n"
+
+
+@pytest.mark.parametrize("command, n_cpus", [("summarize", 1), ("diagnose", 1),
+                                             ("diagnose", 2)])
+@pytest.mark.parametrize("name", ["chain.csv", "metadata.json", "manifest.json"])
+def test_fit_file_that_is_not_utf8_exits_2_naming_its_line(fit_dir, tmp_path, monkeypatch,
+                                                           command, n_cpus, name):
+    fit = tmp_path / "fit"
+    shutil.copytree(fit_dir, fit, ignore=shutil.ignore_patterns(
+        "ppc", "trace.csv", "diagnostics.csv"))
+    _put_bad_byte(fit / name, 3)
+    set_usable_cpus(monkeypatch, n_cpus)
+    result = _run([command, "--fit", str(fit)])
+    assert result.exit_code == 2, result.output
+    assert f"error: {fit / name}: line 3: not UTF-8 text (byte 0xff" in result.output
+    assert not (fit / "trace.csv").exists()
+
+
+def test_chain_refused_before_its_bad_byte_exits_2_naming_the_byte(fit_dir, tmp_path):
+    # loadtxt stops at the "1_0" of line 3; the scan that looks for the line
+    # to name reads on, as float() takes "1_0", and meets the bad byte
+    fit = tmp_path / "fit"
+    shutil.copytree(fit_dir, fit, ignore=shutil.ignore_patterns("ppc"))
+    lines = (fit / "chain.csv").read_text().splitlines()
+    lines[2] = "1_0" + lines[2][lines[2].index(","):]
+    (fit / "chain.csv").write_text("\n".join(lines) + "\n")
+    _put_bad_byte(fit / "chain.csv", len(lines))
+    result = _run(["summarize", "--fit", str(fit)])
+    assert result.exit_code == 2, result.output
+    assert f"error: {fit / 'chain.csv'}: line {len(lines)}: not UTF-8 text" in result.output
 
 
 @pytest.mark.parametrize("n_cpus", [1, 2])

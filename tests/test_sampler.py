@@ -8,8 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_toy_design, make_toy_state, set_usable_cpus
+from conftest import (fail_location_factorisations, make_toy_design, make_toy_state,
+                      set_usable_cpus)
 
+import racemix.sampler
 from racemix.ingest import build_design
 from racemix.model import McmcSchedule, ModelConfig, ParameterState, linear_predictor_all
 from racemix.predictive import SyntheticSpec, simulate_dataset
@@ -314,8 +316,8 @@ def _observation_level_q_and_b(design, config, state):
     return q, b
 
 
-def _default_spec_case(**config_args):
-    sim = simulate_dataset(SyntheticSpec(seed=0))
+def _default_spec_case(seed=0, **config_args):
+    sim = simulate_dataset(SyntheticSpec(seed=seed))
     config = ModelConfig(**config_args)
     design = build_design(sim.observations, sim.contexts, sim.rainfall, config)
     state = sim.truth.copy()
@@ -418,17 +420,45 @@ def test_location_block_draw_matches_a_factorisation_and_solve(case):
 @pytest.mark.parametrize("name, value", [("tau_obs", math.nan), ("m_rho", math.nan),
                                          ("phi", math.nan), ("tau_course", -1000.0)])
 def test_location_block_draw_rejects_a_nan_or_indefinite_conditional(name, value):
-    # numpy's Cholesky passes a NaN through without an error: the draw's own
-    # check on the factor's last pivot has to catch it
+    # the factorisation raises nothing, for a NaN or a matrix that is not
+    # positive definite: the draw's own check on the factor's last pivot has
+    # to catch both.  draw() is called in the error state run_chain sets
     design, state = make_toy_design(), make_toy_state()
     block = LocationBlock(design, ModelConfig())
     setattr(state, name, value)
     row = draws_row(state)
-    with pytest.raises(SamplerError, match=f"not positive definite .* "
-                                           f"tau_obs={state.tau_obs!r} .*"
-                                           f"tau_course={state.tau_course!r}"):
+    with np.errstate(invalid="ignore"), pytest.raises(
+            SamplerError, match=f"not positive definite .* tau_obs={state.tau_obs!r} .*"
+                                f"tau_course={state.tau_course!r}"):
         block.draw(row, np.zeros(block.unit.size), np.zeros(len(design.athletes)),
                    *_hyper(state))
+
+
+@pytest.mark.parametrize("case", [
+    lambda: _default_spec_case(seed=1),
+    lambda: (make_toy_design(include_windspeed=True), ModelConfig(include_windspeed=True),
+             make_toy_state(include_windspeed=True)),
+], ids=["default-seed-1", "toy-windspeed"])
+def test_location_block_factor_is_numpys_cholesky_bit_for_bit(case):
+    # the block calls numpy's private LAPACK gufunc: a numpy that changed it
+    # would change every chain, so its factor and the draw it gives must be
+    # exactly those of the public np.linalg.cholesky
+    design, config, state = case()
+    block = LocationBlock(design, config)
+    p = block.unit.size
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        block.precision(*_hyper(state))
+        factor = np.linalg.cholesky(block.augmented)
+        assert np.array_equal(racemix.sampler.cholesky_lo(block.augmented, signature="d->d"),
+                              factor)
+        z = rng.standard_normal(p + len(design.athletes))
+        row = draws_row(state)
+        block.draw(row, z[:p], z[p:], *_hyper(state))
+        beta = factor[p:2 * p, :p] @ (factor[2 * p, :p] + z[:p])
+        assert np.array_equal(row[block.beta_columns], beta)
+        for name in ("tau_obs", "tau_athlete", "tau_course", "tau_season"):
+            setattr(state, name, getattr(state, name) * 10.0 ** rng.uniform(-2.0, 1.0))
 
 
 ### chain driver
@@ -445,6 +475,19 @@ def test_run_chain_stored_count():
     chain = run_chain(design, small_config(burn_in=10, iterations=100, thin=10))
     assert chain.n_stored == 10
     assert chain.draws.shape == (10, len(chain.columns))
+
+
+def test_run_chain_restores_the_error_state(monkeypatch):
+    # a caller's state that raises on an invalid value: the chain's own state
+    # must replace it for the sweeps and give it back on return and on error
+    with np.errstate(invalid="raise", over="warn", divide="ignore"):
+        caller = np.geterr()
+        run_chain(make_toy_design(), small_config())
+        assert np.geterr() == caller
+        fail_location_factorisations(monkeypatch)
+        with pytest.raises(SamplerError, match="sweep 1: location block"):
+            run_chain(make_toy_design(), small_config())
+        assert np.geterr() == caller
 
 
 def test_run_chain_determinism_and_seed_sensitivity():

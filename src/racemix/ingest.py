@@ -8,9 +8,10 @@ Three input files feed a fit (UTF-8, comma separated, header row required):
 
 ``race_month`` and ``month`` are calendar months written YYYY-MM.  Every
 (course, season) pair appearing in the results must have exactly one row
-in races.csv, and rainfall.csv must cover each race month and the month
-before it.  Men's and women's races are fitted separately, so results
-parsing requires an explicit sex filter.
+in races.csv, an athlete at most one row per race in results.csv, and
+rainfall.csv must cover each race month and the month before it.
+Numeric cells are ASCII decimals (parse_number).  Men's and women's races
+are fitted separately, so results parsing requires an explicit sex filter.
 
 Grouping factors are indexed densely with the baseline level at index 0:
 course "Alnwick" and season "17/18" when present (otherwise the first
@@ -153,11 +154,22 @@ def _open_rows(path, expected_header):
             raise not_utf8_error(path) from None
 
 
+def parse_number(text: str) -> float:
+    """A numeric cell's value: float() of ASCII text without underscores.
+
+    float() also reads digit separators ("4_0" is 40) and non-ASCII digits
+    ("\u0664\u0660", Arabic-Indic 40), which np.loadtxt, the chain CSVs'
+    reader, refuses; this rule refuses both, with ValueError, in every CSV
+    racemix reads.
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a number: {text!r}")
+    return float(text)
+
+
 def _parse_float(value, what, path, lineno):
     try:
-        if "_" in value:  # float() reads "4_0" as 40: a digit separator, not a number
-            raise ValueError(value)
-        out = float(value)
+        out = parse_number(value)
     except ValueError:
         raise DataError(f"{path}: line {lineno}: unparseable {what} {value!r}") from None
     if not np.isfinite(out):
@@ -175,15 +187,22 @@ def _check_month(text, path, lineno) -> None:
 def parse_results(path, sex_filter: str) -> list[RaceObservation]:
     """Read results.csv, keeping only rows whose sex matches the filter.
 
-    Any malformed row is a hard error naming its line number.
+    Any malformed row is a hard error naming its line number, and so is a
+    second result for one athlete in one race, whatever its sex.
     """
     if sex_filter not in SEXES:
         raise DataError(f"sex filter must be one of {SEXES}, got {sex_filter!r}")
     observations = []
+    seen = {}
     for lineno, row in _open_rows(path, RESULTS_HEADER):
         athlete_id, course, season, sex, time_text, month_text = row
         if not athlete_id or not course or not season:
             raise DataError(f"{path}: line {lineno}: empty key field")
+        first = seen.setdefault((athlete_id, course, season), lineno)
+        if first != lineno:
+            raise DataError(f"{path}: line {lineno}: duplicate result for athlete "
+                            f"{athlete_id} in race {course} {season} "
+                            f"(first seen on line {first})")
         if sex != sex_filter:
             continue
         finish_time = _parse_float(time_text, "finish time", path, lineno)

@@ -57,7 +57,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import cholesky_lo
 
 from . import __version__
-from .ingest import DataError, DesignMatrixView, not_utf8_error, read_json
+from .ingest import DataError, DesignMatrixView, not_utf8_error, parse_number, read_json
 from .model import RESPONSES, McmcSchedule, ModelConfig, json_number
 # not called by the sweep; perfbench/tracing.py wraps it by this name here
 from .model import linear_predictor_all  # noqa: F401
@@ -120,20 +120,30 @@ def gibbs_scalar_normal(prior_mean, prior_var, xs, residuals, tau_obs, rng) -> f
     return mean + rng.standard_normal() / math.sqrt(prec)
 
 
-def gibbs_random_effect(level_residual_sums, level_counts, tau_obs, tau_group, z) -> np.ndarray:
+def gibbs_random_effect(level_residual_sums, level_counts, tau_obs, tau_group, z,
+                        out=None) -> np.ndarray:
     """Draw a whole random-effect block; entry 0 stays exactly zero.
 
     level_residual_sums[l] is the sum, over that level's observations, of
     residuals excluding this block's contribution.  Levels with no data
     are drawn from the N(0, 1/tau_group) population.  z holds one
     standard Normal variate per level.
+
+    The draw is written into `out` when given (LocationBlock passes a
+    view of its own buffer), else into a new array; either way it is
+    returned.  `out` must not overlap the inputs.
     """
     if not tau_obs > 0.0 or not tau_group > 0.0:  # NaN included
         raise SamplerError(f"precisions must be positive, got "
                            f"tau_obs={tau_obs} tau_group={tau_group}")
-    prec = tau_obs * level_counts + tau_group
-    draw = tau_obs * level_residual_sums / prec
-    draw += z / np.sqrt(prec)
+    prec = level_counts * tau_obs
+    prec += tau_group
+    draw = np.multiply(tau_obs, level_residual_sums, out=out)
+    draw /= prec
+    # prec's last use: it becomes z / sqrt(prec)
+    np.sqrt(prec, out=prec)
+    np.divide(z, prec, out=prec)
+    draw += prec
     draw[0] = 0.0
     return draw
 
@@ -299,9 +309,17 @@ class LocationBlock:
 
         e'e = y'y + m'N m + a'(n_a a) - 2 (m'S_yr + a'r).
 
-    m is formed before it is squared: beta'(X'NX beta) would sum terms far
-    larger than e'e when the prior alone separates collinear coefficients
-    (one race), and lose e'e to rounding.
+    draw() keeps v = [m; a] in one vector and q = [[N m, n_a a], [S_yr, r]]
+    in one 2-row matrix, so q v = (m'N m + a'(n_a a), m'S_yr + a'r) is a
+    single product.  m is formed before it is squared: beta'(X'NX beta)
+    would sum terms far larger than e'e when the prior alone separates
+    collinear coefficients (one race), and lose e'e to rounding.
+
+    The block owns every array a draw writes, allocated once: the matrix
+    and its factor, L^-1 b + z_beta, beta, v, q and the two sums.  So a
+    draw allocates no array but gibbs_random_effect's one temporary, and
+    one block serves one chain at a time; sweeping several chains in one
+    process would give these buffers a chain axis.
     """
 
     def __init__(self, design: DesignMatrixView, config: ModelConfig):
@@ -323,14 +341,14 @@ class LocationBlock:
                                   rows["season"].start + 1:rows["season"].stop]
         self.athletes = rows["athlete"]
 
-        self.race_n = race_n = np.bincount(race_idx, minlength=n_races).astype(float)
-        self.race_y = race_y = np.bincount(race_idx, weights=design.y, minlength=n_races)
+        race_n = np.bincount(race_idx, minlength=n_races).astype(float)
+        race_y = np.bincount(race_idx, weights=design.y, minlength=n_races)
         athlete_race = np.bincount(design.athlete_idx * n_races + race_idx,
                                    minlength=la * n_races).reshape(la, n_races)  # M'
         g = athlete_race @ x
-        # G stacked over X: draw() forms G beta and the race means X beta in
+        # X stacked over G: draw() forms the race means X beta and G beta in
         # one product
-        self.gx = np.concatenate([g, x])
+        self.xg = np.concatenate([x, g])
         self.n_a = athlete_race.sum(axis=1).astype(float)
         self.s_ya = np.bincount(design.athlete_idx, weights=design.y, minlength=la)
         self.yy = float(design.y @ design.y)
@@ -377,12 +395,32 @@ class LocationBlock:
         np.fill_diagonal(self.augmented[p:, p:], KAPPA)
         self._first_columns = self.augmented.reshape(-1, order="F")[:p * n]
 
-    def precision(self, tau_obs, tau_athlete, tau_course, tau_season, m_rho, phi):
+        # draw()'s buffers, written in place every sweep.  The factor, with
+        # fixed views of its U L^-T block, its L^-1 b row and its last pivot
+        self._factor = np.empty((n, n), order="F")
+        self._ul = self._factor[p:2 * p, :p]
+        self._solved = self._factor[2 * p, :p]
+        self._pivot = self._factor[-1, -1, ...]
+        self._shifted = np.empty(p)  # L^-1 b + z_beta
+        self._beta = np.empty(p)
+        # v = [m; G beta], then [m; a] once the athletes overwrite G beta
+        self._v = np.empty(n_races + la)
+        self._athletes_v = self._v[n_races:]
+        self._weights = np.concatenate([race_n, self.n_a])
+        # q = [[N m, n_a a], [S_yr, r]]: q @ v holds both sums e'e needs
+        self._q = np.empty((2, n_races + la))
+        self._q[1, :n_races] = race_y
+        self._weighted_v = self._q[0]
+        self._r = self._q[1, n_races:]
+        self._sums = np.empty(2)
+
+    def precision(self, tau_obs, tau_athlete, tau_course, tau_season, m_rho, phi) -> None:
         """Write the augmented matrix draw() factorises into `augmented`.
 
-        Returns views of its Q and b, those of the conditional
-        N(Q^-1 b, Q^-1) of beta / unit with the free athletes integrated
-        out.  In beta's own units these are Q / (unit unit') and b / unit.
+        Its Q = augmented[:p, :p] and b = augmented[2p, :p] are those of the
+        conditional N(Q^-1 b, Q^-1) of beta / unit with the free athletes
+        integrated out.  In beta's own units these are Q / (unit unit') and
+        b / unit.
         """
         # in basis order: tau, w^2 of each distinct count, U's 1, then the
         # prior terms.  w^2 is computed on Python floats: for the few
@@ -393,8 +431,6 @@ class LocationBlock:
                           for count in self.distinct_counts],
                         1.0, tau_course, tau_season, m_rho, phi * m_rho]
         np.matmul(self.coef, self.basis, out=self._first_columns)
-        p = self.unit.size
-        return self.augmented[:p, :p], self.augmented[2 * p, :p]
 
     def draw(self, row, z_beta, z_athletes, tau_obs, tau_athlete, tau_course, tau_season,
              m_rho, phi) -> float:
@@ -403,10 +439,12 @@ class LocationBlock:
         With F the Cholesky factor of the augmented matrix (see the class),
         beta = F[p:2p, :p] (F[2p, :p] + z_beta) = U (Q^-1 b + L^-T z_beta),
         which is U N(Q^-1 b, Q^-1): one factorisation and one product, in
-        beta's own units.  The athletes are then drawn from their
-        conditional given beta, with z_athletes (one standard Normal per
-        athlete), and the new state's residual sum of squares is taken from
-        the race and athlete statistics.
+        beta's own units.  One product with [X; G] gives v = [m; G beta];
+        the athletes are then drawn from their conditional given beta, with
+        z_athletes (one standard Normal per athlete), straight over G beta,
+        so v = [m; a], and the new state's residual sum of squares is one
+        more product (see the class).  Every array written lives in the
+        block; `row` receives copies, so no later draw changes it.
 
         The factor comes from LAPACK's gufunc, which fills it with NaN when
         the matrix is not positive definite; a NaN anywhere in Q or b also
@@ -416,22 +454,25 @@ class LocationBlock:
         does, or that flag warns (an error where warnings are errors).
         """
         self.precision(tau_obs, tau_athlete, tau_course, tau_season, m_rho, phi)
-        p = self.unit.size
-        f = cholesky_lo(self.augmented, signature="d->d")
-        if not f[-1, -1] > 0.0:  # NaN included
+        cholesky_lo(self.augmented, signature="d->d", out=self._factor)
+        if not self._pivot.item() > 0.0:  # NaN included
             raise SamplerError(
                 f"location block precision is not positive definite at "
                 f"tau_obs={tau_obs!r} tau_athlete={tau_athlete!r} "
                 f"tau_course={tau_course!r} tau_season={tau_season!r}")
-        beta = f[p:2 * p, :p] @ (f[2 * p, :p] + z_beta)
-        row[self.beta_columns] = beta
-        gm = self.gx @ beta
-        r = self.s_ya - gm[:self.s_ya.size]
-        a = gibbs_random_effect(r, self.n_a, tau_obs, tau_athlete, z_athletes)
+        np.add(self._solved, z_beta, out=self._shifted)
+        np.matmul(self._ul, self._shifted, out=self._beta)
+        row[self.beta_columns] = self._beta
+        v, a = self._v, self._athletes_v
+        np.matmul(self.xg, self._beta, out=v)
+        # a holds G beta until the athletes are drawn over it
+        np.subtract(self.s_ya, a, out=self._r)
+        gibbs_random_effect(self._r, self.n_a, tau_obs, tau_athlete, z_athletes, out=a)
         row[self.athletes] = a
-        m = gm[self.s_ya.size:]
-        return float(self.yy + (self.race_n * m) @ m + (self.n_a * a) @ a
-                     - 2.0 * (m @ self.race_y + a @ r))
+        np.multiply(self._weights, v, out=self._weighted_v)
+        np.matmul(self._q, v, out=self._sums)
+        squares, cross = self._sums.tolist()
+        return self.yy + squares - 2.0 * cross
 
 
 @dataclass
@@ -731,31 +772,42 @@ def _chain_parse_error(csv_path, header, reason) -> DataError:
 
     The file is scanned again because loadtxt's row numbers start after
     the header and skip blank lines; this scan counts the header as line
-    1 and skips empty lines as loadtxt does.  Where no cell fails float()
-    (loadtxt also refuses, say, "1_0"), loadtxt's own `reason` is kept.
-    The scan can read further than loadtxt did, so it can meet a byte
-    that is not UTF-8, which is then the error.
+    1 and skips empty lines as loadtxt does, and reads each cell by
+    ingest's numeric-cell rule, which refuses what loadtxt refuses ("1_0",
+    non-ASCII digits).  Where no line fails, loadtxt's own `reason` is
+    kept.  The scan decodes the file to its end, so a byte that is not
+    UTF-8 anywhere in it is the error, wherever loadtxt stopped.
     """
+    error = None
     try:
         with open(csv_path, "r", encoding="utf-8") as fh:
             fh.readline()
             for number, line in enumerate(fh, start=2):
-                cells = line.rstrip("\n").split(",")
-                if cells == [""]:
-                    continue
-                if len(cells) != len(header):
-                    return DataError(f"{csv_path}, line {number}: {len(cells)} cell(s), "
-                                     f"expected {len(header)}")
-                for column, cell in enumerate(cells):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        return DataError(
-                            f"{csv_path}, line {number}, column {column + 1} "
-                            f"({header[column]}): cannot parse {cell!r} as a number")
+                error = _chain_line_error(csv_path, header, number, line)
+                if error is not None:
+                    break
+            while fh.read(1 << 20):
+                pass
     except UnicodeDecodeError:
         return not_utf8_error(csv_path)
-    return DataError(f"{csv_path}: {reason}")
+    return error or DataError(f"{csv_path}: {reason}")
+
+
+def _chain_line_error(csv_path, header, number, line) -> DataError | None:
+    """The error for line `number` of a chain CSV, or None for a good line."""
+    cells = line.rstrip("\n").split(",")
+    if cells == [""]:
+        return None
+    if len(cells) != len(header):
+        return DataError(f"{csv_path}, line {number}: {len(cells)} cell(s), "
+                         f"expected {len(header)}")
+    for column, cell in enumerate(cells):
+        try:
+            parse_number(cell)
+        except ValueError:
+            return DataError(f"{csv_path}, line {number}, column {column + 1} "
+                             f"({header[column]}): cannot parse {cell!r} as a number")
+    return None
 
 
 def load_chain_meta(meta_path) -> ChainMeta:

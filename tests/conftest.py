@@ -51,7 +51,8 @@ def fail_location_factorisations(monkeypatch):
 
     factor = racemix.sampler.cholesky_lo
     monkeypatch.setattr(racemix.sampler, "cholesky_lo",
-                        lambda matrix, signature: factor(-matrix, signature=signature))
+                        lambda matrix, signature, out: factor(-matrix, signature=signature,
+                                                              out=out))
 
 
 def make_toy_design(response="log_time", include_windspeed=False):

@@ -292,22 +292,79 @@ def test_fit_config_that_is_not_json_exits_2_naming_its_line(dataset_dir, tmp_pa
             in result.output)
 
 
-@pytest.mark.parametrize("name, column", [("results.csv", "finish_time_min"),
-                                          ("races.csv", "distance_miles"),
-                                          ("rainfall.csv", "rainfall_mm")])
-def test_fit_underscored_number_exits_2_naming_its_line(dataset_dir, tmp_path, name, column):
-    # float() reads "4_0" as 40, a valid value in each of these columns
+def _copy_with_cell(dataset_dir, tmp_path, name, line, column, value):
+    """A copy of the data set whose file `name` holds `value` in `column` of
+    its 1-based `line`; returns the copy's directory."""
     data = tmp_path / "data"
     shutil.copytree(dataset_dir, data)
-    lines = (data / name).read_text().splitlines()
-    cells = lines[2].split(",")
-    cells[lines[0].split(",").index(column)] = "4_0"
-    lines[2] = ",".join(cells)
-    (data / name).write_text("\n".join(lines) + "\n")
+    lines = (data / name).read_text(encoding="utf-8").splitlines()
+    cells = lines[line - 1].split(",")
+    cells[lines[0].split(",").index(column)] = value
+    lines[line - 1] = ",".join(cells)
+    (data / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return data
+
+
+NUMERIC_COLUMNS = pytest.mark.parametrize("name, column", [
+    ("results.csv", "finish_time_min"), ("races.csv", "distance_miles"),
+    ("rainfall.csv", "rainfall_mm")])
+
+
+@NUMERIC_COLUMNS
+def test_fit_underscored_number_exits_2_naming_its_line(dataset_dir, tmp_path, name, column):
+    # float() reads "4_0" as 40, a valid value in each of these columns
+    data = _copy_with_cell(dataset_dir, tmp_path, name, 3, column, "4_0")
     result = _run(["fit", *_data_args(data), *FIT_ARGS, "--out", str(tmp_path / "out")])
     assert result.exit_code == 2, result.output
     assert f"error: {data / name}: line 3: unparseable" in result.output
     assert "'4_0'" in result.output
+
+
+@NUMERIC_COLUMNS
+def test_fit_non_ascii_digits_exit_2_naming_their_line(dataset_dir, tmp_path, name, column):
+    # float() reads the Arabic-Indic digits "\u0664\u0660" as 40
+    cell = "\u0664\u0660"
+    assert float(cell) == 40.0
+    data = _copy_with_cell(dataset_dir, tmp_path, name, 3, column, cell)
+    result = _run(["fit", *_data_args(data), *FIT_ARGS, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert f"error: {data / name}: line 3: unparseable" in result.output
+    assert repr(cell) in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_fit_duplicate_result_exits_2_naming_both_lines(dataset_dir, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(dataset_dir, data)
+    lines = (data / "results.csv").read_text().splitlines()
+    # line 3's athlete again in line 3's race, with another time
+    lines.append(lines[2].replace(lines[2].split(",")[4], "47.5"))
+    (data / "results.csv").write_text("\n".join(lines) + "\n")
+    athlete, course, season = lines[2].split(",")[:3]
+    result = _run(["fit", *_data_args(data), *FIT_ARGS, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert (f"error: {data / 'results.csv'}: line {len(lines)}: duplicate result for "
+            f"athlete {athlete} in race {course} {season} (first seen on line 3)"
+            in result.output)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, line, column", [("races.csv", 2, "distance_miles"),
+                                                ("rainfall.csv", 3, "rainfall_mm")])
+def test_fit_covariate_of_1e300_exits_3_from_the_location_block(dataset_dir, tmp_path,
+                                                                 name, line, column):
+    # a finite covariate so large that the location block's column norms
+    # overflow is not refused as input: no bound on the covariates is
+    # imposed, numpy warns of the overflow, and the first block draw fails
+    # (races.csv line 2 and rainfall.csv line 3 are the first race's
+    # distance and month)
+    data = _copy_with_cell(dataset_dir, tmp_path, name, line, column, "1e300")
+    with pytest.warns(RuntimeWarning) as warned:
+        result = _run(["fit", *_data_args(data), *FIT_ARGS, "--out", str(tmp_path / "out")])
+    assert any("overflow" in str(w.message) for w in warned)
+    assert result.exit_code == 3, result.output
+    assert ("sampler error: sweep 1: location block precision is not positive definite"
+            in result.output)
 
 
 @pytest.mark.parametrize("iterations,chains", [(3, 2), (1, 1)])
@@ -1008,9 +1065,25 @@ def test_fit_file_that_is_not_utf8_exits_2_naming_its_line(fit_dir, tmp_path, mo
     assert not (fit / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("cell", ["1_0", "\u0661"])
+def test_summarize_chain_cell_loadtxt_refuses_exits_2_naming_its_line(fit_dir, tmp_path,
+                                                                      cell):
+    # float() reads both ("\u0661" is an Arabic-Indic 1); loadtxt refuses
+    # both and counts its rows from the first draw, not from the header
+    fit = tmp_path / "fit"
+    shutil.copytree(fit_dir, fit, ignore=shutil.ignore_patterns("ppc"))
+    lines = (fit / "chain.csv").read_text().splitlines()
+    lines[2] = cell + lines[2][lines[2].index(","):]
+    (fit / "chain.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = _run(["summarize", "--fit", str(fit)])
+    assert result.exit_code == 2, result.output
+    assert (f"error: {fit / 'chain.csv'}, line 3, column 1 (intercept): "
+            f"cannot parse {cell!r} as a number" in result.output)
+
+
 def test_chain_refused_before_its_bad_byte_exits_2_naming_the_byte(fit_dir, tmp_path):
     # loadtxt stops at the "1_0" of line 3; the scan that looks for the line
-    # to name reads on, as float() takes "1_0", and meets the bad byte
+    # to name decodes the file to its end, and so meets the bad byte
     fit = tmp_path / "fit"
     shutil.copytree(fit_dir, fit, ignore=shutil.ignore_patterns("ppc"))
     lines = (fit / "chain.csv").read_text().splitlines()

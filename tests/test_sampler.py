@@ -115,6 +115,20 @@ def test_random_effect_worked_case_and_no_data_level():
     assert draws[:, 2].std() == pytest.approx(1 / math.sqrt(50), rel=0.03)
 
 
+def test_random_effect_into_a_buffer_equals_the_allocating_call_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for counts in (rng.integers(0, 30, 200), rng.integers(0, 30, 200).astype(float)):
+        sums, z = rng.standard_normal(200) * 40.0, rng.standard_normal(200)
+        inputs = (sums.copy(), counts.copy(), z.copy())
+        for tau_obs, tau_group in ((3.7, 250.0), (1e-3, 1e4), (812.0, 0.02)):
+            expected = gibbs_random_effect(sums, counts, tau_obs, tau_group, z)
+            out = np.full(200, np.nan)
+            assert gibbs_random_effect(sums, counts, tau_obs, tau_group, z, out=out) is out
+            assert np.array_equal(out, expected)
+        # the inputs are read, never written
+        assert all(np.array_equal(x, y) for x, y in zip((sums, counts, z), inputs))
+
+
 def test_random_effect_domain_errors():
     with pytest.raises(SamplerError):
         gibbs_random_effect(np.zeros(2), np.ones(2), 0.0, 1.0, np.zeros(2))
@@ -344,6 +358,13 @@ def _hyper(state):
             state.m_rho, state.phi)
 
 
+def _q_and_b(block):
+    """Copies of Q and b as LocationBlock.precision wrote them into the
+    augmented matrix: Q in its first p rows and columns, b in its last row."""
+    p = block.unit.size
+    return block.augmented[:p, :p].copy(), block.augmented[2 * p, :p].copy()
+
+
 LOCATION_CASES = pytest.mark.parametrize("case", [
     lambda: _default_spec_case(),
     lambda: _default_spec_case(response="log_pace", include_windspeed=True),
@@ -355,7 +376,8 @@ LOCATION_CASES = pytest.mark.parametrize("case", [
 def test_location_block_race_statistics_match_observation_design(case):
     design, config, state = case()
     block = LocationBlock(design, config)
-    q, b = block.precision(*_hyper(state))  # for beta / unit
+    block.precision(*_hyper(state))
+    q, b = _q_and_b(block)  # for beta / unit
     q_ref, b_ref = _observation_level_q_and_b(design, config, state)
     assert q.shape == q_ref.shape
     np.testing.assert_allclose(q, q_ref * block.unit[:, None] * block.unit, rtol=1e-10)
@@ -380,20 +402,24 @@ def test_location_block_sum_of_squares_matches_the_residuals(case):
         assert sum_squares == pytest.approx(float(e @ e), rel=1e-9)
 
 
-def _factor_and_solve_draw(block, row, z_beta, z_athletes, *hyper):
+def _factor_and_solve_draw(design, block, row, z_beta, z_athletes, *hyper):
     """LocationBlock.draw the way it was first written: a Cholesky factor L of
-    Q, then beta / unit = Q^-1 (b + L z_beta) by an LU solve."""
-    q, b = block.precision(*hyper)
+    Q, then beta / unit = Q^-1 (b + L z_beta) by an LU solve, and e'e from
+    its separate sums."""
+    block.precision(*hyper)
+    q, b = _q_and_b(block)
     chol = np.linalg.cholesky(q)
     beta = block.unit * np.linalg.solve(q, b + chol @ z_beta)
     row[block.beta_columns] = beta
-    g, x = np.split(block.gx, [block.n_a.size])
+    x, g = np.split(block.xg, [design.race_course.size])
     r = block.s_ya - g @ beta
     a = gibbs_random_effect(r, block.n_a, hyper[0], hyper[1], z_athletes)
     row[block.athletes] = a
     m = x @ beta
-    return float(block.yy + (block.race_n * m) @ m + (block.n_a * a) @ a
-                 - 2.0 * (m @ block.race_y + a @ r))
+    race_n = np.bincount(design.race_idx, minlength=m.size)
+    race_y = np.bincount(design.race_idx, weights=design.y, minlength=m.size)
+    return float(block.yy + (race_n * m) @ m + (block.n_a * a) @ a
+                 - 2.0 * (m @ race_y + a @ r))
 
 
 @LOCATION_CASES
@@ -406,15 +432,34 @@ def test_location_block_draw_matches_a_factorisation_and_solve(case):
     z_beta, z_athletes = z[:block.unit.size], z[block.unit.size:]
     row, expected_row = draws_row(state), draws_row(state)
     sum_squares = block.draw(row, z_beta, z_athletes, *_hyper(state))
-    expected = _factor_and_solve_draw(block, expected_row, z_beta, z_athletes, *_hyper(state))
+    expected = _factor_and_solve_draw(design, block, expected_row, z_beta, z_athletes,
+                                      *_hyper(state))
     # two backward-stable routes differ by up to about cond(Q) eps: 1e-10
     # bounds that on the default spec, but in the one-race case only the
     # prior separates the intercept from the rainfall columns, cond(Q) is
     # 2.5e8, and both routes miss a 50-digit reference by 1.3e-9
-    q, _ = block.precision(*_hyper(state))
+    q, _ = _q_and_b(block)
     rtol = max(1e-10, float(np.linalg.cond(q)) * np.finfo(float).eps)
     np.testing.assert_allclose(row, expected_row, rtol=rtol)
     assert sum_squares == pytest.approx(expected, rel=rtol)
+
+
+@LOCATION_CASES
+def test_location_block_draws_leave_earlier_rows_unchanged(case):
+    # the block writes into buffers it reuses every draw: a row it filled
+    # must hold copies, not views of them
+    design, config, state = case()
+    block = LocationBlock(design, config)
+    rng = np.random.default_rng(19)
+    p, la = block.unit.size, len(design.athletes)
+    first, second = draws_row(state), draws_row(state)
+    block.draw(first, *np.split(rng.standard_normal(p + la), [p]), *_hyper(state))
+    kept = first.copy()
+    state.tau_obs *= 3.0
+    block.draw(second, *np.split(rng.standard_normal(p + la), [p]), *_hyper(state))
+    assert np.array_equal(first, kept)
+    assert not np.array_equal(second[block.athletes], first[block.athletes])
+    assert not np.array_equal(second[block.beta_columns], first[block.beta_columns])
 
 
 @pytest.mark.parametrize("name, value", [("tau_obs", math.nan), ("m_rho", math.nan),
@@ -450,12 +495,17 @@ def test_location_block_factor_is_numpys_cholesky_bit_for_bit(case):
     for _ in range(5):
         block.precision(*_hyper(state))
         factor = np.linalg.cholesky(block.augmented)
-        assert np.array_equal(racemix.sampler.cholesky_lo(block.augmented, signature="d->d"),
-                              factor)
+        # called as draw() calls it: into a column-major buffer
+        out = np.empty_like(block.augmented)
+        racemix.sampler.cholesky_lo(block.augmented, signature="d->d", out=out)
+        assert out.flags.f_contiguous and np.array_equal(out, factor)
         z = rng.standard_normal(p + len(design.athletes))
         row = draws_row(state)
         block.draw(row, z[:p], z[p:], *_hyper(state))
-        beta = factor[p:2 * p, :p] @ (factor[2 * p, :p] + z[:p])
+        # the product's summation order follows the factor's layout, so the
+        # reference takes it in the block's column-major layout
+        layout = np.asfortranarray(factor)
+        beta = layout[p:2 * p, :p] @ (layout[2 * p, :p] + z[:p])
         assert np.array_equal(row[block.beta_columns], beta)
         for name in ("tau_obs", "tau_athlete", "tau_course", "tau_season"):
             setattr(state, name, getattr(state, name) * 10.0 ** rng.uniform(-2.0, 1.0))

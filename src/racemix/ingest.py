@@ -11,7 +11,8 @@ Three input files feed a fit (UTF-8, comma separated, header row required):
 in races.csv, an athlete at most one row per race in results.csv, and
 rainfall.csv must cover each race month and the month before it.
 Numeric cells are ASCII decimals (parse_number).  Men's and women's races
-are fitted separately, so results parsing requires an explicit sex filter.
+are fitted separately, so results parsing requires an explicit sex filter;
+a result's sex must be one of SEXES.
 
 Grouping factors are indexed densely with the baseline level at index 0:
 course "Alnwick" and season "17/18" when present (otherwise the first
@@ -187,8 +188,10 @@ def _check_month(text, path, lineno) -> None:
 def parse_results(path, sex_filter: str) -> list[RaceObservation]:
     """Read results.csv, keeping only rows whose sex matches the filter.
 
-    Any malformed row is a hard error naming its line number, and so is a
-    second result for one athlete in one race, whatever its sex.
+    A malformed row is a hard error naming its line number.  Every row,
+    whatever its sex, needs its key fields, a sex that is one of SEXES and
+    no earlier result for the same athlete in the same race; a kept row
+    also needs a positive finish time and a valid month.
     """
     if sex_filter not in SEXES:
         raise DataError(f"sex filter must be one of {SEXES}, got {sex_filter!r}")
@@ -198,6 +201,9 @@ def parse_results(path, sex_filter: str) -> list[RaceObservation]:
         athlete_id, course, season, sex, time_text, month_text = row
         if not athlete_id or not course or not season:
             raise DataError(f"{path}: line {lineno}: empty key field")
+        if sex not in SEXES:
+            raise DataError(f"{path}: line {lineno}: unknown sex {sex!r}, "
+                            f"expected one of {', '.join(SEXES)}")
         first = seen.setdefault((athlete_id, course, season), lineno)
         if first != lineno:
             raise DataError(f"{path}: line {lineno}: duplicate result for athlete "

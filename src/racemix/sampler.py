@@ -121,7 +121,7 @@ def gibbs_scalar_normal(prior_mean, prior_var, xs, residuals, tau_obs, rng) -> f
 
 
 def gibbs_random_effect(level_residual_sums, level_counts, tau_obs, tau_group, z,
-                        out=None) -> np.ndarray:
+                        out=None, work=None) -> np.ndarray:
     """Draw a whole random-effect block; entry 0 stays exactly zero.
 
     level_residual_sums[l] is the sum, over that level's observations, of
@@ -131,18 +131,22 @@ def gibbs_random_effect(level_residual_sums, level_counts, tau_obs, tau_group, z
 
     The draw is written into `out` when given (LocationBlock passes a
     view of its own buffer), else into a new array; either way it is
-    returned.  `out` must not overlap the inputs.
+    returned.  `work`, when given, is a float64 scratch array of the same
+    length that the call overwrites, else one is allocated.  Neither may
+    overlap the inputs or each other.
     """
     if not tau_obs > 0.0 or not tau_group > 0.0:  # NaN included
         raise SamplerError(f"precisions must be positive, got "
                            f"tau_obs={tau_obs} tau_group={tau_group}")
-    prec = level_counts * tau_obs
+    # output arrays are passed positionally: by keyword, each ufunc call
+    # costs about 0.1 us more, as much as its arithmetic at league scale
+    prec = np.multiply(level_counts, tau_obs, work)
     prec += tau_group
-    draw = np.multiply(tau_obs, level_residual_sums, out=out)
+    draw = np.multiply(tau_obs, level_residual_sums, out)
     draw /= prec
     # prec's last use: it becomes z / sqrt(prec)
-    np.sqrt(prec, out=prec)
-    np.divide(z, prec, out=prec)
+    np.sqrt(prec, prec)
+    np.divide(z, prec, prec)
     draw += prec
     draw[0] = 0.0
     return draw
@@ -176,8 +180,10 @@ def gibbs_precision(rate, sum_squares, gamma_variate) -> float:
     draw = gamma_variate / (rate + 0.5 * sum_squares)
     # with no free levels the conditional is the diffuse prior, whose
     # tiny-shape draws can underflow float64 to exactly 0; clamp to keep
-    # the positivity invariant (anything below tiny is unrepresentable)
-    return max(draw, TINY_PRECISION)
+    # the positivity invariant (anything below tiny is unrepresentable).
+    # A comparison, not max(): the same result, NaN passing through, for
+    # less than a builtin call
+    return draw if not draw < TINY_PRECISION else TINY_PRECISION
 
 
 def gibbs_hypermean(rho_cur, rho_prev, phi, v_rho_cur, v_rho_prev, v_m, z) -> float:
@@ -316,12 +322,19 @@ class LocationBlock:
     collinear coefficients (one race), and lose e'e to rounding.
 
     The block owns every array a draw writes, allocated once: the matrix
-    and its factor, L^-1 b + z_beta, beta, v, q and the two sums.  So a
-    draw allocates no array but gibbs_random_effect's one temporary, and
-    one block serves one chain at a time; sweeping several chains in one
-    process would give these buffers a chain axis.
+    and its factor, L^-1 b + z_beta, beta, v, q, the two sums and
+    gibbs_random_effect's scratch.  So a draw allocates no array, and one
+    block serves one chain at a time; sweeping several chains in one
+    process would give these buffers a chain axis.  The products whose
+    operands are contiguous (the basis, [X; G] beta and q v) call BLAS
+    through ndarray.dot, which skips np.matmul's dispatch and gives the
+    same bits.
     """
 
+    # the statistics are built without a bound on the covariates: one of
+    # 1e300 overflows the column norms, and the first draw's check of the
+    # factor turns that into a SamplerError, so numpy need not warn of it
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, design: DesignMatrixView, config: ModelConfig):
         pr = config.priors
         la = len(design.athletes)
@@ -413,6 +426,7 @@ class LocationBlock:
         self._weighted_v = self._q[0]
         self._r = self._q[1, n_races:]
         self._sums = np.empty(2)
+        self._work = np.empty(la)  # gibbs_random_effect's scratch
 
     def precision(self, tau_obs, tau_athlete, tau_course, tau_season, m_rho, phi) -> None:
         """Write the augmented matrix draw() factorises into `augmented`.
@@ -430,7 +444,7 @@ class LocationBlock:
                         *[tau2 / (count * tau_obs + tau_athlete)
                           for count in self.distinct_counts],
                         1.0, tau_course, tau_season, m_rho, phi * m_rho]
-        np.matmul(self.coef, self.basis, out=self._first_columns)
+        self.coef.dot(self.basis, self._first_columns)
 
     def draw(self, row, z_beta, z_athletes, tau_obs, tau_athlete, tau_course, tau_season,
              m_rho, phi) -> float:
@@ -460,17 +474,20 @@ class LocationBlock:
                 f"location block precision is not positive definite at "
                 f"tau_obs={tau_obs!r} tau_athlete={tau_athlete!r} "
                 f"tau_course={tau_course!r} tau_season={tau_season!r}")
-        np.add(self._solved, z_beta, out=self._shifted)
-        np.matmul(self._ul, self._shifted, out=self._beta)
+        np.add(self._solved, z_beta, self._shifted)
+        # U L^-T is a strided view of the factor: ndarray.dot would copy it
+        # first, and round differently, so this product stays np.matmul
+        np.matmul(self._ul, self._shifted, self._beta)
         row[self.beta_columns] = self._beta
         v, a = self._v, self._athletes_v
-        np.matmul(self.xg, self._beta, out=v)
+        self.xg.dot(self._beta, v)
         # a holds G beta until the athletes are drawn over it
-        np.subtract(self.s_ya, a, out=self._r)
-        gibbs_random_effect(self._r, self.n_a, tau_obs, tau_athlete, z_athletes, out=a)
+        np.subtract(self.s_ya, a, self._r)
+        gibbs_random_effect(self._r, self.n_a, tau_obs, tau_athlete, z_athletes, a,
+                            self._work)
         row[self.athletes] = a
-        np.multiply(self._weights, v, out=self._weighted_v)
-        np.matmul(self._q, v, out=self._sums)
+        np.multiply(self._weights, v, self._weighted_v)
+        self._q.dot(v, self._sums)
         squares, cross = self._sums.tolist()
         return self.yy + squares - 2.0 * cross
 
@@ -664,7 +681,8 @@ def run_chain(design: DesignMatrixView, config: ModelConfig, rng_seed=None) -> C
                 i = (sweep - 1) % VARIATE_BLOCK
                 if i == 0:
                     normals = rng.standard_normal((VARIATE_BLOCK, p + la + 1))
-                    z_beta, z_athletes = normals[:, :p], normals[:, p:-1]
+                    # each sweep's row views, built once per block
+                    z_beta, z_athletes = list(normals[:, :p]), list(normals[:, p:-1])
                     z_m_rho = normals[:, -1].tolist()
                     gammas = rng.standard_gamma(shapes, size=(VARIATE_BLOCK, 4)).tolist()
                     exponentials = rng.standard_exponential(VARIATE_BLOCK).tolist()

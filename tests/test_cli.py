@@ -14,6 +14,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -333,6 +334,17 @@ def test_fit_non_ascii_digits_exit_2_naming_their_line(dataset_dir, tmp_path, na
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("sex", ["X", "m", ""])
+def test_fit_result_of_unknown_sex_exits_2_naming_its_line(dataset_dir, tmp_path, sex):
+    # a sex that is neither M nor F is refused, not dropped by the sex filter
+    data = _copy_with_cell(dataset_dir, tmp_path, "results.csv", 3, "sex", sex)
+    result = _run(["fit", *_data_args(data), *FIT_ARGS, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert (f"error: {data / 'results.csv'}: line 3: unknown sex {sex!r}, "
+            f"expected one of M, F" in result.output)
+    assert not (tmp_path / "out").exists()
+
+
 def test_fit_duplicate_result_exits_2_naming_both_lines(dataset_dir, tmp_path):
     data = tmp_path / "data"
     shutil.copytree(dataset_dir, data)
@@ -355,13 +367,14 @@ def test_fit_covariate_of_1e300_exits_3_from_the_location_block(dataset_dir, tmp
                                                                  name, line, column):
     # a finite covariate so large that the location block's column norms
     # overflow is not refused as input: no bound on the covariates is
-    # imposed, numpy warns of the overflow, and the first block draw fails
-    # (races.csv line 2 and rainfall.csv line 3 are the first race's
-    # distance and month)
+    # imposed, the overflow raises no numpy warning, and the first block
+    # draw fails (races.csv line 2 and rainfall.csv line 3 are the first
+    # race's distance and month)
     data = _copy_with_cell(dataset_dir, tmp_path, name, line, column, "1e300")
-    with pytest.warns(RuntimeWarning) as warned:
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
         result = _run(["fit", *_data_args(data), *FIT_ARGS, "--out", str(tmp_path / "out")])
-    assert any("overflow" in str(w.message) for w in warned)
+    assert [str(w.message) for w in warned] == []
     assert result.exit_code == 3, result.output
     assert ("sampler error: sweep 1: location block precision is not positive definite"
             in result.output)

@@ -125,6 +125,15 @@ def test_random_effect_into_a_buffer_equals_the_allocating_call_bit_for_bit():
             out = np.full(200, np.nan)
             assert gibbs_random_effect(sums, counts, tau_obs, tau_group, z, out=out) is out
             assert np.array_equal(out, expected)
+            # with a scratch buffer as well, passed as LocationBlock passes it
+            out, work = np.full(200, np.nan), np.full(200, np.nan)
+            assert gibbs_random_effect(sums, counts, tau_obs, tau_group, z, out, work) is out
+            assert np.array_equal(out, expected)
+            # a second draw over the same scratch leaves the first one as it was
+            second = gibbs_random_effect(sums, counts, tau_obs, tau_group, -z, work=work)
+            assert np.array_equal(second, gibbs_random_effect(sums, counts, tau_obs,
+                                                              tau_group, -z))
+            assert np.array_equal(out, expected) and second is not work
         # the inputs are read, never written
         assert all(np.array_equal(x, y) for x, y in zip((sums, counts, z), inputs))
 
@@ -460,6 +469,49 @@ def test_location_block_draws_leave_earlier_rows_unchanged(case):
     assert np.array_equal(first, kept)
     assert not np.array_equal(second[block.athletes], first[block.athletes])
     assert not np.array_equal(second[block.beta_columns], first[block.beta_columns])
+
+
+def _matmul_draw(design, block, row, z_beta, z_athletes, *hyper):
+    """LocationBlock.draw with np.matmul for every product and a numpy-made
+    factor: the reference that the block's ndarray.dot products must match
+    bit for bit.  Returns the basis product and e'e."""
+    p = block.unit.size
+    first_columns = np.matmul(block.coef, block.basis)
+    factor = np.asfortranarray(np.linalg.cholesky(block.augmented))
+    beta = np.matmul(factor[p:2 * p, :p], factor[2 * p, :p] + z_beta)
+    row[block.beta_columns] = beta
+    v = np.matmul(block.xg, beta)
+    n_races = design.race_course.size
+    r = block.s_ya - v[n_races:]
+    v[n_races:] = gibbs_random_effect(r, block.n_a, hyper[0], hyper[1], z_athletes)
+    row[block.athletes] = v[n_races:]
+    race_n = np.bincount(design.race_idx, minlength=n_races).astype(float)
+    race_y = np.bincount(design.race_idx, weights=design.y, minlength=n_races)
+    q = np.stack([np.concatenate([race_n, block.n_a]) * v, np.concatenate([race_y, r])])
+    squares, cross = np.matmul(q, v).tolist()
+    return first_columns, block.yy + squares - 2.0 * cross
+
+
+@LOCATION_CASES
+def test_location_block_dot_products_equal_matmul_bit_for_bit(case):
+    # the basis product, [X; G] beta and q v are taken by ndarray.dot: their
+    # bits must be those np.matmul gives, or every chain would change
+    design, config, state = case()
+    block = LocationBlock(design, config)
+    rng = np.random.default_rng(23)
+    p, la = block.unit.size, len(design.athletes)
+    for _ in range(5):
+        for name in ("tau_obs", "tau_athlete", "tau_course", "tau_season"):
+            setattr(state, name, getattr(state, name) * 10.0 ** rng.uniform(-2.0, 1.0))
+        z_beta, z_athletes = np.split(rng.standard_normal(p + la), [p])
+        row, expected_row = draws_row(state), draws_row(state)
+        sum_squares = block.draw(row, z_beta, z_athletes, *_hyper(state))
+        first_columns, expected = _matmul_draw(design, block, expected_row, z_beta,
+                                               z_athletes, *_hyper(state))
+        assert np.array_equal(block.augmented.reshape(-1, order="F")[:first_columns.size],
+                              first_columns)
+        assert np.array_equal(row, expected_row)
+        assert sum_squares == expected
 
 
 @pytest.mark.parametrize("name, value", [("tau_obs", math.nan), ("m_rho", math.nan),

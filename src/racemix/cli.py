@@ -16,6 +16,7 @@ when --out is omitted.
 """
 from __future__ import annotations
 
+import contextlib
 import datetime
 import functools
 import hashlib
@@ -41,6 +42,7 @@ from .diagnostics import (
     write_trace_csv,
 )
 from .ingest import (
+    SEXES,
     DataError,
     build_design,
     parse_races,
@@ -320,7 +322,8 @@ def fit(data, covariates, rainfall, sex, response, windspeed, seed, burn_in,
     observations = parse_results(data, sex)
     contexts = parse_races(covariates)
     rain = parse_rainfall(rainfall)
-    design = build_design(observations, contexts, rain, config)
+    design = build_design(observations, contexts, rain, config,
+                          sources=(data, covariates, rainfall))
     # made only once the inputs are good, so bad input leaves no directory
     if out_dir is None:
         out_dir = os.path.join(_out_root(), "fit")
@@ -400,6 +403,7 @@ def _reingest_from_manifest(fit_dir, manifest, meta, data, covariates, rainfall)
     so the design matches the stored draws exactly.
     """
     roles = {"data": data, "covariates": covariates, "rainfall": rainfall}
+    manifest_path = os.path.join(fit_dir, "manifest.json")
     paths = {}
     for role, override in roles.items():
         if override is not None:
@@ -407,7 +411,7 @@ def _reingest_from_manifest(fit_dir, manifest, meta, data, covariates, rainfall)
             continue
         recorded = manifest["inputs"].get(role)
         if recorded is None:
-            raise DataError(f"manifest records no {role!r} input; pass --{role}")
+            raise DataError(f"{manifest_path} records no {role!r} input; pass --{role}")
         path, recorded_digest = recorded["path"], recorded["sha256"]
         if not os.path.exists(path):
             raise DataError(f"recorded {role} input {path} no longer exists; "
@@ -419,13 +423,15 @@ def _reingest_from_manifest(fit_dir, manifest, meta, data, covariates, rainfall)
         paths[role] = path
 
     sex = manifest["config"].get("sex")
-    if sex is None:
-        raise DataError("manifest does not record the fitted sex")
+    if sex not in SEXES:
+        raise DataError(f"{manifest_path} does not record the fitted sex "
+                        f"(config.sex is {sex!r})")
     observations = parse_results(paths["data"], sex)
     contexts = parse_races(paths["covariates"])
     rain = parse_rainfall(paths["rainfall"])
     config = ModelConfig(response=meta.response, d_bar=meta.d_bar, w_bar=meta.w_bar)
-    design = build_design(observations, contexts, rain, config)
+    design = build_design(observations, contexts, rain, config,
+                          sources=(paths["data"], paths["covariates"], paths["rainfall"]))
     return design, observations, paths
 
 
@@ -472,7 +478,12 @@ def ppc(fit_dir, races, index, seed, bins, data, covariates, rainfall, out_dir):
     wanted = set(_parse_race_filter(races, design))
     selected = [o for o in observations if (o.course, o.season) in wanted]
 
-    reports = ppc_report(chain, design, selected, np.random.default_rng(seed), bins)
+    try:
+        reports = ppc_report(chain, design, selected, np.random.default_rng(seed), bins)
+    except DataError as exc:
+        # the chain's draws or metadata against the data: name the chain's files
+        chain_path, meta_path, _ = _indexed_chain_files(fit_dir, manifest, index)
+        raise DataError(f"{chain_path} ({meta_path}): {exc}") from None
     # made only once every race is simulated, so a failed race leaves no directory
     if out_dir is None:
         out_dir = os.path.join(fit_dir, "ppc")
@@ -564,13 +575,21 @@ def diagnose(fit_dir, index, out_root):
     RuntimeError.  The trace is written as `<trace name>.tmp` and renamed to
     its name once the chain has been read and the export has finished, and
     diagnostics.csv is written after it: a failed read or export creates or
-    changes neither file, and leaves no temporary file.
+    changes neither file, and leaves no temporary file, nor any directory
+    that this call made for --out.
     """
     manifest = _read_manifest(fit_dir)
     chain_path, meta_path, n_chains = _indexed_chain_files(fit_dir, manifest, index)
     meta = load_chain_meta(meta_path)
     if out_root is None:
         out_root = fit_dir
+    # the directories this call makes: the trace is written into out_root
+    # while the chain is read, and a failed read or export removes them
+    made = []
+    head = os.path.abspath(out_root)
+    while not os.path.exists(head):
+        made.append(head)
+        head = os.path.dirname(head)
     os.makedirs(out_root, exist_ok=True)
     trace_path = os.path.join(out_root, _artifact_name("trace", "csv", index, n_chains))
     diag_path = os.path.join(out_root, _artifact_name("diagnostics", "csv", index, n_chains))
@@ -602,9 +621,13 @@ def diagnose(fit_dir, index, out_root):
                     # export, so a bad cell is named by its line as in the serial order
                     table, n_draws, n_columns = read.result()
         os.replace(partial, trace_path)
-    finally:
+    except BaseException:
         if os.path.exists(partial):
             os.remove(partial)
+        for directory in made:  # deepest first; rmdir leaves one that is not empty
+            with contextlib.suppress(OSError):
+                os.rmdir(directory)
+        raise
     with open(diag_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(table)
     click.echo(f"wrote {trace_path} and {diag_path} "

@@ -5,7 +5,8 @@ per parameter, and gives one result per column.  Autocorrelations are
 the biased FFT estimator, one FFT per block of columns; ESS is Geyer's
 initial positive sequence, or N for a constant column or fewer than 10
 draws; ess_and_rho1 reads lag 1 from the same FFT as the ESS.  Quantiles
-are type-7 (numpy's default), taken per block of columns.
+are type-7 (numpy's default), taken per block of columns by
+type7_quantiles, which equals np.quantile without importing numpy.ma.
 
 Split R-hat and the total ESS across chains combine one ChainMoments per
 chain: each half's column means and variances and the chain's ESS, a
@@ -19,6 +20,7 @@ here draws figures.
 """
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -137,6 +139,43 @@ def effective_sample_size(chain) -> float | np.ndarray:
     return float(ess[0]) if one_chain else ess
 
 
+def type7_quantiles(values, qs) -> np.ndarray:
+    """Type-7 quantiles (Hyndman & Fan 1996) along axis 0, shape (len(qs),)
+    + values.shape[1:]: np.quantile(values, qs, axis=0) bit for bit.
+
+    As numpy's "linear" method does, a copy is partitioned at the order
+    statistics the qs need (the same kth set, so even tied zeros of
+    opposite sign come out alike), two neighbours a <= b are read per q at
+    virtual index h = (n - 1) q, and interpolated as a + (b - a) t, or as
+    b - (b - a)(1 - t) where t >= 0.5, with t = h - floor(h).  An h at or
+    past n - 1 reads the last element twice, with numpy's t = h + 1; a
+    column holding a NaN gives NaN.  Unlike np.quantile it never calls
+    np.unique, which imports all of numpy.ma.
+    """
+    x = np.array(values, dtype=float)
+    n = x.shape[0]
+    if n == 0:
+        raise ValueError("need at least one value")
+    lower, upper, weights = [], [], []
+    for q in qs:
+        h = (n - 1) * q
+        i = -1 if h >= n - 1 else math.floor(h)
+        lower.append(i)
+        upper.append(-1 if i == -1 else i + 1)
+        weights.append(h - i)
+    x.partition(sorted({0, -1, *lower, *upper}), axis=0)
+    a, b = x[lower], x[upper]
+    t = np.array(weights).reshape((-1,) + (1,) * (x.ndim - 1))
+    diff = b - a
+    out = a + diff * t
+    high = t.reshape(-1) >= 0.5
+    out[high] = b[high] - diff[high] * (1 - t[high])
+    nan = np.isnan(x[-1])
+    if nan.any():
+        np.copyto(out, x[-1], where=nan)
+    return out
+
+
 @dataclass(frozen=True)
 class ParameterSummary:
     """Posterior summary for one named parameter."""
@@ -152,6 +191,10 @@ class ParameterSummary:
     degenerate: bool = False
 
 
+# the type-7 quantiles summary.csv holds: ci95_low, lq, median, uq, ci95_high
+SUMMARY_QS = (0.025, 0.25, 0.5, 0.75, 0.975)
+
+
 def summarize(chain_output: ChainOutput) -> list[ParameterSummary]:
     """Per-parameter summaries over the stored draws.
 
@@ -163,13 +206,13 @@ def summarize(chain_output: ChainOutput) -> list[ParameterSummary]:
     n = draws.shape[0]
     if n < 2:
         raise ValueError(f"need >= 2 stored draws to summarize, got {n}")
-    # per block of columns: np.quantile copies and partitions what it is given
+    # per block of columns: type7_quantiles copies and partitions what it is given
     k = draws.shape[1]
     qs = np.empty((5, k))
     step = max(1, FFT_BLOCK_BYTES // (8 * n))
     for start in range(0, k, step):
-        qs[:, start:start + step] = np.quantile(draws[:, start:start + step],
-                                                [0.025, 0.25, 0.5, 0.75, 0.975], axis=0)
+        qs[:, start:start + step] = type7_quantiles(draws[:, start:start + step],
+                                                    SUMMARY_QS)
     qs = qs.T.tolist()
     degenerate = constant_columns(draws)
     return [ParameterSummary(name, mean, lq, median, uq, low, high, ess, flat)

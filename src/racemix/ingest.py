@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from dataclasses import dataclass
 
@@ -42,6 +43,9 @@ BASELINE_COURSE = "Alnwick"
 BASELINE_SEASON = "17/18"
 
 SEXES = ("M", "F")
+
+# the three input files, as build_design names them when not told their paths
+INPUT_FILES = ("results.csv", "races.csv", "rainfall.csv")
 
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
 
@@ -71,6 +75,7 @@ class RaceContext:
     distance: float
     windspeed: float
     race_month: str
+    line: int | None = None  # source CSV line, for error reporting
 
 
 def parse_month(text: str) -> tuple[int, int]:
@@ -128,7 +133,8 @@ def read_json(path):
 
 
 def _open_rows(path, expected_header):
-    """Yield (line_number, row) for a validated CSV file; skips blank lines."""
+    """Yield (line_number, stripped cells) for a validated CSV file; skips
+    blank lines and rows whose every cell is blank."""
     try:
         fh = open(path, "r", encoding="utf-8-sig", newline="")
     except FileNotFoundError:
@@ -138,19 +144,25 @@ def _open_rows(path, expected_header):
         try:
             header = next(reader, None)
             if header is None:
-                raise DataError(f"{path}: empty file, expected header "
+                raise DataError(f"{path}: line 1: empty file, expected header "
                                 f"{','.join(expected_header)}")
             header = [h.strip() for h in header]
             if header != list(expected_header):
-                raise DataError(f"{path}: bad header {','.join(header)!r}, "
+                raise DataError(f"{path}: line 1: bad header {','.join(header)!r}, "
                                 f"expected {','.join(expected_header)!r}")
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not cell.strip() for cell in row):
+            width = len(expected_header)
+            # a row is named by the line it starts on: a quoted cell can
+            # hold a line break, so rows and lines are counted apart
+            start = reader.line_num + 1
+            for row in reader:
+                lineno, start = start, reader.line_num + 1
+                cells = [cell.strip() for cell in row]
+                if not any(cells):
                     continue
-                if len(row) != len(expected_header):
+                if len(cells) != width:
                     raise DataError(f"{path}: line {lineno}: expected "
-                                    f"{len(expected_header)} fields, got {len(row)}")
-                yield lineno, [cell.strip() for cell in row]
+                                    f"{width} fields, got {len(cells)}")
+                yield lineno, cells
         except UnicodeDecodeError:
             raise not_utf8_error(path) from None
 
@@ -173,16 +185,21 @@ def _parse_float(value, what, path, lineno):
         out = parse_number(value)
     except ValueError:
         raise DataError(f"{path}: line {lineno}: unparseable {what} {value!r}") from None
-    if not np.isfinite(out):
+    if not math.isfinite(out):
         raise DataError(f"{path}: line {lineno}: non-finite {what} {value!r}")
     return out
 
 
-def _check_month(text, path, lineno) -> None:
+def _check_month(text, path, lineno, valid: set) -> None:
+    """Validate a month cell, once per text: `valid` holds the texts already
+    checked by this parser call, so a bad month is named by its first line."""
+    if text in valid:
+        return
     try:
         parse_month(text)
     except DataError as exc:
         raise DataError(f"{path}: line {lineno}: {exc}") from None
+    valid.add(text)
 
 
 def parse_results(path, sex_filter: str) -> list[RaceObservation]:
@@ -197,6 +214,7 @@ def parse_results(path, sex_filter: str) -> list[RaceObservation]:
         raise DataError(f"sex filter must be one of {SEXES}, got {sex_filter!r}")
     observations = []
     seen = {}
+    months = set()
     for lineno, row in _open_rows(path, RESULTS_HEADER):
         athlete_id, course, season, sex, time_text, month_text = row
         if not athlete_id or not course or not season:
@@ -214,7 +232,7 @@ def parse_results(path, sex_filter: str) -> list[RaceObservation]:
         finish_time = _parse_float(time_text, "finish time", path, lineno)
         if finish_time <= 0.0:
             raise DataError(f"{path}: nonpositive finish time, line {lineno}")
-        _check_month(month_text, path, lineno)
+        _check_month(month_text, path, lineno, months)
         observations.append(RaceObservation(
             athlete_id=athlete_id, course=course, season=season,
             finish_time=finish_time, race_month=month_text, line=lineno))
@@ -225,6 +243,7 @@ def parse_races(path) -> list[RaceContext]:
     """Read races.csv; (course, season) pairs must be unique."""
     contexts = []
     seen = {}
+    months = set()
     for lineno, row in _open_rows(path, RACES_HEADER):
         course, season, dist_text, wind_text, month_text = row
         if not course or not season:
@@ -235,23 +254,25 @@ def parse_races(path) -> list[RaceContext]:
         windspeed = _parse_float(wind_text, "windspeed", path, lineno)
         if windspeed < 0.0:
             raise DataError(f"{path}: line {lineno}: negative windspeed {windspeed}")
-        _check_month(month_text, path, lineno)
+        _check_month(month_text, path, lineno, months)
         key = (course, season)
         if key in seen:
             raise DataError(f"{path}: line {lineno}: duplicate race {course} {season} "
                             f"(first seen on line {seen[key]})")
         seen[key] = lineno
         contexts.append(RaceContext(course=course, season=season, distance=distance,
-                                    windspeed=windspeed, race_month=month_text))
+                                    windspeed=windspeed, race_month=month_text,
+                                    line=lineno))
     return contexts
 
 
 def parse_rainfall(path) -> dict[str, float]:
     """Read rainfall.csv into a month -> millimetres map."""
     table = {}
+    months = set()
     for lineno, row in _open_rows(path, RAINFALL_HEADER):
         month_text, rain_text = row
-        _check_month(month_text, path, lineno)
+        _check_month(month_text, path, lineno, months)
         rain = _parse_float(rain_text, "rainfall", path, lineno)
         if rain < 0.0:
             raise DataError(f"{path}: line {lineno}: negative rainfall {rain}")
@@ -319,29 +340,36 @@ class DesignMatrixView:
                             f"available races: {available}") from None
 
 
-def build_design(observations, contexts, rainfall, config: ModelConfig) -> DesignMatrixView:
+def _at(path, line) -> str:
+    return path if line is None else f"{path}: line {line}"
+
+
+def build_design(observations, contexts, rainfall, config: ModelConfig,
+                 sources=INPUT_FILES) -> DesignMatrixView:
     """Join observations to race covariates and rainfall and index levels.
 
     Centering constants default to the unweighted means of distance and
     windspeed over the fitted observations; config.d_bar / config.w_bar
-    override them.
+    override them.  An inconsistency between the inputs is a DataError
+    naming the files, as `sources` (results, races, rainfall) names them,
+    and the lines at fault.
     """
     config.validate()
+    results, races, rain = sources
     if not observations:
-        raise DataError("no observations to fit")
+        raise DataError(f"{results}: no observations to fit")
     ctx_by_race = {(c.course, c.season): c for c in contexts}
 
     for obs in observations:
         key = (obs.course, obs.season)
-        where = f"line {obs.line}" if obs.line is not None else "row"
         if key not in ctx_by_race:
-            raise DataError(f"observation ({where}) has no covariate row for "
-                            f"race {obs.course!r} season {obs.season!r}")
+            raise DataError(f"{_at(results, obs.line)}: race {obs.course!r} "
+                            f"{obs.season!r} has no covariate row in {races}")
         ctx = ctx_by_race[key]
         if obs.race_month != ctx.race_month:
-            raise DataError(f"observation ({where}) month {obs.race_month} does not "
-                            f"match race month {ctx.race_month} for "
-                            f"{obs.course!r} {obs.season!r}")
+            raise DataError(f"{_at(results, obs.line)}: month {obs.race_month} does not "
+                            f"match race month {ctx.race_month} of {obs.course!r} "
+                            f"{obs.season!r} ({_at(races, ctx.line)})")
 
     athletes = sorted({obs.athlete_id for obs in observations})
     courses = _level_order((obs.course for obs in observations), BASELINE_COURSE)
@@ -364,8 +392,8 @@ def build_design(observations, contexts, rainfall, config: ModelConfig) -> Desig
         prev = previous_month(month)
         for m in (month, prev):
             if m not in rainfall:
-                raise DataError(f"missing rainfall for month {m} "
-                                f"(race {ctx.course!r} {ctx.season!r})")
+                raise DataError(f"{_at(races, ctx.line)}: missing rainfall for month {m} "
+                                f"in {rain} (race {ctx.course!r} {ctx.season!r})")
         race_dist[r] = ctx.distance
         race_wind[r] = ctx.windspeed
         race_rain_cur[r] = rainfall[month]

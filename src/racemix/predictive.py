@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .diagnostics import type7_quantiles
 from .ingest import (
     DataError,
     RaceContext,
@@ -367,6 +368,9 @@ def _check_chain_matches_design(chain: ChainOutput, design) -> None:
                         f"design uses {design.response!r}")
 
 
+# a damaged chain (a tau_obs <= 0, or draws whose times overflow) predicts
+# times that are not finite, without numpy's warnings; ppc_report refuses them
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def posterior_predictive_race(chain: ChainOutput, design, course: str,
                               season: str, rng) -> np.ndarray:
     """Predicted finish times for one race, one row per stored draw.
@@ -442,7 +446,8 @@ def ppc_report(chain: ChainOutput, design, observed, rng,
     reports do not depend on the thread count or on scheduling, and each
     thread holds one race's simulated field at a time.  An exception
     raised for one race propagates as it is, and races not yet started
-    are not run.
+    are not run.  A draw whose predicted times are not finite, or would
+    overflow the mean field (a damaged chain), is a DataError naming it.
     """
     _check_chain_matches_design(chain, design)
     if not observed:
@@ -462,14 +467,20 @@ def ppc_report(chain: ChainOutput, design, observed, rng,
     def report(race, child) -> PpcRaceReport:
         course, season = race
         obs_times = np.asarray(groups[race], dtype=float)
-        obs_summary = np.quantile(obs_times, FIVE_NUMBER_QS)
+        obs_summary = type7_quantiles(obs_times, FIVE_NUMBER_QS)
         pred = posterior_predictive_race(chain, design, course, season, child)
         pred.sort(axis=1)
+        # each draw's slowest time, NaN if it has one, must be finite and small
+        # enough that the mean field does not overflow
+        bad = ~(pred[:, -1] < np.finfo(float).max / pred.shape[0])
+        if bad.any():
+            raise DataError(f"draw {np.argmax(bad) + 1} predicts finish times that are "
+                            f"not finite, or overflow their mean, in race {course} {season}")
         lo = min(float(pred[:, 0].min()), float(obs_times.min()))
         hi = max(float(pred[:, -1].max()), float(obs_times.max()))
         edges = np.linspace(lo, hi if hi > lo else lo + 1.0, bins + 1)
         predicted_counts = np.histogram(pred, bins=edges)[0]
-        pred_summary = np.quantile(pred.mean(axis=0), FIVE_NUMBER_QS)
+        pred_summary = type7_quantiles(pred.mean(axis=0), FIVE_NUMBER_QS)
         return PpcRaceReport(
             course=course, season=season, n_finishers=obs_times.size,
             observed=tuple(float(v) for v in obs_summary),

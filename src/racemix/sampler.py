@@ -786,7 +786,8 @@ def save_chain(chain: ChainOutput, csv_path, meta_path) -> None:
 
 
 def _chain_parse_error(csv_path, header, reason) -> DataError:
-    """The error for a chain CSV that np.loadtxt refused, naming the line.
+    """The error for a chain CSV that np.loadtxt refused, or that holds a
+    draw that is not finite, naming the line.
 
     The file is scanned again because loadtxt's row numbers start after
     the header and skip blank lines; this scan counts the header as line
@@ -821,10 +822,13 @@ def _chain_line_error(csv_path, header, number, line) -> DataError | None:
                          f"expected {len(header)}")
     for column, cell in enumerate(cells):
         try:
-            parse_number(cell)
+            value = parse_number(cell)
         except ValueError:
             return DataError(f"{csv_path}, line {number}, column {column + 1} "
                              f"({header[column]}): cannot parse {cell!r} as a number")
+        if not math.isfinite(value):
+            return DataError(f"{csv_path}, line {number}, column {column + 1} "
+                             f"({header[column]}): non-finite draw {cell!r}")
     return None
 
 
@@ -842,13 +846,15 @@ def load_chain_meta(meta_path) -> ChainMeta:
 
 
 def load_chain(csv_path, meta_path) -> ChainOutput:
-    """Reload a persisted chain; floats round-trip exactly."""
+    """Reload a persisted chain; floats round-trip exactly.  A cell that is
+    not a finite number is a DataError naming its line and column."""
     meta = load_chain_meta(meta_path)
     try:
         with open(csv_path, "r", encoding="utf-8") as fh:
             header = tuple(fh.readline().strip().split(","))
             if header != parameter_columns(meta):
-                raise DataError(f"{csv_path}: chain CSV columns do not match metadata")
+                raise DataError(f"{csv_path}, line 1: chain CSV columns do not match "
+                                f"those of {meta_path}")
             with warnings.catch_warnings():
                 # a header-only file is a chain of no draws, checked by callers
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -864,4 +870,6 @@ def load_chain(csv_path, meta_path) -> ChainOutput:
         draws = np.empty((0, len(header)))
     elif draws.shape[1] != len(header):
         raise _chain_parse_error(csv_path, header, f"rows have {draws.shape[1]} cells")
+    elif not np.isfinite(draws).all():
+        raise _chain_parse_error(csv_path, header, "a draw is not finite")
     return ChainOutput(draws=draws, columns=header, meta=meta)

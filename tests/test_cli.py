@@ -93,6 +93,46 @@ def test_importing_the_cli_loads_no_process_pool():
     assert done.stdout.strip() == "[]"
 
 
+# numpy.ma, barred: a command that imports it fails.  Two usable CPUs, so
+# that fit's chain pool and diagnose's worker, both forked, run too
+NO_NUMPY_MA = """
+import json, os, sys
+sys.modules["numpy.ma"] = None
+os.sched_getaffinity = lambda pid: {0, 1}
+os.cpu_count = lambda: 2
+from racemix.cli import main
+codes = []
+for args in json.loads(sys.argv[1]):
+    try:
+        main(args, standalone_mode=False)
+        codes.append(0)
+    except SystemExit as exc:
+        codes.append(exc.code)
+print(json.dumps(codes))
+"""
+
+
+def test_no_command_imports_numpy_ma(dataset_dir, tmp_path):
+    # np.quantile imports all of numpy.ma (through np.unique), tens of
+    # milliseconds per process; racemix's quantiles never call it
+    src = os.path.dirname(os.path.dirname(racemix.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    one, two = str(tmp_path / "one"), str(tmp_path / "two")
+    commands = [["fit", *_data_args(dataset_dir), *FIT_ARGS, "--out", one],
+                ["fit", *_data_args(dataset_dir), *FIT_ARGS, "--chains", "2", "--out", two],
+                ["summarize", "--fit", one],
+                ["summarize", "--fit", two, "--index", "2"],
+                ["ppc", "--fit", two],
+                ["diagnose", "--fit", two, "--index", "2"]]
+    done = subprocess.run([sys.executable, "-c", NO_NUMPY_MA, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [0] * len(commands), done.stderr
+    for name in ("crosschain.csv", "summary_02.csv", "ppc/ppc.csv", "trace_02.csv"):
+        assert (tmp_path / "two" / name).exists(), name
+
+
 # ---------------------------------------------------------------- fit
 
 def test_fit_writes_expected_artifacts(fit_dir):
@@ -778,6 +818,35 @@ def test_ppc_error_raised_for_one_race_exits_2(fit_dir, tmp_path, monkeypatch):
     assert not (tmp_path / "ppc").exists()
 
 
+@pytest.mark.parametrize("damage", ["tau_obs", "d_bar"])
+def test_ppc_chain_that_predicts_no_finite_times_exits_2_naming_it(fit_dir, tmp_path,
+                                                                   damage):
+    # a tau_obs of 0 in draw 3 makes its noise infinite; a distance centre of
+    # 1e6 makes the times of a draw whose gamma_dist is positive overflow exp
+    fit = tmp_path / "fit"
+    shutil.copytree(fit_dir, fit, ignore=shutil.ignore_patterns("ppc", "trace.csv",
+                                                                "diagnostics.csv"))
+    if damage == "tau_obs":
+        lines = (fit / "chain.csv").read_text().splitlines()
+        column = lines[0].split(",").index("tau_obs")
+        cells = lines[3].split(",")
+        cells[column] = "0.0"
+        lines[3] = ",".join(cells)
+        (fit / "chain.csv").write_text("\n".join(lines) + "\n")
+        draw = "3"
+    else:
+        meta = json.loads((fit / "metadata.json").read_text())
+        meta["d_bar"] = 1e6
+        (fit / "metadata.json").write_text(json.dumps(meta))
+        draw = r"\d+"
+    result = _run(["ppc", "--fit", str(fit), "--out", str(tmp_path / "ppc")])
+    assert result.exit_code == 2, result.output
+    assert re.search(re.escape(f"error: {fit / 'chain.csv'} ({fit / 'metadata.json'}): ")
+                     + f"draw {draw} predicts finish times that are not finite",
+                     result.output), result.output
+    assert not (tmp_path / "ppc").exists()
+
+
 def test_ppc_is_deterministic(fit_dir, tmp_path):
     env = {"SOURCE_DATE_EPOCH": "1700000000"}
     a, b = tmp_path / "a", tmp_path / "b"
@@ -1078,6 +1147,21 @@ def test_fit_file_that_is_not_utf8_exits_2_naming_its_line(fit_dir, tmp_path, mo
     assert not (fit / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+def test_summarize_chain_cell_that_is_not_finite_exits_2_naming_it(fit_dir, tmp_path, cell):
+    fit = tmp_path / "fit"
+    shutil.copytree(fit_dir, fit, ignore=shutil.ignore_patterns("ppc"))
+    lines = (fit / "chain.csv").read_text().splitlines()
+    cells = lines[4].split(",")
+    cells[1] = cell
+    lines[4] = ",".join(cells)
+    (fit / "chain.csv").write_text("\n".join(lines) + "\n")
+    result = _run(["summarize", "--fit", str(fit)])
+    assert result.exit_code == 2, result.output
+    assert (f"error: {fit / 'chain.csv'}, line 5, column 2 (gamma_dist): "
+            f"non-finite draw {cell!r}" in result.output)
+
+
 @pytest.mark.parametrize("cell", ["1_0", "\u0661"])
 def test_summarize_chain_cell_loadtxt_refuses_exits_2_naming_its_line(fit_dir, tmp_path,
                                                                       cell):
@@ -1109,6 +1193,27 @@ def test_chain_refused_before_its_bad_byte_exits_2_naming_the_byte(fit_dir, tmp_
 
 
 @pytest.mark.parametrize("n_cpus", [1, 2])
+def test_diagnose_bad_chain_leaves_no_directory_it_made(fit_dir, tmp_path, monkeypatch,
+                                                        n_cpus):
+    fit = tmp_path / "fit"
+    shutil.copytree(fit_dir, fit, ignore=shutil.ignore_patterns(
+        "ppc", "trace.csv", "diagnostics.csv"))
+    lines = (fit / "chain.csv").read_text().splitlines()
+    lines[2] = "1_0" + lines[2][lines[2].index(","):]
+    (fit / "chain.csv").write_text("\n".join(lines) + "\n")
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    set_usable_cpus(monkeypatch, n_cpus)
+    # a new directory, one under a new parent, and one that was there
+    for out in (tmp_path / "new", tmp_path / "parent" / "new", kept):
+        result = _run(["diagnose", "--fit", str(fit), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"error: {fit / 'chain.csv'}, line 3, column 1 (intercept)" in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fit", "kept"]
+    assert list(kept.iterdir()) == []
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
 def test_diagnose_export_error_exits_2_and_writes_no_table(fit_dir, tmp_path, monkeypatch,
                                                             n_cpus):
     def failing(chain_csv_path, meta, path):
@@ -1122,7 +1227,8 @@ def test_diagnose_export_error_exits_2_and_writes_no_table(fit_dir, tmp_path, mo
     result = _run(["diagnose", "--fit", str(fit_dir), "--out", str(out)])
     assert result.exit_code == 2
     assert "no space left on device" in result.output
-    assert list(out.iterdir()) == []
+    # no table, no trace, and not the directory diagnose made for them
+    assert not out.exists()
 
 
 @needs_fork
@@ -1138,7 +1244,7 @@ def test_diagnose_worker_bug_is_not_an_input_error(fit_dir, tmp_path, monkeypatc
     assert len(forks) == 1
     # the worker's own traceback is the cause
     assert "in failing" in str(info.value.__cause__)
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @needs_fork
@@ -1163,5 +1269,9 @@ def test_pool_worker_that_dies_is_an_internal_error(dataset_dir, fit_dir, tmp_pa
     with pytest.raises(RuntimeError, match="terminated abruptly"):
         _run([*args, "--out", str(out)])
     assert len(forks) == 1
-    # no manifest.json, chain files, trace or table
-    assert list(out.iterdir()) == []
+    # no manifest.json, chain files, trace or table; diagnose also removes
+    # the directory it made
+    if command == "fit":
+        assert list(out.iterdir()) == []
+    else:
+        assert not out.exists()

@@ -13,6 +13,7 @@ import pytest
 from racemix import diagnostics
 from racemix.diagnostics import (
     SUMMARY_HEADER,
+    SUMMARY_QS,
     DegenerateChainWarning,
     autocorrelation,
     chain_moments,
@@ -22,9 +23,11 @@ from racemix.diagnostics import (
     multichain_ess,
     split_rhat,
     summarize,
+    type7_quantiles,
     write_summary_csv,
     write_trace_csv,
 )
+from racemix.predictive import FIVE_NUMBER_QS
 from racemix.sampler import ChainMeta, ChainOutput, load_chain, save_chain
 
 from _oracles import acf_reference, ar1_chain, ess_reference, split_rhat_reference
@@ -148,6 +151,49 @@ def test_summary_quantiles_are_type7():
     assert s.ci95_high == pytest.approx(4.9)
     assert s.ess == 5.0  # too short for an ACF-based estimate
     assert not s.degenerate
+
+
+def _quantile_blocks(n, seed):
+    """(n, 8) blocks whose columns are plain, NaN, +inf, -inf, +-inf, constant,
+    tied and signed-zero: every case np.quantile treats apart."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 8))
+    x[rng.integers(n), 1] = np.nan
+    x[rng.integers(n), 2] = np.inf
+    x[rng.integers(n), 3] = -np.inf
+    x[rng.integers(n), 4] = np.inf
+    x[rng.integers(n), 4] = -np.inf
+    x[:, 5] = 2.5
+    x[:, 6] = np.round(x[:, 6])
+    x[:, 7] = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 2500])
+@pytest.mark.parametrize("qs", [SUMMARY_QS, FIVE_NUMBER_QS], ids=["summary", "five"])
+def test_type7_quantiles_equal_numpy_bit_for_bit(n, qs):
+    # np.quantile stays the reference here; an infinite neighbour makes both
+    # compute inf - inf, so the invalid flag is expected of both
+    x = _quantile_blocks(n, seed=n)
+    with np.errstate(invalid="ignore"):
+        for values in (x, *x.T, x[:, :1]):
+            want = np.quantile(values, qs, axis=0)
+            got = type7_quantiles(values, qs)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    # the input is left as it was
+    assert x.tobytes() == _quantile_blocks(n, seed=n).tobytes()
+
+
+def test_type7_quantiles_interpolate_as_numpy_does():
+    # at h = (n - 1) q, with t = h - floor(h): t < 0.5 reads a + (b - a) t,
+    # t >= 0.5 reads b - (b - a)(1 - t), and q = 1 reads the last element
+    x = np.array([5.0, 1.0, 4.0, 2.0, 3.0])
+    low, high = 4 * 0.025, 4 * 0.975
+    assert type7_quantiles(x, [0.025, 0.975, 1.0]).tolist() == [
+        1.0 + (2.0 - 1.0) * low, 5.0 - (5.0 - 4.0) * (1 - (high - 3)), 5.0]
+    with pytest.raises(ValueError, match="at least one value"):
+        type7_quantiles(np.empty((0, 3)), SUMMARY_QS)
 
 
 def test_summarize_requires_two_draws():

@@ -133,6 +133,86 @@ def test_parse_rainfall(tmp_path):
         parse_rainfall(write(tmp_path / "rain3.csv", neg))
 
 
+### one pass per row, in each of the three files
+
+
+# per file: its parser, its header, and its i-th valid row with a given month
+# text (the valid months repeat, except in rainfall.csv, which holds each once)
+CSV_FILES = {
+    "results": (lambda path: parse_results(path, "M"),
+                "athlete_id,course,season,sex,finish_time_min,race_month",
+                lambda i, month: f"A{i},Alnwick,17/18,M,47.5,{month}",
+                lambda i: "2017-10"),
+    "races": (parse_races, "course,season,distance_miles,windspeed,race_month",
+              lambda i, month: f"C{i},17/18,6.2,5.0,{month}",
+              lambda i: "2017-10"),
+    "rainfall": (parse_rainfall, "month,rainfall_mm",
+                 lambda i, month: f"{month},55.0",
+                 lambda i: f"{1900 + i}-10"),
+}
+EACH_FILE = pytest.mark.parametrize("kind", sorted(CSV_FILES))
+
+
+def _csv_text(kind, rows):
+    """The file's header and `rows`: an int i is the i-th valid row, a str
+    is a month text put into the next valid row, a tuple is a raw line."""
+    _, header, row, month = CSV_FILES[kind]
+    lines = [header]
+    for i, item in enumerate(rows):
+        if isinstance(item, tuple):
+            lines.append(item[0])
+        else:
+            lines.append(row(i, month(i) if isinstance(item, int) else item))
+    return "\n".join(lines) + "\n"
+
+
+def _parse(kind, tmp_path, rows):
+    return CSV_FILES[kind][0](write(tmp_path / f"{kind}.csv", _csv_text(kind, rows)))
+
+
+@EACH_FILE
+def test_blank_and_whitespace_rows_are_skipped(tmp_path, kind):
+    # whitespace only, a short row of blank cells, and a full-width one
+    width = CSV_FILES[kind][1].count(",") + 1
+    parsed = _parse(kind, tmp_path, [0, (" \t ",), (",",), (" ," * (width - 1),), 4])
+    assert len(parsed) == 2
+    if kind == "results":
+        assert [o.line for o in parsed] == [2, 6]
+
+
+@EACH_FILE
+@pytest.mark.parametrize("change", [1, -1])
+def test_row_of_the_wrong_width_is_named_by_its_line(tmp_path, kind, change):
+    width = CSV_FILES[kind][1].count(",") + 1
+    row = CSV_FILES[kind][2](3, CSV_FILES[kind][3](3))
+    row = row + ",x" if change > 0 else row.rsplit(",", 1)[0]
+    with pytest.raises(DataError, match=f"line 5: expected {width} fields, "
+                                        f"got {width + change}$"):
+        _parse(kind, tmp_path, [0, 1, (" ",), (row,), 4])
+
+
+@EACH_FILE
+def test_rows_after_a_quoted_line_break_are_named_by_their_line(tmp_path, kind):
+    # line 3 holds a cell whose quotes span lines 3 and 4
+    _, _, row, month = CSV_FILES[kind]
+    quoted = row(1, month(1)).rsplit(",", 1)
+    quoted = f'{quoted[0]},"{quoted[1]}\n"'
+    with pytest.raises(DataError, match="line 6: invalid year-month '2017-13'"):
+        _parse(kind, tmp_path, [0, (quoted,), 2, "2017-13"])
+
+
+@EACH_FILE
+def test_invalid_month_first_seen_late_is_named_by_its_line(tmp_path, kind):
+    with pytest.raises(DataError, match="line 42: invalid year-month '2017-13'"):
+        _parse(kind, tmp_path, [*range(40), "2017-13", 41])
+
+
+@EACH_FILE
+def test_repeated_invalid_month_is_named_by_its_first_line(tmp_path, kind):
+    with pytest.raises(DataError, match="line 5: invalid year-month '17-10'"):
+        _parse(kind, tmp_path, [0, 1, 2, "17-10", 4, "17-10", 6])
+
+
 ### build_design
 
 
@@ -225,6 +305,42 @@ def test_month_mismatch_is_an_error():
         RaceObservation("A2", "Birtley", "18/19", 49.7, "2018-10")]
     with pytest.raises(DataError, match="does not match race month"):
         build_design(obs, TOY_CONTEXTS, TOY_RAINFALL, ModelConfig())
+
+
+def test_inconsistent_inputs_name_their_files_and_lines():
+    # the CLI passes the three paths; each error names the lines at fault
+    sources = ("data/r.csv", "data/c.csv", "data/m.csv")
+    contexts = [RaceContext(c.course, c.season, c.distance, c.windspeed, c.race_month,
+                            line=k + 2) for k, c in enumerate(TOY_CONTEXTS)]
+    observations = [RaceObservation(o.athlete_id, o.course, o.season, o.finish_time,
+                                    o.race_month, line=k + 2)
+                    for k, o in enumerate(TOY_OBSERVATIONS)]
+    config = ModelConfig()
+    unknown = observations + [RaceObservation("A1", "Gosforth", "17/18", 41.0,
+                                              "2017-12", line=9)]
+    with pytest.raises(DataError, match="^data/r.csv: line 9: race 'Gosforth' '17/18' "
+                                        "has no covariate row in data/c.csv$"):
+        build_design(unknown, contexts, TOY_RAINFALL, config, sources=sources)
+    moved = observations[:-1] + [RaceObservation("A2", "Birtley", "18/19", 49.7,
+                                                 "2018-10", line=6)]
+    with pytest.raises(DataError, match=r"^data/r.csv: line 6: month 2018-10 does not "
+                                        r"match race month 2018-11 of 'Birtley' '18/19' "
+                                        r"\(data/c.csv: line 3\)$"):
+        build_design(moved, contexts, TOY_RAINFALL, config, sources=sources)
+    rain = {m: v for m, v in TOY_RAINFALL.items() if m != "2018-10"}
+    with pytest.raises(DataError, match=r"^data/c.csv: line 3: missing rainfall for month "
+                                        r"2018-10 in data/m.csv \(race 'Birtley' '18/19'\)$"):
+        build_design(observations, contexts, rain, config, sources=sources)
+    with pytest.raises(DataError, match="^data/r.csv: no observations to fit$"):
+        build_design([], contexts, TOY_RAINFALL, config, sources=sources)
+
+
+def test_parse_races_records_each_race_line(tmp_path):
+    text = ("course,season,distance_miles,windspeed,race_month\n"
+            "Alnwick,17/18,6.2,5,2017-10\n"
+            "\n"
+            "Birtley,18/19,5.9,12,2018-11\n")
+    assert [c.line for c in parse_races(write(tmp_path / "races.csv", text))] == [2, 4]
 
 
 def test_empty_observations_is_an_error():

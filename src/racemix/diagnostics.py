@@ -2,11 +2,14 @@
 
 Each diagnostic takes a 1-d chain or an (n, k) draws matrix, one column
 per parameter, and gives one result per column.  Autocorrelations are
-the biased FFT estimator, one FFT per block of columns; ESS is Geyer's
-initial positive sequence, or N for a constant column or fewer than 10
-draws; ess_and_rho1 reads lag 1 from the same FFT as the ESS.  Quantiles
-are type-7 (numpy's default), taken per block of columns by
-type7_quantiles, which equals np.quantile without importing numpy.ma.
+the biased FFT estimator, one FFT per block of columns, of the smallest
+2^a·3^b·5^c length that holds 2N - 1 lags; ESS is Geyer's initial
+positive sequence, or N for a constant column or fewer than 10 draws;
+ess_and_rho1 reads lag 1 from the same FFT as the ESS.  Quantiles are
+type-7 (numpy's default), taken per block of columns by type7_quantiles,
+which sorts each column (partitioning, as numpy does, a column whose
+read order statistics hold a zero or a NaN) and equals np.quantile bit
+for bit without importing numpy.ma.
 
 Split R-hat and the total ESS across chains combine one ChainMoments per
 chain: each half's column means and variances and the chain's ESS, a
@@ -56,20 +59,42 @@ def _as_columns(chain) -> tuple[np.ndarray, bool]:
     return (x[:, None], True) if x.ndim == 1 else (x, False)
 
 
+def _fft_length(m: int) -> int:
+    """The smallest 2^a·3^b·5^c >= m (m >= 1): a length numpy's FFT factors
+    into radix-2, -3 and -5 passes, and nearer m than the next power of two."""
+    best = 1 << (m - 1).bit_length()  # the next power of two
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least p35·2^a >= m: 2^a the next power of two >= ceil(m / p35)
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _acf_blocks(x: np.ndarray, columns: np.ndarray, max_lag: int):
     """Autocorrelations at lags 0..max_lag of the given non-constant columns of x.
 
     Yields (block of column indices, (block size, max_lag + 1) array), one
     FFT per block.  The biased estimator divides every lag's autocovariance
     by N, not by N - lag; that common factor cancels in the ratio to lag 0.
+    The FFT length is _fft_length(2N - 1), enough that no lag wraps round,
+    and depends on N alone.  Each centred row is scaled by a power of two
+    that brings its largest deviation into [0.5, 1) before the FFT: exact,
+    so the ratios keep their bits, and the spectrum's squares overflow only
+    where a column's mean or deviations already have.
     """
     n = x.shape[0]
-    size = 1 << (2 * n - 1).bit_length()  # a power of two >= 2N: no wrap-around
+    size = _fft_length(2 * n - 1)
     step = max(1, FFT_BLOCK_BYTES // (16 * (size // 2 + 1)))
     for start in range(0, columns.size, step):
         block = columns[start:start + step]
         rows = np.ascontiguousarray(x[:, block].T)
         rows -= rows.mean(axis=1, keepdims=True)
+        exponent = np.frexp(np.abs(rows).max(axis=1, keepdims=True))[1]
+        np.ldexp(rows, -exponent, out=rows)
         f = np.fft.rfft(rows, size)
         acov = np.fft.irfft(f * np.conj(f), size)[:, :max_lag + 1]
         yield block, acov / acov[:, :1]
@@ -91,9 +116,11 @@ def ess_and_rho1(draws: np.ndarray, constant: np.ndarray) -> tuple[np.ndarray, n
 
     `draws` is an (n, k) matrix and `constant` its constant_columns mask.
     A constant column gets ESS N and rho1 0, without a warning; under 10
-    draws every column's ESS is N.  The FFT size and the blocks depend on
-    n alone, so rho1 equals autocorrelation(draws, 1)[1] bit for bit, and
-    the ESS effective_sample_size(draws).
+    draws every column's ESS is N.  The FFT length (_fft_length(2n - 1))
+    and the blocks depend on n alone, so rho1 equals
+    autocorrelation(draws, 1)[1] bit for bit, and the ESS
+    effective_sample_size(draws).  A chain value near the float maximum
+    leaves both finite: each column is scaled before its FFT.
     """
     n = draws.shape[0]
     ess, rho1 = np.full(draws.shape[1], float(n)), np.zeros(draws.shape[1])
@@ -143,17 +170,21 @@ def type7_quantiles(values, qs) -> np.ndarray:
     """Type-7 quantiles (Hyndman & Fan 1996) along axis 0, shape (len(qs),)
     + values.shape[1:]: np.quantile(values, qs, axis=0) bit for bit.
 
-    As numpy's "linear" method does, a copy is partitioned at the order
-    statistics the qs need (the same kth set, so even tied zeros of
-    opposite sign come out alike), two neighbours a <= b are read per q at
-    virtual index h = (n - 1) q, and interpolated as a + (b - a) t, or as
+    A column-contiguous copy is sorted down each column, and two
+    neighbours a <= b are read per q at virtual index h = (n - 1) q, and
+    interpolated as numpy's "linear" method does: a + (b - a) t, or
     b - (b - a)(1 - t) where t >= 0.5, with t = h - floor(h).  An h at or
     past n - 1 reads the last element twice, with numpy's t = h + 1; a
-    column holding a NaN gives NaN.  Unlike np.quantile it never calls
-    np.unique, which imports all of numpy.ma.
+    column holding a NaN gives NaN.  Values that compare equal have the
+    same bits, bar zeros of opposite sign and NaNs, so the sort reads what
+    np.quantile's partition reads, except in a column where a read order
+    statistic is zero or the last is NaN: such a column is partitioned
+    from its own values at numpy's kth set, as np.quantile does, so the
+    sign of a tied zero comes out alike.  Unlike np.quantile it never
+    calls np.unique, which imports all of numpy.ma.
     """
-    x = np.array(values, dtype=float)
-    n = x.shape[0]
+    values = np.asarray(values, dtype=float)
+    n = values.shape[0]
     if n == 0:
         raise ValueError("need at least one value")
     lower, upper, weights = [], [], []
@@ -163,17 +194,24 @@ def type7_quantiles(values, qs) -> np.ndarray:
         lower.append(i)
         upper.append(-1 if i == -1 else i + 1)
         weights.append(h - i)
-    x.partition(sorted({0, -1, *lower, *upper}), axis=0)
+    kth = sorted({0, -1, *lower, *upper})
+    columns = values.reshape(n, -1)
+    x = np.array(columns, order="F")
+    x.sort(axis=0)
+    # a sort and a partition may order zeros of opposite sign, or NaNs
+    # (sorted last), differently: such a column is partitioned as numpy does
+    nan = np.isnan(x[-1])
+    fallback = nan | (x[kth] == 0.0).any(axis=0)
+    if fallback.any():
+        x[:, fallback] = np.partition(columns[:, fallback], kth, axis=0)
     a, b = x[lower], x[upper]
-    t = np.array(weights).reshape((-1,) + (1,) * (x.ndim - 1))
+    t = np.array(weights)[:, None]
     diff = b - a
     out = a + diff * t
-    high = t.reshape(-1) >= 0.5
-    out[high] = b[high] - diff[high] * (1 - t[high])
-    nan = np.isnan(x[-1])
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
     if nan.any():
         np.copyto(out, x[-1], where=nan)
-    return out
+    return out.reshape((len(lower),) + values.shape[1:])
 
 
 @dataclass(frozen=True)

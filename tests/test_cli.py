@@ -1192,6 +1192,35 @@ def test_chain_refused_before_its_bad_byte_exits_2_naming_the_byte(fit_dir, tmp_
     assert f"error: {fit / 'chain.csv'}: line {len(lines)}: not UTF-8 text" in result.output
 
 
+def test_chain_values_near_the_float_maximum_give_finite_ess(two_chain_fit_dir, tmp_path,
+                                                             monkeypatch):
+    # squared, either value overflows the ESS's spectrum unless each column's
+    # deviations are scaled first; both are finite draws that load_chain reads
+    fit = tmp_path / "fit"
+    shutil.copytree(two_chain_fit_dir, fit)
+    lines = (fit / "chain_01.csv").read_text().splitlines()
+    for line, column, cell in ((3, 1, "1e308"), (7, 2, "1e300")):
+        cells = lines[line].split(",")
+        cells[column] = cell
+        lines[line] = ",".join(cells)
+    (fit / "chain_01.csv").write_text("\n".join(lines) + "\n")
+    set_usable_cpus(monkeypatch, 1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for command in ("summarize", "diagnose"):
+            result = _run([command, "--fit", str(fit), "--index", "1"])
+            assert result.exit_code == 0, result.output
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    summary = (fit / "summary_01.csv").read_text().splitlines()
+    diagnostics = (fit / "diagnostics_01.csv").read_text().splitlines()
+    assert summary[0].endswith(",ess") and diagnostics[0] == "parameter,ess,rho1,degenerate"
+    ess = [float(row.split(",")[-1]) for row in summary[1:]]
+    table = [row.split(",") for row in diagnostics[1:]]
+    assert all(math.isfinite(v) and v > 0.0 for v in ess)
+    assert all(math.isfinite(float(row[1])) and math.isfinite(float(row[2])) for row in table)
+    assert [float(row[1]) for row in table] == ess
+
+
 @pytest.mark.parametrize("n_cpus", [1, 2])
 def test_diagnose_bad_chain_leaves_no_directory_it_made(fit_dir, tmp_path, monkeypatch,
                                                         n_cpus):

@@ -4,6 +4,7 @@ The AR(1) oracle in _oracles gives chains with known autocorrelation
 rho**k and known asymptotic ESS N*(1-rho)/(1+rho), which pins down the
 estimators without trusting their own code paths.
 """
+import bisect
 import pickle
 import warnings
 
@@ -44,6 +45,19 @@ def _single_column_output(values) -> ChainOutput:
 
 
 # ---------------------------------------------------------------- ACF
+
+def test_fft_length_is_the_least_5_smooth_number_not_below_m():
+    # brute force: every 2^a·3^b·5^c up to 10,000, past the 8,192 that
+    # m = 5,000 rounds up to as a power of two
+    smooth = sorted(2 ** a * 3 ** b * 5 ** c
+                    for a in range(14) for b in range(9) for c in range(6)
+                    if 2 ** a * 3 ** b * 5 ** c <= 10_000)
+    for m in range(1, 5001):
+        assert diagnostics._fft_length(m) == smooth[bisect.bisect_left(smooth, m)], m
+    # 2,500 and 10,000 draws: 2N - 1 rounds up to 5,000 and 20,000
+    assert diagnostics._fft_length(4999) == 5000
+    assert diagnostics._fft_length(19_999) == 20_000
+
 
 def test_acf_lag_zero_is_exactly_one():
     x = np.random.default_rng(0).standard_normal(200)
@@ -154,10 +168,12 @@ def test_summary_quantiles_are_type7():
 
 
 def _quantile_blocks(n, seed):
-    """(n, 8) blocks whose columns are plain, NaN, +inf, -inf, +-inf, constant,
-    tied and signed-zero: every case np.quantile treats apart."""
+    """(n, 10) blocks whose columns are plain, NaN, +inf, -inf, +-inf, constant,
+    tied, signed-zero, signed zeros among other values, and NaNs of both
+    signs: every case np.quantile treats apart, and columns that
+    type7_quantiles sorts beside columns that it partitions."""
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, 8))
+    x = rng.standard_normal((n, 10))
     x[rng.integers(n), 1] = np.nan
     x[rng.integers(n), 2] = np.inf
     x[rng.integers(n), 3] = -np.inf
@@ -166,6 +182,9 @@ def _quantile_blocks(n, seed):
     x[:, 5] = 2.5
     x[:, 6] = np.round(x[:, 6])
     x[:, 7] = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    zero = rng.random(n) < 0.6
+    x[zero, 8] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+    x[rng.integers(n, size=4), 9] = [np.nan, -np.nan, np.nan, -np.nan]
     return x
 
 
@@ -418,9 +437,12 @@ def _quiet(fn, *args):
         return fn(*args)
 
 
-# 1 byte: one column per FFT block; 40,000 bytes: two columns; default: one block
-@pytest.mark.parametrize("block_bytes", [1, 40_000, diagnostics.FFT_BLOCK_BYTES])
-@pytest.mark.parametrize("n", [5, 600])
+# 1 byte: one column per FFT block; 20,000 bytes: two columns at 600 draws
+# (FFT length 1,200), one at 2,500 (5,000); default: one block.
+# 2,500 draws, the benchmark's posthoc chains, is FFT-transformed at 5,000
+# points where the oracles take 8,192
+@pytest.mark.parametrize("block_bytes", [1, 20_000, diagnostics.FFT_BLOCK_BYTES])
+@pytest.mark.parametrize("n", [5, 600, 2500])
 def test_columnwise_functions_equal_their_one_column_calls(monkeypatch, block_bytes, n):
     monkeypatch.setattr(diagnostics, "FFT_BLOCK_BYTES", block_bytes)
     x = _probe_columns(n, seed=40)
@@ -446,7 +468,7 @@ def test_columnwise_functions_equal_their_one_column_calls(monkeypatch, block_by
 
 
 @pytest.mark.parametrize("block_bytes", [1, diagnostics.FFT_BLOCK_BYTES])
-@pytest.mark.parametrize("n", [5, 600])
+@pytest.mark.parametrize("n", [5, 600, 2500])
 def test_ess_and_rho1_equal_the_separate_calls_bit_for_bit(monkeypatch, block_bytes, n):
     # one FFT pass gives what effective_sample_size and autocorrelation give
     # on the non-constant columns, lag 1 whatever the longest lag asked for

@@ -13,7 +13,9 @@ command that exits 2 leaves no output directory.
 Values near the float maximum are not drawn.  A covariate that overflows
 the location block's statistics exits 3 by decision, which
 test_cli.test_fit_covariate_of_1e300_exits_3_from_the_location_block
-pins; a chain value that overflows the ESS's FFT is an open defect.
+pins; chain values of 1e300 and 1e308 are summarized and diagnosed with
+a finite ESS, which
+test_cli.test_chain_values_near_the_float_maximum_give_finite_ess pins.
 """
 import json
 import random

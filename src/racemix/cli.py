@@ -20,7 +20,6 @@ import contextlib
 import datetime
 import functools
 import hashlib
-import json
 import os
 import sys
 from typing import NamedTuple
@@ -49,6 +48,8 @@ from .ingest import (
     parse_rainfall,
     parse_results,
     read_json,
+    write_csv,
+    write_json,
 )
 from .model import (
     RESPONSE_LOG_PACE,
@@ -133,9 +134,7 @@ def _write_manifest(out_dir, command, config, seed, inputs, artifacts) -> None:
                    for role, p in inputs.items()},
         "artifacts": sorted(artifacts),
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def _read_manifest(fit_dir) -> dict:
@@ -227,9 +226,8 @@ def _earlier_artifacts(out_dir) -> list[str]:
     """The file names that a manifest.json in out_dir lists as artifacts; none
     when there is no manifest or it cannot be read, since fit replaces it."""
     try:
-        with open(os.path.join(out_dir, "manifest.json"), "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, ValueError):
+        manifest = read_json(os.path.join(out_dir, "manifest.json"))
+    except (OSError, DataError):
         return []
     artifacts = manifest.get("artifacts") if isinstance(manifest, dict) else None
     if not isinstance(artifacts, list):
@@ -282,7 +280,7 @@ def main():
               help="races.csv (course,season,distance_miles,windspeed,race_month)")
 @click.option("--rainfall", required=True, type=click.Path(exists=True, dir_okay=False),
               help="rainfall.csv (month,rainfall_mm)")
-@click.option("--sex", required=True, type=click.Choice(["M", "F"]))
+@click.option("--sex", required=True, type=click.Choice(SEXES))
 @click.option("--response", type=click.Choice(sorted(RESPONSE_FLAGS)), default=None,
               help=f"[default: {_DEFAULTS.response.replace('_', '-')}]")
 @click.option("--windspeed/--no-windspeed", default=None,
@@ -347,10 +345,8 @@ def fit(data, covariates, rainfall, sex, response, windspeed, seed, burn_in,
     if chains > 1:
         moments = [report.moments for report in reports]
         rows = zip(columns, split_rhat(moments).tolist(), multichain_ess(moments).tolist())
-        cross_path = os.path.join(out_dir, "crosschain.csv")
-        with open(cross_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("parameter,split_rhat,ess_total\n")
-            fh.writelines("{},{!r},{!r}\n".format(*row) for row in rows)
+        write_csv(os.path.join(out_dir, "crosschain.csv"),
+                  ("parameter", "split_rhat", "ess_total"), rows)
         artifacts.append("crosschain.csv")
 
     snapshot = {"model": config.to_dict(), "sex": sex, "chains": chains}
@@ -523,12 +519,9 @@ def simulate(spec_path, seed, out_dir):
         out_dir = os.path.join(_out_root(), "synthetic")
     data = simulate_dataset(spec)
     files = data.write_csv(out_dir)
-    truth_path = os.path.join(out_dir, "truth.json")
-    with open(truth_path, "w", encoding="utf-8") as fh:
-        json.dump({"truth": data.truth.to_dict(), "sex": data.sex,
-                   "response": data.response, "seed": spec.seed},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "truth.json"),
+               {"truth": data.truth.to_dict(), "sex": data.sex,
+                "response": data.response, "seed": spec.seed})
     inputs = {} if spec_path is None else {"spec": spec_path}
     _write_manifest(out_dir, "simulate", {"spec": spec.to_dict()}, spec.seed,
                     inputs, files + ["truth.json", "manifest.json"])
@@ -537,7 +530,7 @@ def simulate(spec_path, seed, out_dir):
 
 
 def _read_diagnostics(fit_dir, manifest, index):
-    """diagnose's read half: the text of the chain's diagnostics.csv (each
+    """diagnose's read half: the rows of the chain's diagnostics.csv (each
     column's ESS and lag-1 autocorrelation, and whether the column is
     constant), its draw count and its column count.
 
@@ -547,10 +540,9 @@ def _read_diagnostics(fit_dir, manifest, index):
     chain, _ = _load_indexed_chain(fit_dir, manifest, index)
     degenerate = constant_columns(chain.draws)
     ess, rho1 = ess_and_rho1(chain.draws, degenerate)
-    rows = zip(chain.columns, ess.tolist(), rho1.tolist(), degenerate.astype(int))
-    table = "parameter,ess,rho1,degenerate\n" + "".join(
-        "{},{!r},{!r},{}\n".format(*row) for row in rows)
-    return table, chain.n_stored, len(chain.columns)
+    rows = list(zip(chain.columns, ess.tolist(), rho1.tolist(),
+                    degenerate.astype(int).tolist()))
+    return rows, chain.n_stored, len(chain.columns)
 
 
 @main.command()
@@ -608,7 +600,7 @@ def diagnose(fit_dir, index, out_root):
     partial = trace_path + ".tmp"
     try:
         if context is None:
-            table, n_draws, n_columns = _read_diagnostics(fit_dir, manifest, index)
+            rows, n_draws, n_columns = _read_diagnostics(fit_dir, manifest, index)
             write_trace_csv(chain_path, meta, partial)
         else:
             from concurrent.futures import ProcessPoolExecutor
@@ -619,7 +611,7 @@ def diagnose(fit_dir, index, out_root):
                 finally:
                     # raised here, the worker's error replaces any error of the
                     # export, so a bad cell is named by its line as in the serial order
-                    table, n_draws, n_columns = read.result()
+                    rows, n_draws, n_columns = read.result()
         os.replace(partial, trace_path)
     except BaseException:
         if os.path.exists(partial):
@@ -628,8 +620,7 @@ def diagnose(fit_dir, index, out_root):
             with contextlib.suppress(OSError):
                 os.rmdir(directory)
         raise
-    with open(diag_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(table)
+    write_csv(diag_path, ("parameter", "ess", "rho1", "degenerate"), rows)
     click.echo(f"wrote {trace_path} and {diag_path} "
                f"({n_draws} draws, {n_columns} parameters)")
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ingest import write_csv
 from .sampler import ChainMeta, ChainOutput
 
 # the spectrum of one FFT block, and the deviations or quantile copy of one
@@ -226,7 +227,6 @@ class ParameterSummary:
     ci95_low: float
     ci95_high: float
     ess: float
-    degenerate: bool = False
 
 
 # the type-7 quantiles summary.csv holds: ci95_low, lq, median, uq, ci95_high
@@ -237,8 +237,8 @@ def summarize(chain_output: ChainOutput) -> list[ParameterSummary]:
     """Per-parameter summaries over the stored draws.
 
     Quantiles are type-7; corner-constrained columns come out as exact
-    zeros and are flagged degenerate rather than warned about, since a
-    constant column there is expected.
+    zeros with an ESS of N, and are not warned about, since a constant
+    column there is expected.
     """
     draws = chain_output.draws
     n = draws.shape[0]
@@ -252,24 +252,20 @@ def summarize(chain_output: ChainOutput) -> list[ParameterSummary]:
         qs[:, start:start + step] = type7_quantiles(draws[:, start:start + step],
                                                     SUMMARY_QS)
     qs = qs.T.tolist()
-    degenerate = constant_columns(draws)
-    return [ParameterSummary(name, mean, lq, median, uq, low, high, ess, flat)
-            for name, mean, (low, lq, median, uq, high), ess, flat
-            in zip(chain_output.columns, draws.mean(axis=0).tolist(), qs,
-                   ess_and_rho1(draws, degenerate)[0].tolist(), degenerate.tolist())]
+    ess = ess_and_rho1(draws, constant_columns(draws))[0]
+    return [ParameterSummary(name, mean, lq, median, uq, low, high, n_eff)
+            for name, mean, (low, lq, median, uq, high), n_eff
+            in zip(chain_output.columns, draws.mean(axis=0).tolist(), qs, ess.tolist())]
 
 
-SUMMARY_HEADER = "parameter,mean,lq,median,uq,ci95_low,ci95_high,ess"
+SUMMARY_HEADER = ("parameter", "mean", "lq", "median", "uq", "ci95_low", "ci95_high", "ess")
 
 
 def write_summary_csv(summaries, path) -> None:
-    """summary.csv with shortest-repr floats (byte-stable given draws)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(SUMMARY_HEADER + "\n")
-        for s in summaries:
-            fh.write(",".join([s.name, repr(s.mean), repr(s.lq), repr(s.median),
-                               repr(s.uq), repr(s.ci95_low), repr(s.ci95_high),
-                               repr(s.ess)]) + "\n")
+    """summary.csv, one row per ParameterSummary (write_csv's cell text)."""
+    write_csv(path, SUMMARY_HEADER,
+              ((s.name, s.mean, s.lq, s.median, s.uq, s.ci95_low, s.ci95_high, s.ess)
+               for s in summaries))
 
 
 def write_trace_csv(chain_csv_path, meta: ChainMeta, path) -> None:

@@ -29,11 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    ModelConfig,
-    RESPONSE_LOG_PACE,
-    RESPONSE_LOG_TIME,
-)
+from .model import ModelConfig, RESPONSE_LOG_PACE
 
 RESULTS_HEADER = ("athlete_id", "course", "season", "sex", "finish_time_min", "race_month")
 RACES_HEADER = ("course", "season", "distance_miles", "windspeed", "race_month")
@@ -48,6 +44,7 @@ SEXES = ("M", "F")
 INPUT_FILES = ("results.csv", "races.csv", "rainfall.csv")
 
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
+_UNQUOTABLE = re.compile(r'[,"\r\n]')
 
 
 class DataError(Exception):
@@ -130,6 +127,26 @@ def read_json(path):
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: line {exc.lineno}, column {exc.colno}: "
                         f"not JSON: {exc.msg}") from None
+
+
+def write_json(path, doc) -> None:
+    """Write a JSON artifact: two-space indent, sorted keys, a final line end.
+    A NaN or an infinity, which JSON lacks, is a ValueError and writes nothing."""
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a CSV artifact: the header's names, then one line per row.  A str
+    cell is written as it is, an int or a float as its repr, the shortest text
+    that reads back to the same value; a row of another width is a TypeError.
+    No cell is quoted: the str cells hold level names, which build_design
+    keeps free of commas, double quotes and line breaks."""
+    line = ",".join(["%s"] * len(header)) + "\n"  # %s of an int or a float is its repr
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def _open_rows(path, expected_header):
@@ -352,7 +369,8 @@ def build_design(observations, contexts, rainfall, config: ModelConfig,
     windspeed over the fitted observations; config.d_bar / config.w_bar
     override them.  An inconsistency between the inputs is a DataError
     naming the files, as `sources` (results, races, rainfall) names them,
-    and the lines at fault.
+    and the lines at fault.  So is a level name that holds a comma, a
+    double quote, CR or LF, which write_csv's unquoted cells cannot hold.
     """
     config.validate()
     results, races, rain = sources
@@ -374,6 +392,10 @@ def build_design(observations, contexts, rainfall, config: ModelConfig,
     athletes = sorted({obs.athlete_id for obs in observations})
     courses = _level_order((obs.course for obs in observations), BASELINE_COURSE)
     seasons = _level_order((obs.season for obs in observations), BASELINE_SEASON)
+    for name in filter(_UNQUOTABLE.search, (*athletes, *courses, *seasons)):
+        line = next(o.line for o in observations if name in (o.athlete_id, o.course, o.season))
+        raise DataError(f"{_at(results, line)}: level name {name!r} holds a comma, "
+                        f"a double quote or a line break")
     a_index = {name: i for i, name in enumerate(athletes)}
     c_index = {name: i for i, name in enumerate(courses)}
     s_index = {name: i for i, name in enumerate(seasons)}
@@ -409,8 +431,6 @@ def build_design(observations, contexts, rainfall, config: ModelConfig,
     y = np.log(np.array([obs.finish_time for obs in observations]))
     if config.response == RESPONSE_LOG_PACE:
         y = y - np.log(dist)
-    elif config.response != RESPONSE_LOG_TIME:
-        raise DataError(f"unknown response variant {config.response!r}")
     if not np.all(np.isfinite(y)):
         raise DataError("non-finite response after transformation")
 

@@ -238,7 +238,7 @@ class ModelConfig:
 
 @dataclass
 class ParameterState:
-    """One complete point in parameter space.
+    """One complete point in parameter space, every value finite.
 
     Entry 0 of each effect vector is the corner-constrained baseline and
     must be exactly zero.  lambda_wind is None when the windspeed term is
@@ -261,6 +261,13 @@ class ParameterState:
     lambda_wind: float | None = None
 
     def validate(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray):
+                bad = np.flatnonzero(~np.isfinite(value))
+                if bad.size:
+                    raise ValueError(f"{name}[{bad[0]}] must be finite, got {value[bad[0]]}")
+            elif value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         for name in ("tau_obs", "tau_athlete", "tau_course", "tau_season", "phi"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")

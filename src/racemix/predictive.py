@@ -32,17 +32,21 @@ from .ingest import (
     DataError,
     RaceContext,
     RaceObservation,
+    INPUT_FILES,
     RACES_HEADER,
     RAINFALL_HEADER,
     RESULTS_HEADER,
     BASELINE_COURSE,
+    SEXES,
     format_month,
     parse_month,
     previous_month,
+    write_csv,
 )
 from .model import (
     RESPONSE_LOG_PACE,
     RESPONSE_LOG_TIME,
+    RESPONSES,
     ConfigError,
     ParameterState,
     json_number,
@@ -125,9 +129,9 @@ class SyntheticSpec:
             raise ConfigError("distances must be positive")
         if self.windspeed_range[0] < 0.0 or self.rainfall_range[0] < 0.0:
             raise ConfigError("windspeed and rainfall must be nonnegative")
-        if self.response not in (RESPONSE_LOG_TIME, RESPONSE_LOG_PACE):
+        if self.response not in RESPONSES:
             raise ConfigError(f"unknown response {self.response!r}")
-        if self.sex not in ("M", "F"):
+        if self.sex not in SEXES:
             raise ConfigError(f"sex must be M or F, got {self.sex!r}")
         try:
             self.truth.validate()
@@ -197,24 +201,14 @@ class SimulatedData:
         Returns the file names written.  Byte-identical for equal inputs.
         """
         os.makedirs(directory, exist_ok=True)
-        results = os.path.join(directory, "results.csv")
-        with open(results, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(RESULTS_HEADER) + "\n")
-            for o in self.observations:
-                fh.write(f"{o.athlete_id},{o.course},{o.season},{self.sex},"
-                         f"{repr(o.finish_time)},{o.race_month}\n")
-        races = os.path.join(directory, "races.csv")
-        with open(races, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(RACES_HEADER) + "\n")
-            for c in self.contexts:
-                fh.write(f"{c.course},{c.season},{repr(c.distance)},"
-                         f"{repr(c.windspeed)},{c.race_month}\n")
-        rain = os.path.join(directory, "rainfall.csv")
-        with open(rain, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(RAINFALL_HEADER) + "\n")
-            for month in sorted(self.rainfall):
-                fh.write(f"{month},{repr(self.rainfall[month])}\n")
-        return ["results.csv", "races.csv", "rainfall.csv"]
+        results, races, rain = (os.path.join(directory, name) for name in INPUT_FILES)
+        write_csv(results, RESULTS_HEADER,
+                  ((o.athlete_id, o.course, o.season, self.sex, o.finish_time, o.race_month)
+                   for o in self.observations))
+        write_csv(races, RACES_HEADER, ((c.course, c.season, c.distance, c.windspeed,
+                                         c.race_month) for c in self.contexts))
+        write_csv(rain, RAINFALL_HEADER, sorted(self.rainfall.items()))
+        return list(INPUT_FILES)
 
 
 def _race_pairs(n_courses: int, n_seasons: int, n_races: int) -> list[tuple[int, int]]:
@@ -500,33 +494,28 @@ def ppc_report(chain: ChainOutput, design, observed, rng,
         pool.shutdown(cancel_futures=True)
 
 
-PPC_HEADER = ("course,season,n_finishers,"
-              "obs_min,obs_lq,obs_median,obs_uq,obs_max,"
-              "pred_min,pred_lq,pred_median,pred_uq,pred_max,low_power")
+PPC_HEADER = ("course", "season", "n_finishers",
+              "obs_min", "obs_lq", "obs_median", "obs_uq", "obs_max",
+              "pred_min", "pred_lq", "pred_median", "pred_uq", "pred_max", "low_power")
 
 
 def write_ppc_csv(reports, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(PPC_HEADER + "\n")
-        for r in reports:
-            cells = [r.course, r.season, str(r.n_finishers)]
-            cells += [repr(v) for v in r.observed]
-            cells += [repr(v) for v in r.predicted]
-            cells.append("1" if r.low_power else "0")
-            fh.write(",".join(cells) + "\n")
+    write_csv(path, PPC_HEADER,
+              ((r.course, r.season, r.n_finishers, *r.observed, *r.predicted,
+                int(r.low_power)) for r in reports))
 
 
-HISTOGRAM_HEADER = "course,season,bin_left,bin_right,predicted_count,observed_count"
+HISTOGRAM_HEADER = ("course", "season", "bin_left", "bin_right",
+                    "predicted_count", "observed_count")
 
 
 def write_histograms_csv(reports, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(HISTOGRAM_HEADER + "\n")
-        for r in reports:
-            for b in range(r.predicted_counts.size):
-                fh.write(f"{r.course},{r.season},{repr(float(r.bin_edges[b]))},"
-                         f"{repr(float(r.bin_edges[b + 1]))},{int(r.predicted_counts[b])},"
-                         f"{int(r.observed_counts[b])}\n")
+    rows = []
+    for r in reports:
+        edges = r.bin_edges.tolist()
+        rows += [(r.course, r.season, *cells) for cells in zip(
+            edges[:-1], edges[1:], r.predicted_counts.tolist(), r.observed_counts.tolist())]
+    write_csv(path, HISTOGRAM_HEADER, rows)
 
 
 def effect_on_time(base_time: float, coefficient: float, delta: float) -> float:

@@ -43,7 +43,6 @@ not depend on how long the chain runs.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
@@ -57,7 +56,8 @@ import numpy as np
 from numpy.linalg._umath_linalg import cholesky_lo
 
 from . import __version__
-from .ingest import DataError, DesignMatrixView, not_utf8_error, parse_number, read_json
+from .ingest import (DataError, DesignMatrixView, not_utf8_error, parse_number, read_json,
+                     write_json)
 from .model import RESPONSES, McmcSchedule, ModelConfig, json_number
 # not called by the sweep; perfbench/tracing.py wraps it by this name here
 from .model import linear_predictor_all  # noqa: F401
@@ -778,11 +778,7 @@ def save_chain(chain: ChainOutput, csv_path, meta_path) -> None:
             rows = chain.draws[start:start + WRITE_BLOCK_ROWS].astype(float, copy=False)
             # repr of the Python float: shortest round-trip representation
             fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows.tolist()]))
-    meta = chain.meta.to_dict()
-    meta["columns"] = list(chain.columns)
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(meta_path, {**chain.meta.to_dict(), "columns": list(chain.columns)})
 
 
 def _chain_parse_error(csv_path, header, reason) -> DataError:

@@ -6,6 +6,7 @@ asserted on the data artifacts, with SOURCE_DATE_EPOCH pinning the
 manifest timestamp.
 """
 import concurrent.futures
+import csv
 import json
 import math
 import multiprocessing
@@ -382,6 +383,33 @@ def test_fit_result_of_unknown_sex_exits_2_naming_its_line(dataset_dir, tmp_path
     assert result.exit_code == 2, result.output
     assert (f"error: {data / 'results.csv'}: line 3: unknown sex {sex!r}, "
             f"expected one of M, F" in result.output)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("course", ["Herrington Park, Durham", 'Herrington "Park"',
+                                    "Herrington\nPark", "Herrington\r\nPark"])
+def test_fit_level_name_that_an_artifact_cannot_hold_exits_2_naming_its_line(
+        dataset_dir, tmp_path, course):
+    # legal as a quoted input cell, but the artifacts write level names in
+    # unquoted cells: summary.csv would get a row of the wrong width, and
+    # every post-fit command would then refuse the fit's own chain.csv
+    data = tmp_path / "data"
+    shutil.copytree(dataset_dir, data)
+    for name in ("results.csv", "races.csv"):
+        with open(data / name, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        column = rows[0].index("course")
+        for row in rows:
+            row[column] = course if row[column] == "Course001" else row[column]
+        with open(data / name, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        if name == "results.csv":
+            # no earlier row holds a line break, so row k starts on line k + 1
+            line = 1 + next(k for k, row in enumerate(rows) if row[column] == course)
+    result = _run(["fit", *_data_args(data), *FIT_ARGS, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert (f"error: {data / 'results.csv'}: line {line}: level name {course!r} holds "
+            f"a comma, a double quote or a line break" in result.output)
     assert not (tmp_path / "out").exists()
 
 
@@ -986,6 +1014,15 @@ def test_simulate_invalid_spec_exits_2(tmp_path):
     ({"truth": dict(SyntheticSpec().to_dict()["truth"], tau_obs=-1.0)},
      "truth: tau_obs must be positive, got -1.0"),
     ({"seed": -1}, "seed must be >= 0, got -1"),
+    # json.load reads NaN and Infinity; such a truth would simulate
+    # non-finite finish times, which fit refuses
+    ({"truth": dict(SyntheticSpec().to_dict()["truth"], intercept=math.nan)},
+     "truth: intercept must be finite, got nan"),
+    ({"truth": dict(SyntheticSpec().to_dict()["truth"], tau_obs=math.inf)},
+     "truth: tau_obs must be finite, got inf"),
+    ({"truth": dict(SyntheticSpec().to_dict()["truth"],
+                    course_effects=[0.0, -math.inf] + [0.0] * 6)},
+     "truth: course_effects[1] must be finite, got -inf"),
 ])
 def test_simulate_spec_value_of_the_wrong_json_type_or_name_exits_2(tmp_path, doc, message):
     spec_path = tmp_path / "spec.json"

@@ -1,4 +1,6 @@
 """Parser and design-matrix construction tests."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from racemix.ingest import (
     parse_rainfall,
     parse_results,
     previous_month,
+    write_csv,
+    write_json,
 )
 from racemix.model import ModelConfig
 
@@ -333,6 +337,60 @@ def test_inconsistent_inputs_name_their_files_and_lines():
         build_design(observations, contexts, rain, config, sources=sources)
     with pytest.raises(DataError, match="^data/r.csv: no observations to fit$"):
         build_design([], contexts, TOY_RAINFALL, config, sources=sources)
+
+
+@pytest.mark.parametrize("field", ["athlete_id", "course", "season"])
+@pytest.mark.parametrize("char", [",", '"', "\r", "\n"])
+def test_level_name_that_an_artifact_cannot_hold_is_named_by_its_line(field, char):
+    # write_csv quotes no cell, so a level name may not hold what only a quoted cell can
+    old = getattr(TOY_OBSERVATIONS[3], field)
+    new = old[0] + char + old[1:]
+    observations = [dataclasses.replace(o, line=k + 2, **{field: new} if getattr(o, field) == old
+                                        else {}) for k, o in enumerate(TOY_OBSERVATIONS)]
+    contexts = [dataclasses.replace(c, **{field: new}) if getattr(c, field, None) == old
+                else c for c in TOY_CONTEXTS]
+    first = next(o.line for o in observations if getattr(o, field) == new)
+    with pytest.raises(DataError) as info:
+        build_design(observations, contexts, TOY_RAINFALL, ModelConfig())
+    assert str(info.value) == (f"results.csv: line {first}: level name {new!r} holds a "
+                               f"comma, a double quote or a line break")
+
+
+### artifact writers
+
+
+def test_write_csv_writes_cells_as_the_artifacts_always_have(tmp_path):
+    # str as it is, int as str() wrote it, float as repr(): the shortest
+    # text that reads back to the same value
+    rows = [("Alnwick", 14, 0.1), ("17/18", -3, 1e-05), ("A00007", 0, 47.123456789012344),
+            ("x", 2 ** 70, float("inf"))]
+    path = tmp_path / "a.csv"
+    write_csv(path, ("name", "count", "value"), iter(rows))
+    assert path.read_bytes() == (b"name,count,value\n"
+                                 b"Alnwick,14,0.1\n"
+                                 b"17/18,-3,1e-05\n"
+                                 b"A00007,0,47.123456789012344\n"
+                                 b"x,1180591620717411303424,inf\n")
+    assert [float(line.split(",")[2]) for line in path.read_text().splitlines()[1:]] == [
+        v for _, _, v in rows]
+    for ragged in [("x", 1), ("x", 1, 2.0, "y")]:
+        with pytest.raises(TypeError):
+            write_csv(path, ("name", "count", "value"), [ragged])
+
+
+def test_write_json_sorts_keys_indents_by_two_and_ends_its_line(tmp_path):
+    path = tmp_path / "a.json"
+    write_json(path, {"b": [1, 2.5], "a": {"d": None, "c": "x"}})
+    assert path.read_text() == ('{\n  "a": {\n    "c": "x",\n    "d": null\n  },\n'
+                                '  "b": [\n    1,\n    2.5\n  ]\n}\n')
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_refuses_a_non_finite_number_and_writes_nothing(tmp_path, value):
+    path = tmp_path / "a.json"
+    with pytest.raises(ValueError, match="Out of range float values"):
+        write_json(path, {"truth": {"intercept": value}})
+    assert not path.exists()
 
 
 def test_parse_races_records_each_race_line(tmp_path):

@@ -100,6 +100,22 @@ def test_parameter_state_invariants():
         bad2.validate()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("intercept", math.nan, "intercept must be finite, got nan"),
+    ("tau_obs", math.inf, "tau_obs must be finite, got inf"),
+    ("phi", math.nan, "phi must be finite, got nan"),
+    ("lambda_wind", -math.inf, "lambda_wind must be finite, got -inf"),
+    ("athlete_effects", [0.0, 0.04, math.nan], r"athlete_effects\[2\] must be finite, got nan"),
+])
+def test_parameter_state_refuses_non_finite_values(field, value, message):
+    bad = make_toy_state()
+    setattr(bad, field, np.array(value) if isinstance(value, list) else value)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        bad.validate()
+    with pytest.raises(ConfigError, match=f"^truth: {message}$"):
+        ParameterState.from_dict(dict(make_toy_state().to_dict(), **{field: value}), "truth")
+
+
 def test_parameter_state_copy_and_dict_roundtrip():
     state = make_toy_state(include_windspeed=True)
     dup = state.copy()

@@ -542,7 +542,7 @@ def test_write_ppc_csv_format(small_sim, small_fit, tmp_path):
     path = tmp_path / "ppc.csv"
     write_ppc_csv(reports, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == PPC_HEADER
+    assert lines[0] == ",".join(PPC_HEADER)
     assert len(lines) == 1 + len(reports)
     fields = lines[1].split(",")
     assert len(fields) == 14

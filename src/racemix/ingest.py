@@ -286,6 +286,7 @@ def parse_races(path) -> list[RaceContext]:
 def parse_rainfall(path) -> dict[str, float]:
     """Read rainfall.csv into a month -> millimetres map."""
     table = {}
+    lines = {}
     months = set()
     for lineno, row in _open_rows(path, RAINFALL_HEADER):
         month_text, rain_text = row
@@ -293,8 +294,10 @@ def parse_rainfall(path) -> dict[str, float]:
         rain = _parse_float(rain_text, "rainfall", path, lineno)
         if rain < 0.0:
             raise DataError(f"{path}: line {lineno}: negative rainfall {rain}")
-        if month_text in table:
-            raise DataError(f"{path}: line {lineno}: duplicate month {month_text}")
+        first = lines.setdefault(month_text, lineno)
+        if first != lineno:
+            raise DataError(f"{path}: line {lineno}: duplicate month {month_text} "
+                            f"(first seen on line {first})")
         table[month_text] = rain
     return table
 
@@ -370,7 +373,9 @@ def build_design(observations, contexts, rainfall, config: ModelConfig,
     override them.  An inconsistency between the inputs is a DataError
     naming the files, as `sources` (results, races, rainfall) names them,
     and the lines at fault.  So is a level name that holds a comma, a
-    double quote, CR or LF, which write_csv's unquoted cells cannot hold.
+    double quote, CR or LF, which write_csv's unquoted cells cannot hold,
+    and a mean that overflows, named by the line of its column's largest
+    value.
     """
     config.validate()
     results, races, rain = sources
@@ -403,13 +408,13 @@ def build_design(observations, contexts, rainfall, config: ModelConfig,
     race_keys = sorted(set(obs_race))
     r_index = {key: r for r, key in enumerate(race_keys)}
 
+    race_ctx = [ctx_by_race[(courses[c], seasons[s])] for c, s in race_keys]
     n_races = len(race_keys)
     race_dist = np.empty(n_races)
     race_wind = np.empty(n_races)
     race_rain_cur = np.empty(n_races)
     race_rain_prev = np.empty(n_races)
-    for r, (c, s) in enumerate(race_keys):
-        ctx = ctx_by_race[(courses[c], seasons[s])]
+    for r, ctx in enumerate(race_ctx):
         month = ctx.race_month
         prev = previous_month(month)
         for m in (month, prev):
@@ -424,9 +429,15 @@ def build_design(observations, contexts, rainfall, config: ModelConfig,
     athlete_idx = np.array([a_index[obs.athlete_id] for obs in observations], dtype=np.int64)
     race_idx = np.array([r_index[key] for key in obs_race], dtype=np.int64)
     dist = race_dist[race_idx]
-    d_bar = float(np.mean(dist)) if config.d_bar is None else float(config.d_bar)
-    w_bar = (float(np.mean(race_wind[race_idx])) if config.w_bar is None
-             else float(config.w_bar))
+    with np.errstate(over="ignore"):
+        d_bar = float(np.mean(dist)) if config.d_bar is None else float(config.d_bar)
+        w_bar = (float(np.mean(race_wind[race_idx])) if config.w_bar is None
+                 else float(config.w_bar))
+    for name, bar, column in (("distance", d_bar, race_dist), ("windspeed", w_bar, race_wind)):
+        if not math.isfinite(bar):
+            ctx = race_ctx[int(np.argmax(column))]
+            raise DataError(f"{_at(races, ctx.line)}: {name} {getattr(ctx, name)!r} makes the "
+                            f"mean {name} over the fitted results overflow")
 
     y = np.log(np.array([obs.finish_time for obs in observations]))
     if config.response == RESPONSE_LOG_PACE:

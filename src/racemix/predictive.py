@@ -21,6 +21,8 @@ reports depend on neither the thread count nor the chunk size.
 """
 from __future__ import annotations
 
+import collections
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -39,8 +41,6 @@ from .ingest import (
     BASELINE_COURSE,
     SEXES,
     format_month,
-    parse_month,
-    previous_month,
     write_csv,
 )
 from .model import (
@@ -212,31 +212,14 @@ class SimulatedData:
 
 
 def _race_pairs(n_courses: int, n_seasons: int, n_races: int) -> list[tuple[int, int]]:
-    """Distinct (course, season) index pairs spreading races over both."""
-    pairs = []
-    taken = set()
-    r = 0
-    # diagonal walk hits every course and season as evenly as possible
-    while len(pairs) < n_races and r < n_courses * n_seasons:
-        p = (r % n_courses, r % n_seasons)
-        if p not in taken:
-            taken.add(p)
-            pairs.append(p)
-        r += 1
-    if len(pairs) < n_races:
-        for ci in range(n_courses):
-            for si in range(n_seasons):
-                if (ci, si) not in taken:
-                    taken.add((ci, si))
-                    pairs.append((ci, si))
-                    if len(pairs) == n_races:
-                        return pairs
-    return pairs
-
-
-def _add_months(year: int, month: int, k: int) -> tuple[int, int]:
-    total = (year * 12 + (month - 1)) + k
-    return total // 12, total % 12 + 1
+    """The first `n_races` distinct (course, season) index pairs: those of
+    the diagonal walk, which spreads races over courses and seasons as
+    evenly as possible, then the rest in row-major order."""
+    diagonal = dict.fromkeys((r % n_courses, r % n_seasons)
+                             for r in range(n_courses * n_seasons))
+    rest = [(c, s) for c in range(n_courses) for s in range(n_seasons)
+            if (c, s) not in diagonal]
+    return (list(diagonal) + rest)[:n_races]
 
 
 def simulate_dataset(spec: SyntheticSpec) -> SimulatedData:
@@ -245,106 +228,79 @@ def simulate_dataset(spec: SyntheticSpec) -> SimulatedData:
     Seasons start in October; each season's fixtures occupy consecutive
     months.  Rainfall covers the contiguous span from one month before
     the first fixture to the last, so ingest always finds the carryover
-    month.  Deterministic given spec.seed.
+    month.  Deterministic given spec.seed.  A truth whose finish times
+    are not finite and positive is a ConfigError.
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     truth = spec.truth.copy()
-
-    if truth.athlete_effects.size == 0:
-        eff = rng.standard_normal(spec.n_athletes) / math.sqrt(truth.tau_athlete)
-        eff[0] = 0.0
-        truth.athlete_effects = eff
-    if truth.course_effects.size == 0:
-        eff = rng.standard_normal(spec.n_courses) / math.sqrt(truth.tau_course)
-        eff[0] = 0.0
-        truth.course_effects = eff
-    if truth.season_effects.size == 0:
-        eff = rng.standard_normal(spec.n_seasons) / math.sqrt(truth.tau_season)
-        eff[0] = 0.0
-        truth.season_effects = eff
+    for level in ("athlete", "course", "season"):
+        if getattr(truth, f"{level}_effects").size == 0:
+            eff = (rng.standard_normal(getattr(spec, f"n_{level}s"))
+                   / math.sqrt(getattr(truth, f"tau_{level}")))
+            eff[0] = 0.0
+            setattr(truth, f"{level}_effects", eff)
 
     athletes = [f"A{i:05d}" for i in range(spec.n_athletes)]
     courses = [BASELINE_COURSE] + [f"Course{i:03d}" for i in range(1, spec.n_courses)]
     seasons = [f"{17 + k:02d}/{18 + k:02d}" for k in range(spec.n_seasons)]
 
-    pairs = _race_pairs(spec.n_courses, spec.n_seasons, spec.n_races)
-    distances = rng.uniform(*spec.distance_range, size=spec.n_races)
-    windspeeds = rng.uniform(*spec.windspeed_range, size=spec.n_races)
-
-    # consecutive months per season, starting each October
-    per_season_pos = {}
-    months = []
-    for ci, si in pairs:
-        pos = per_season_pos.get(si, 0)
-        per_season_pos[si] = pos + 1
-        y, m = _add_months(2017 + si, 10, pos)
-        months.append(format_month(y, m))
-
-    month_keys = {parse_month(m) for m in months}
-    month_keys |= {parse_month(previous_month(m)) for m in months}
-    lo = min(month_keys)
-    hi = max(month_keys)
-    span = (hi[0] * 12 + hi[1]) - (lo[0] * 12 + lo[1]) + 1
-    rain_values = rng.uniform(*spec.rainfall_range, size=span)
-    rainfall = {}
-    for k in range(span):
-        y, m = _add_months(lo[0], lo[1], k)
-        rainfall[format_month(y, m)] = float(rain_values[k])
-
-    contexts = [RaceContext(course=courses[ci], season=seasons[si],
-                            distance=float(distances[r]),
-                            windspeed=float(windspeeds[r]),
-                            race_month=months[r])
-                for r, (ci, si) in enumerate(pairs)]
+    # one row per race, as DesignMatrixView keeps them; a month is year * 12 + month - 1
+    race_course, race_season = np.array(
+        _race_pairs(spec.n_courses, spec.n_seasons, spec.n_races)).T
+    race_dist = rng.uniform(*spec.distance_range, size=spec.n_races)
+    race_wind = rng.uniform(*spec.windspeed_range, size=spec.n_races)
+    fixture = collections.defaultdict(itertools.count)  # per season, from October
+    race_month = np.array([(2017 + s) * 12 + 9 + next(fixture[s]) for s in race_season])
+    first = int(race_month.min()) - 1  # the first fixture's carryover month
+    rain = rng.uniform(*spec.rainfall_range, size=int(race_month.max()) - first + 1)
+    month_names = [format_month(m // 12, m % 12 + 1) for m in range(first, first + rain.size)]
+    race_rain_cur, race_rain_prev = rain[race_month - first], rain[race_month - first - 1]
+    months = [month_names[m - first] for m in race_month]
 
     rosters = []
-    for r in range(spec.n_races):
+    for _ in range(spec.n_races):
         if spec.mean_finishers >= spec.n_athletes:
-            field_idx = np.arange(spec.n_athletes)
+            rosters.append(np.arange(spec.n_athletes))
         else:
-            size = int(rng.poisson(spec.mean_finishers))
-            size = min(max(size, 1), spec.n_athletes)
-            field_idx = np.sort(rng.choice(spec.n_athletes, size=size, replace=False))
-        rosters.append(field_idx)
-
+            size = min(max(int(rng.poisson(spec.mean_finishers)), 1), spec.n_athletes)
+            rosters.append(np.sort(rng.choice(spec.n_athletes, size=size, replace=False)))
     obs_race = np.concatenate([np.full(f.size, r) for r, f in enumerate(rosters)])
     obs_ath = np.concatenate(rosters)
-    dist = distances[obs_race]
-    wind = windspeeds[obs_race]
-    d_bar = float(dist.mean())
-    w_bar = float(wind.mean())
-    r_cur = np.array([rainfall[months[r]] for r in obs_race])
-    r_prev = np.array([rainfall[previous_month(months[r])] for r in obs_race])
-    course_of = np.array([pairs[r][0] for r in obs_race])
-    season_of = np.array([pairs[r][1] for r in obs_race])
 
-    mu = (truth.intercept
-          + truth.athlete_effects[obs_ath]
-          + truth.course_effects[course_of]
-          + truth.season_effects[season_of]
-          + truth.gamma_dist * (dist - d_bar)
-          + truth.rho_cur * r_cur
-          + truth.rho_prev * r_prev)
-    if truth.lambda_wind is not None:
-        mu = mu + truth.lambda_wind * (wind - w_bar)
+    dist = race_dist[obs_race]
+    # overflow shows as a time that is not finite and positive, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = (truth.intercept
+              + truth.athlete_effects[obs_ath]
+              + truth.course_effects[race_course[obs_race]]
+              + truth.season_effects[race_season[obs_race]]
+              + truth.gamma_dist * (dist - dist.mean())
+              + truth.rho_cur * race_rain_cur[obs_race]
+              + truth.rho_prev * race_rain_prev[obs_race])
+        if truth.lambda_wind is not None:
+            wind = race_wind[obs_race]
+            mu = mu + truth.lambda_wind * (wind - wind.mean())
+        y = mu + rng.standard_normal(mu.size) / math.sqrt(truth.tau_obs)
+        times = np.exp(y)
+        if spec.response == RESPONSE_LOG_PACE:
+            times = dist * times
 
-    y = mu + rng.standard_normal(mu.size) / math.sqrt(truth.tau_obs)
-    times = np.exp(y)
-    if spec.response == RESPONSE_LOG_PACE:
-        times = dist * times
-
-    observations = [
-        RaceObservation(
-            athlete_id=athletes[obs_ath[i]],
-            course=courses[pairs[obs_race[i]][0]],
-            season=seasons[pairs[obs_race[i]][1]],
-            finish_time=float(times[i]),
-            race_month=months[obs_race[i]])
-        for i in range(obs_ath.size)
-    ]
+    contexts = [RaceContext(course=courses[c], season=seasons[s], distance=d,
+                            windspeed=w, race_month=m)
+                for c, s, d, w, m in zip(race_course, race_season, race_dist.tolist(),
+                                         race_wind.tolist(), months)]
+    observations = [RaceObservation(athlete_id=athletes[a], course=contexts[r].course,
+                                    season=contexts[r].season, finish_time=t,
+                                    race_month=months[r])
+                    for a, r, t in zip(obs_ath.tolist(), obs_race.tolist(), times.tolist())]
+    bad = next((o for o in observations if not 0.0 < o.finish_time < math.inf), None)
+    if bad is not None:
+        raise ConfigError(f"truth: simulated finish time {bad.finish_time} of athlete "
+                          f"{bad.athlete_id} in race {bad.course} {bad.season} is not "
+                          f"finite and positive")
     return SimulatedData(observations=observations, contexts=contexts,
-                         rainfall=rainfall, truth=truth,
+                         rainfall=dict(zip(month_names, rain.tolist())), truth=truth,
                          sex=spec.sex, response=spec.response)
 
 

@@ -6,7 +6,8 @@ Every test emits exactly one line of the form
 
 to the terminal (bypassing capture), then asserts.  The final criterion
 is conditional on an external dataset and prints a SKIP line when the
-RACEMIX_NEHL_DIR environment variable is not set.
+RACEMIX_NEHL_DIR environment variable is not set; the test after it runs
+the same criterion on a synthetic twin of that dataset.
 
 Tolerances here are frozen; loosening them is a release decision, not a
 test fix.
@@ -22,11 +23,15 @@ from click.testing import CliRunner
 from racemix.cli import main as cli_main
 from racemix.diagnostics import effective_sample_size
 from racemix.ingest import (
+    RACES_HEADER,
+    RAINFALL_HEADER,
+    RESULTS_HEADER,
     RaceObservation,
     build_design,
     parse_races,
     parse_rainfall,
     parse_results,
+    write_csv,
 )
 from racemix.model import (
     McmcSchedule,
@@ -210,17 +215,15 @@ def _course_named(courses, key):
     return matches[0]
 
 
-def test_nehl_qualitative_reproduction(capfd):
-    root = os.environ.get(NEHL_ENV)
-    if not root:
-        with capfd.disabled():
-            print(f"ACCEPTANCE SKIP: league-data qualitative reproduction "
-                  f"({NEHL_ENV} not set; point it at results/races/rainfall "
-                  f"CSVs to enable)")
-        pytest.skip(f"{NEHL_ENV} not set")
-
+def _league_criterion(root):
+    """The frozen league-data criterion on the results, races and rainfall
+    CSVs in `root`: for each sex, Herrington Park and Thornley Hall are the
+    two slowest courses, Druridge Bay and Gosforth Park the two fastest,
+    and the windspeed 95% interval covers 0.  Returns the problems found,
+    one line of evidence per sex and each sex's chain."""
     problems = []
     detail = []
+    chains = {}
     for sex in ("M", "F"):
         observations = parse_results(os.path.join(root, "results.csv"), sex)
         contexts = parse_races(os.path.join(root, "races.csv"))
@@ -229,7 +232,7 @@ def test_nehl_qualitative_reproduction(capfd):
                              mcmc=McmcSchedule(burn_in=2000, iterations=20_000,
                                                thin=10, seed=29))
         design = build_design(observations, contexts, rain, config)
-        chain = run_chain(design, config)
+        chain = chains[sex] = run_chain(design, config)
         means = {c: float(chain.column(f"course[{c}]").mean())
                  for c in design.courses}
         ranked = sorted(means, key=means.get)
@@ -245,6 +248,76 @@ def test_nehl_qualitative_reproduction(capfd):
             problems.append(f"{sex}: windspeed CI [{lo:.4f}, {hi:.4f}] excludes 0")
         detail.append(f"{sex}: slowest {ranked[-1]}, fastest {ranked[0]}, "
                       f"wind CI [{lo:.4f}, {hi:.4f}]")
+    return problems, detail, chains
+
+
+def test_nehl_qualitative_reproduction(capfd):
+    root = os.environ.get(NEHL_ENV)
+    if not root:
+        with capfd.disabled():
+            print(f"ACCEPTANCE SKIP: league-data qualitative reproduction "
+                  f"({NEHL_ENV} not set; point it at results/races/rainfall "
+                  f"CSVs to enable)")
+        pytest.skip(f"{NEHL_ENV} not set")
+
+    problems, detail, _ = _league_criterion(root)
     ok = not problems
     _verdict(capfd, ok, "league-data qualitative reproduction",
+             "; ".join(problems or detail))
+
+
+# the twin's courses: two slow, two fast, named as the league's are
+TWIN_COURSE_EFFECTS = (0.0, 0.08, 0.07, -0.06, -0.05, 0.015, -0.01, 0.02)
+TWIN_COURSE_NAMES = {"Course001": "Herrington Park", "Course002": "Thornley Hall",
+                     "Course003": "Druridge Bay", "Course004": "Gosforth Park"}
+
+
+def _write_paper_twin(directory):
+    """Write a paper-shaped twin of the league data into `directory`: 28
+    races over 5 seasons and 8 courses, run by a men's and a women's field
+    of their own athletes and noise, without a windspeed effect.  Returns
+    the men's truth."""
+    spec = SyntheticSpec(seed=4, n_races=28, n_seasons=5, n_courses=8)
+    spec.truth.course_effects = np.array(TWIN_COURSE_EFFECTS)
+    men = simulate_dataset(spec)
+
+    def name(course):
+        return TWIN_COURSE_NAMES.get(course, course)
+
+    # the women's field runs the men's races
+    design = build_design(men.observations, men.contexts, men.rainfall, ModelConfig())
+    rng = np.random.default_rng(40)
+    women = men.truth.copy()
+    women.athlete_effects = (rng.standard_normal(len(design.athletes))
+                             / math.sqrt(women.tau_athlete))
+    times = np.exp(linear_predictor_all(women, design)
+                   + rng.standard_normal(design.n_obs) / math.sqrt(women.tau_obs))
+    month = {(c.course, c.season): c.race_month for c in men.contexts}
+    races = design.races()
+    rows = [(o.athlete_id, name(o.course), o.season, "M", o.finish_time, o.race_month)
+            for o in men.observations]
+    for a, r, t in zip(design.athlete_idx, design.race_idx, times.tolist()):
+        course, season = races[r]
+        rows.append(("F" + design.athletes[a][1:], name(course), season, "F", t,
+                     month[course, season]))
+    write_csv(directory / "results.csv", RESULTS_HEADER, rows)
+    write_csv(directory / "races.csv", RACES_HEADER,
+              ((name(c.course), c.season, c.distance, c.windspeed, c.race_month)
+               for c in men.contexts))
+    write_csv(directory / "rainfall.csv", RAINFALL_HEADER, sorted(men.rainfall.items()))
+    return men.truth
+
+
+def test_league_criterion_on_a_paper_shaped_twin(capfd, tmp_path):
+    truth = _write_paper_twin(tmp_path)
+    problems, detail, chains = _league_criterion(tmp_path)
+    # the paper's other findings the model expresses: distance and both
+    # months' rainfall slow the field
+    for sex, chain in chains.items():
+        for param in ("gamma_dist", "rho_cur", "rho_prev"):
+            lo, hi = np.quantile(chain.column(param), [0.025, 0.975])
+            if getattr(truth, param) > 0.0 and not lo > 0.0:
+                problems.append(f"{sex}: {param} CI [{lo:.4g}, {hi:.4g}] does not exclude 0")
+    ok = not problems
+    _verdict(capfd, ok, "league-data criterion on a paper-shaped twin",
              "; ".join(problems or detail))

@@ -7,6 +7,7 @@ manifest timestamp.
 """
 import concurrent.futures
 import csv
+import hashlib
 import json
 import math
 import multiprocessing
@@ -446,6 +447,23 @@ def test_fit_covariate_of_1e300_exits_3_from_the_location_block(dataset_dir, tmp
     assert result.exit_code == 3, result.output
     assert ("sampler error: sweep 1: location block precision is not positive definite"
             in result.output)
+
+
+@pytest.mark.parametrize("column, name", [("distance_miles", "distance"),
+                                          ("windspeed", "windspeed")])
+def test_fit_covariate_whose_mean_overflows_exits_2_naming_its_line(dataset_dir, tmp_path,
+                                                                    column, name):
+    # 1e308 in the first race's row: the mean over its finishers overflows,
+    # whether or not the column is fitted
+    data = _copy_with_cell(dataset_dir, tmp_path, "races.csv", 2, column, "1e308")
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        result = _run(["fit", *_data_args(data), *FIT_ARGS, "--out", str(tmp_path / "out")])
+    assert [str(w.message) for w in warned] == []
+    assert result.exit_code == 2, result.output
+    assert (f"error: {data / 'races.csv'}: line 2: {name} 1e+308 makes the mean {name} "
+            f"over the fitted results overflow" in result.output)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("iterations,chains", [(3, 2), (1, 1)])
@@ -1023,14 +1041,55 @@ def test_simulate_invalid_spec_exits_2(tmp_path):
     ({"truth": dict(SyntheticSpec().to_dict()["truth"],
                     course_effects=[0.0, -math.inf] + [0.0] * 6)},
      "truth: course_effects[1] must be finite, got -inf"),
+    # finite truths whose finish times overflow to inf or underflow to 0
+    ({"truth": dict(SyntheticSpec().to_dict()["truth"], intercept=800.0)},
+     "truth: simulated finish time inf of athlete A00000 in race Alnwick 17/18 "
+     "is not finite and positive"),
+    ({"truth": dict(SyntheticSpec().to_dict()["truth"], intercept=-800.0)},
+     "truth: simulated finish time 0.0 of athlete A00000 in race Alnwick 17/18 "
+     "is not finite and positive"),
 ])
 def test_simulate_spec_value_of_the_wrong_json_type_or_name_exits_2(tmp_path, doc, message):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(doc))
-    result = _run(["simulate", "--spec", str(spec_path), "--out", str(tmp_path / "out")])
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        result = _run(["simulate", "--spec", str(spec_path), "--out", str(tmp_path / "out")])
+    assert [str(w.message) for w in warned] == []
     assert result.exit_code == 2, result.output
     assert message in result.output
     assert not (tmp_path / "out").exists()
+
+
+def _non_default_spec():
+    doc = SyntheticSpec(n_athletes=30, n_courses=4, n_seasons=3, n_races=9,
+                        mean_finishers=12, seed=5, response="log_pace").to_dict()
+    doc["truth"]["lambda_wind"] = 0.01
+    return doc
+
+
+@pytest.mark.parametrize("doc, digests", [
+    (None, {"results.csv": "645d966a04fd7207f7611a3aa8a69843c779cfabce80fa91bfb84768572bd47e",
+            "races.csv": "a33b9612b517e1b3c95a1ad5b603db6b1880ff85a1345a2f60b4cabd056bfaf3",
+            "rainfall.csv": "7b2c001a3cd1c38d25c9c34d855e0ba55ca4e2cbbf46f516373964613e9e071c",
+            "truth.json": "0ce64d458bf55fc38de8719de729566a1f1ff7611cc32b8deb179ccc110271c1"}),
+    (_non_default_spec(),
+     {"results.csv": "d46a1a4d6368c379c8ecefde4b1e4eb1a876198888f76641c8e0e462993f4c23",
+      "races.csv": "59ea8a0824d1c57ad522fa6adb96883b9bb288383d55f33fa5285893fac1a30a",
+      "rainfall.csv": "442cf1ba653f37838c65a5b8dc77c559524d2bc4feff801698eb3a6cbb4759e1",
+      "truth.json": "9492ee426e18ba08ce851f2697665cacab253a01a5b06cb393e9e7a972bd0553"}),
+], ids=["default", "non_default"])
+def test_simulate_writes_the_pinned_bytes(tmp_path, doc, digests):
+    # every benchmark input and recovery dataset comes from simulate_dataset:
+    # a rewrite of it must keep its generator calls, and so these bytes
+    args = []
+    if doc is not None:
+        (tmp_path / "spec.json").write_text(json.dumps(doc))
+        args = ["--spec", str(tmp_path / "spec.json")]
+    result = _run(["simulate", *args, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    assert {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in digests} == digests
 
 
 def test_simulated_data_refits(tmp_path):

@@ -130,7 +130,8 @@ def test_parse_rainfall(tmp_path):
     table = parse_rainfall(write(tmp_path / "rain.csv", text))
     assert table == {"2017-09": 80.5, "2017-10": 55.0}
     dup = "month,rainfall_mm\n2017-09,80\n2017-09,81\n"
-    with pytest.raises(DataError, match="duplicate month"):
+    with pytest.raises(DataError, match=r"line 3: duplicate month 2017-09 "
+                                        r"\(first seen on line 2\)"):
         parse_rainfall(write(tmp_path / "rain2.csv", dup))
     neg = "month,rainfall_mm\n2017-09,-2\n"
     with pytest.raises(DataError, match="negative rainfall"):

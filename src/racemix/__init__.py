@@ -39,11 +39,9 @@ from .sampler import (
 )
 from .diagnostics import (
     ChainMoments,
-    DegenerateChainWarning,
     ParameterSummary,
     autocorrelation,
     chain_moments,
-    effective_sample_size,
     split_rhat,
     summarize,
 )
@@ -59,14 +57,14 @@ from .predictive import (
 
 __all__ = [
     "__version__",
-    "ConfigError", "DataError", "SamplerError", "DegenerateChainWarning",
+    "ConfigError", "DataError", "SamplerError",
     "RaceObservation", "RaceContext", "DesignMatrixView",
     "parse_results", "parse_races", "parse_rainfall", "build_design",
     "PriorConfig", "McmcSchedule", "ModelConfig", "ParameterState",
     "log_likelihood", "log_prior", "log_posterior",
     "ChainOutput", "run_chain", "run_chains", "save_chain", "load_chain",
-    "ParameterSummary", "autocorrelation", "effective_sample_size",
-    "summarize", "ChainMoments", "chain_moments", "split_rhat",
+    "ParameterSummary", "autocorrelation", "summarize",
+    "ChainMoments", "chain_moments", "split_rhat",
     "SyntheticSpec", "SimulatedData", "simulate_dataset",
     "posterior_predictive_race", "PpcRaceReport", "ppc_report",
     "effect_on_time",

@@ -1,15 +1,15 @@
 """Convergence diagnostics and posterior summaries.
 
-Each diagnostic takes a 1-d chain or an (n, k) draws matrix, one column
-per parameter, and gives one result per column.  Autocorrelations are
-the biased FFT estimator, one FFT per block of columns, of the smallest
-2^a·3^b·5^c length that holds 2N - 1 lags; ESS is Geyer's initial
-positive sequence, or N for a constant column or fewer than 10 draws;
-ess_and_rho1 reads lag 1 from the same FFT as the ESS.  Quantiles are
-type-7 (numpy's default), taken per block of columns by type7_quantiles,
-which sorts each column (partitioning, as numpy does, a column whose
-read order statistics hold a zero or a NaN) and equals np.quantile bit
-for bit without importing numpy.ma.
+Each chain diagnostic takes an (n, k) draws matrix, one column per
+parameter, and gives an array with one value per column; none warns.
+Autocorrelations are the biased FFT estimator, one FFT per block of
+columns, of the smallest 2^a·3^b·5^c length that holds 2N - 1 lags; ESS
+is Geyer's initial positive sequence, or N for a constant column or
+fewer than 10 draws; ess_and_rho1 reads lag 1 from the same FFT as the
+ESS.  Quantiles are type-7 (numpy's default), taken per block of columns
+by type7_quantiles, which sorts each column (partitioning, as numpy
+does, a column whose read order statistics hold a zero or a NaN) and
+equals np.quantile bit for bit without importing numpy.ma.
 
 Split R-hat and the total ESS across chains combine one ChainMoments per
 chain: each half's column means and variances and the chain's ESS, a
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import re
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,22 +41,18 @@ FFT_BLOCK_BYTES = 1 << 18
 SCAN_BLOCK_BYTES = 1 << 20
 
 
-class DegenerateChainWarning(UserWarning):
-    """A chain with zero variance; autocorrelation/ESS are conventions."""
-
-
 def constant_columns(draws: np.ndarray) -> np.ndarray:
     """Which columns of an (n, k) draws matrix are constant (zero variance)."""
     return np.all(draws == draws[:1], axis=0)
 
 
-def _as_columns(chain) -> tuple[np.ndarray, bool]:
-    """The draws as an (n, k) float matrix, and whether they came as one 1-d chain."""
-    x = np.asarray(chain, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[0] == 0:
-        raise ValueError(f"need a 1-d chain or an (n, k) draws matrix with at least "
-                         f"one draw, got shape {x.shape}")
-    return (x[:, None], True) if x.ndim == 1 else (x, False)
+def _as_matrix(draws) -> np.ndarray:
+    """The draws as an (n, k) float matrix of at least one draw."""
+    x = np.asarray(draws, dtype=float)
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise ValueError(f"need an (n, k) draws matrix with at least one draw, "
+                         f"got shape {x.shape}")
+    return x
 
 
 def _fft_length(m: int) -> int:
@@ -119,9 +114,8 @@ def ess_and_rho1(draws: np.ndarray, constant: np.ndarray) -> tuple[np.ndarray, n
     A constant column gets ESS N and rho1 0, without a warning; under 10
     draws every column's ESS is N.  The FFT length (_fft_length(2n - 1))
     and the blocks depend on n alone, so rho1 equals
-    autocorrelation(draws, 1)[1] bit for bit, and the ESS
-    effective_sample_size(draws).  A chain value near the float maximum
-    leaves both finite: each column is scaled before its FFT.
+    autocorrelation(draws, 1)[1] bit for bit.  A chain value near the
+    float maximum leaves both finite: each column is scaled before its FFT.
     """
     n = draws.shape[0]
     ess, rho1 = np.full(draws.shape[1], float(n)), np.zeros(draws.shape[1])
@@ -132,39 +126,21 @@ def ess_and_rho1(draws: np.ndarray, constant: np.ndarray) -> tuple[np.ndarray, n
     return ess, rho1
 
 
-def autocorrelation(chain, max_lag: int) -> np.ndarray:
-    """Sample autocorrelations at lags 0..max_lag, shape (max_lag + 1,) or
-    (max_lag + 1, k); lag 0 is exactly 1.  A constant column has none: by
-    convention it gets [1, 0, ..., 0] and the call warns DegenerateChainWarning.
+def autocorrelation(draws, max_lag: int) -> np.ndarray:
+    """Sample autocorrelations at lags 0..max_lag of an (n, k) draws matrix,
+    shape (max_lag + 1, k); lag 0 is exactly 1.  A constant column has none:
+    by convention it gets [1, 0, ..., 0], as in ess_and_rho1.
     """
-    x, one_chain = _as_columns(chain)
+    x = _as_matrix(draws)
     if max_lag < 1:
         raise ValueError(f"max_lag must be >= 1, got {max_lag}")
     if x.shape[0] <= max_lag:
-        raise ValueError(f"need a chain longer than max_lag={max_lag}, "
-                         f"got shape {np.shape(chain)}")
-    constant = constant_columns(x)
-    if constant.any():
-        warnings.warn("constant column(s): autocorrelation undefined", DegenerateChainWarning)
+        raise ValueError(f"need a chain longer than max_lag={max_lag}, got shape {x.shape}")
     out = np.zeros((max_lag + 1, x.shape[1]))
-    for block, acf in _acf_blocks(x, np.flatnonzero(~constant), max_lag):
+    for block, acf in _acf_blocks(x, np.flatnonzero(~constant_columns(x)), max_lag):
         out[:, block] = acf.T
     out[0] = 1.0
-    return out[:, 0] if one_chain else out
-
-
-def effective_sample_size(chain) -> float | np.ndarray:
-    """Effective sample size N / (1 + 2·Σρ_k), Geyer-truncated, in (0, N].
-
-    A float for a 1-d chain, one value per column of an (n, k) matrix.  A
-    constant column reports N, and the call warns DegenerateChainWarning.
-    """
-    x, one_chain = _as_columns(chain)
-    constant = constant_columns(x)
-    if constant.any():
-        warnings.warn("constant column(s): reporting ESS = N", DegenerateChainWarning)
-    ess = ess_and_rho1(x, constant)[0]
-    return float(ess[0]) if one_chain else ess
+    return out
 
 
 def type7_quantiles(values, qs) -> np.ndarray:
@@ -328,29 +304,26 @@ class ChainMoments:
     `n` is the chain's draw count and `half` = n // 2 the length of each
     half (an odd last draw is in neither).  `means` and `variances` are
     (2, k): each half's column means and ddof=1 variances.  `ess` is each
-    column's ESS.  `one_d` records a 1-d chain, whose combined
-    diagnostics are floats rather than arrays.
+    column's ESS.
     """
 
     n: int
     means: np.ndarray
     variances: np.ndarray
     ess: np.ndarray
-    one_d: bool = False
 
     @property
     def half(self) -> int:
         return self.n // 2
 
 
-def chain_moments(draws, ess=None) -> ChainMoments:
-    """The ChainMoments of a 1-d chain or an (n, k) draws matrix of >= 4 draws.
+def chain_moments(draws, ess) -> ChainMoments:
+    """The ChainMoments of an (n, k) draws matrix of >= 4 draws.
 
-    `ess` is each column's ESS, as summarize computes it; when not given
-    it is computed here.  The variances are taken per block of columns,
-    so no half's deviations are held whole.
+    `ess` is each column's ESS, as summarize computes it.  The variances
+    are taken per block of columns, so no half's deviations are held whole.
     """
-    x, one_d = _as_columns(draws)
+    x = _as_matrix(draws)
     if x.shape[0] < 4:
         raise ValueError(f"chains too short to split, length {x.shape[0]}")
     n = x.shape[0] // 2
@@ -365,49 +338,42 @@ def chain_moments(draws, ess=None) -> ChainMoments:
     for start in range(0, max(k - 1, 1), step):
         block = slice(start, start + step if start + step < k - 1 else k)
         variances[:, block] = [h[:, block].var(axis=0, ddof=1) for h in halves]
-    if ess is None:
-        ess = ess_and_rho1(x, constant_columns(x))[0]
     ess = np.array(ess, dtype=float).reshape(k)
-    return ChainMoments(x.shape[0], means, variances, ess, one_d)
+    return ChainMoments(x.shape[0], means, variances, ess)
 
 
-def _matching(records) -> tuple[list[ChainMoments], bool]:
-    """The records as a list, if they describe equal-shape chains, and whether
-    those came 1-d."""
+def _matching(records) -> list[ChainMoments]:
+    """The records as a list, if they describe equal-shape chains."""
     records = list(records)
     if not records:
         raise ValueError("need at least one chain")
     first = records[0]
-    if any((r.n, r.means.shape, r.one_d) != (first.n, first.means.shape, first.one_d)
-           for r in records):
-        raise ValueError("chains must be of equal length and shape: each 1-d, "
-                         "or (n, k) with one column per parameter")
-    return records, first.one_d
+    if any((r.n, r.means.shape) != (first.n, first.means.shape) for r in records):
+        raise ValueError("chains must be of equal length and shape, "
+                         "(n, k) with one column per parameter")
+    return records
 
 
-def split_rhat(records) -> float | np.ndarray:
+def split_rhat(records) -> np.ndarray:
     """Split-half potential scale reduction across equal-length chains,
     from one ChainMoments per chain.
 
     Each chain is cut in half, giving 2m pieces; R-hat compares between-
     and within-piece variance.  Values near 1 indicate the pieces agree.
-    A float for 1-d chains, one value per column of (n, k) ones; a column
-    constant within every piece gets 1 if the pieces agree, else inf.
+    One value per column; a column constant within every piece gets 1 if
+    the pieces agree, else inf.
     """
-    records, one_d = _matching(records)
+    records = _matching(records)
     n = records[0].half
     w = np.concatenate([r.variances for r in records]).mean(axis=0)
     b = n * np.concatenate([r.means for r in records]).var(axis=0, ddof=1)
     var_plus = (n - 1) / n * w + b / n
     spread = w > 0.0
     rhat = np.sqrt(var_plus / np.where(spread, w, 1.0))
-    rhat = np.where(spread, rhat, np.where(b == 0.0, 1.0, np.inf))
-    return float(rhat[0]) if one_d else rhat
+    return np.where(spread, rhat, np.where(b == 0.0, 1.0, np.inf))
 
 
-def multichain_ess(records) -> float | np.ndarray:
+def multichain_ess(records) -> np.ndarray:
     """Total ESS across independent chains, from one ChainMoments per chain,
     taken as split_rhat takes them: the sum of the chains' own ESS."""
-    records, one_d = _matching(records)
-    total = sum((r.ess for r in records), 0.0)
-    return float(total[0]) if one_d else total
+    return sum((r.ess for r in _matching(records)), 0.0)

@@ -138,9 +138,6 @@ class PriorConfig:
             raise ConfigError(
                 f"carryover prior requires a_phi <= b_phi, got ({self.a_phi}, {self.b_phi})")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "PriorConfig":
         return _numeric_fields(cls, d, "prior", integer=False)
@@ -170,9 +167,6 @@ class McmcSchedule:
     @property
     def n_stored(self) -> int:
         return self.iterations // self.thin
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "McmcSchedule":
@@ -205,14 +199,7 @@ class ModelConfig:
         self.mcmc.validate()
 
     def to_dict(self) -> dict:
-        return {
-            "response": self.response,
-            "include_windspeed": self.include_windspeed,
-            "priors": self.priors.to_dict(),
-            "mcmc": self.mcmc.to_dict(),
-            "d_bar": self.d_bar,
-            "w_bar": self.w_bar,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":

@@ -222,14 +222,26 @@ def _race_pairs(n_courses: int, n_seasons: int, n_races: int) -> list[tuple[int,
     return (list(diagonal) + rest)[:n_races]
 
 
+def _centring_mean(spec: SyntheticSpec, name: str, values: np.ndarray) -> float:
+    """The mean of a covariate drawn from spec's `name` range, or a ConfigError
+    naming that range when the mean overflows."""
+    with np.errstate(over="ignore"):
+        mean = values.mean()
+    if not math.isfinite(mean):
+        raise ConfigError(f"{name} {list(getattr(spec, name))} makes the mean "
+                          f"{name.removesuffix('_range')} over the simulated results overflow")
+    return mean
+
+
 def simulate_dataset(spec: SyntheticSpec) -> SimulatedData:
     """Run the model forward from `spec` into CSV-shaped race data.
 
     Seasons start in October; each season's fixtures occupy consecutive
     months.  Rainfall covers the contiguous span from one month before
     the first fixture to the last, so ingest always finds the carryover
-    month.  Deterministic given spec.seed.  A truth whose finish times
-    are not finite and positive is a ConfigError.
+    month.  Deterministic given spec.seed.  A distance or windspeed range
+    whose mean overflows, or a truth whose finish times are not finite and
+    positive, is a ConfigError.
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
@@ -269,18 +281,21 @@ def simulate_dataset(spec: SyntheticSpec) -> SimulatedData:
     obs_ath = np.concatenate(rosters)
 
     dist = race_dist[obs_race]
+    d_bar = _centring_mean(spec, "distance_range", dist)
+    if truth.lambda_wind is not None:
+        wind = race_wind[obs_race]
+        w_bar = _centring_mean(spec, "windspeed_range", wind)
     # overflow shows as a time that is not finite and positive, refused below
     with np.errstate(over="ignore", invalid="ignore"):
         mu = (truth.intercept
               + truth.athlete_effects[obs_ath]
               + truth.course_effects[race_course[obs_race]]
               + truth.season_effects[race_season[obs_race]]
-              + truth.gamma_dist * (dist - dist.mean())
+              + truth.gamma_dist * (dist - d_bar)
               + truth.rho_cur * race_rain_cur[obs_race]
               + truth.rho_prev * race_rain_prev[obs_race])
         if truth.lambda_wind is not None:
-            wind = race_wind[obs_race]
-            mu = mu + truth.lambda_wind * (wind - wind.mean())
+            mu = mu + truth.lambda_wind * (wind - w_bar)
         y = mu + rng.standard_normal(mu.size) / math.sqrt(truth.tau_obs)
         times = np.exp(y)
         if spec.response == RESPONSE_LOG_PACE:

@@ -513,13 +513,6 @@ class ChainMeta:
     seed_entropy: int | None = None
     seed_spawn_key: tuple[int, ...] | None = None
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        for key in ("athletes", "courses", "seasons", "seed_spawn_key"):
-            if d[key] is not None:
-                d[key] = list(d[key])
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "ChainMeta":
         """The metadata of a JSON object; KeyError for a missing field, and
@@ -778,7 +771,7 @@ def save_chain(chain: ChainOutput, csv_path, meta_path) -> None:
             rows = chain.draws[start:start + WRITE_BLOCK_ROWS].astype(float, copy=False)
             # repr of the Python float: shortest round-trip representation
             fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows.tolist()]))
-    write_json(meta_path, {**chain.meta.to_dict(), "columns": list(chain.columns)})
+    write_json(meta_path, {**asdict(chain.meta), "columns": chain.columns})
 
 
 def _chain_parse_error(csv_path, header, reason) -> DataError:

@@ -33,7 +33,7 @@ from racemix.diagnostics import (
     autocorrelation,
     chain_moments,
     constant_columns,
-    effective_sample_size,
+    ess_and_rho1,
     split_rhat,
     summarize,
     write_summary_csv,
@@ -93,6 +93,16 @@ def test_importing_the_cli_loads_no_process_pool():
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_every_public_name_resolves():
+    # a name left in __all__ after its definition is gone breaks `import *`
+    assert len(set(racemix.__all__)) == len(racemix.__all__)
+    for name in racemix.__all__:
+        assert hasattr(racemix, name), name
+    namespace = {}
+    exec("from racemix import *", namespace)
+    assert set(racemix.__all__) <= set(namespace)
 
 
 # numpy.ma, barred: a command that imports it fails.  Two usable CPUs, so
@@ -230,8 +240,6 @@ def test_fit_artifacts_do_not_depend_on_worker_count(dataset_dir, tmp_path, monk
     assert files[1, "chain"][0] != files[2, "chain"][0]
 
 
-# the corner-constrained columns are constant, and effective_sample_size says so
-@pytest.mark.filterwarnings("ignore::racemix.diagnostics.DegenerateChainWarning")
 def test_crosschain_equals_the_reference_on_the_saved_chains(dataset_dir, tmp_path):
     # the workers send back per-chain moments, not draws; what fit combines
     # from them must be what the saved chains give
@@ -242,8 +250,9 @@ def test_crosschain_equals_the_reference_on_the_saved_chains(dataset_dir, tmp_pa
               for i in (1, 2)]
     rows = [line.split(",") for line in (out / "crosschain.csv").read_text().splitlines()[1:]]
     assert [row[0] for row in rows] == list(chains[0].columns)
-    rhat = split_rhat([chain_moments(c.draws) for c in chains])
-    ess = sum(effective_sample_size(c.draws) for c in chains)
+    chain_ess = [ess_and_rho1(c.draws, constant_columns(c.draws))[0] for c in chains]
+    rhat = split_rhat([chain_moments(c.draws, e) for c, e in zip(chains, chain_ess)])
+    ess = sum(chain_ess)
     for j, row in enumerate(rows):
         assert float(row[1]) == rhat[j]
         # the 1-d reference sums each piece in another order
@@ -1048,6 +1057,14 @@ def test_simulate_invalid_spec_exits_2(tmp_path):
     ({"truth": dict(SyntheticSpec().to_dict()["truth"], intercept=-800.0)},
      "truth: simulated finish time 0.0 of athlete A00000 in race Alnwick 17/18 "
      "is not finite and positive"),
+    # finite ranges whose centring means overflow are the spec's fault
+    ({"distance_range": [1.0, 1.7e308]},
+     "distance_range [1.0, 1.7e+308] makes the mean distance over the simulated "
+     "results overflow"),
+    ({"windspeed_range": [0.0, 1.7e308],
+      "truth": dict(SyntheticSpec().to_dict()["truth"], lambda_wind=0.01)},
+     "windspeed_range [0.0, 1.7e+308] makes the mean windspeed over the simulated "
+     "results overflow"),
 ])
 def test_simulate_spec_value_of_the_wrong_json_type_or_name_exits_2(tmp_path, doc, message):
     spec_path = tmp_path / "spec.json"

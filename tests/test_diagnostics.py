@@ -15,11 +15,9 @@ from racemix import diagnostics
 from racemix.diagnostics import (
     SUMMARY_HEADER,
     SUMMARY_QS,
-    DegenerateChainWarning,
     autocorrelation,
     chain_moments,
     constant_columns,
-    effective_sample_size,
     ess_and_rho1,
     multichain_ess,
     split_rhat,
@@ -44,6 +42,16 @@ def _single_column_output(values) -> ChainOutput:
     return ChainOutput(draws=draws, columns=("x",), meta=meta)
 
 
+def _ess(draws):
+    """Each column's ESS, as every command takes it."""
+    return ess_and_rho1(draws, constant_columns(draws))[0]
+
+
+def _moments(draws):
+    """The ChainMoments of a draws matrix, with the ESS summarize would give."""
+    return chain_moments(draws, _ess(draws))
+
+
 # ---------------------------------------------------------------- ACF
 
 def test_fft_length_is_the_least_5_smooth_number_not_below_m():
@@ -60,15 +68,15 @@ def test_fft_length_is_the_least_5_smooth_number_not_below_m():
 
 
 def test_acf_lag_zero_is_exactly_one():
-    x = np.random.default_rng(0).standard_normal(200)
+    x = np.random.default_rng(0).standard_normal((200, 1))
     acf = autocorrelation(x, 5)
-    assert acf.shape == (6,)
-    assert acf[0] == 1.0
+    assert acf.shape == (6, 1)
+    assert acf[0, 0] == 1.0
 
 
 def test_acf_iid_is_near_zero():
     n = 100_000
-    x = np.random.default_rng(1).standard_normal(n)
+    x = np.random.default_rng(1).standard_normal((n, 1))
     acf = autocorrelation(x, 10)
     assert np.all(np.abs(acf[1:]) < 4.0 / np.sqrt(n))
 
@@ -76,32 +84,34 @@ def test_acf_iid_is_near_zero():
 def test_acf_ar1_matches_rho_powers():
     rho = 0.5
     x = ar1_chain(100_000, rho, seed=11)
-    acf = autocorrelation(x, 10)
+    acf = autocorrelation(x[:, None], 10)[:, 0]
     expected = rho ** np.arange(11)
     assert np.max(np.abs(acf - expected)) < 0.02
 
 
 def test_acf_alternating_chain_has_negative_lag_one():
     x = np.tile([1.0, -1.0], 500)
-    acf = autocorrelation(x, 2)
+    acf = autocorrelation(x[:, None], 2)[:, 0]
     assert acf[1] == pytest.approx(-1.0, abs=5e-3)
     assert acf[2] == pytest.approx(1.0, abs=5e-3)
 
 
 def test_acf_input_validation():
-    x = np.zeros(10) + np.arange(10)
+    x = np.arange(10.0)[:, None]
     with pytest.raises(ValueError, match="max_lag"):
         autocorrelation(x, 0)
     with pytest.raises(ValueError, match="longer than max_lag"):
         autocorrelation(x, 10)
-    with pytest.raises(ValueError):
-        autocorrelation(np.ones((5, 5, 5)), 2)
+    for shape in ((5, 5, 5), (10,), (0, 3)):
+        with pytest.raises(ValueError, match=r"\(n, k\) draws matrix"):
+            autocorrelation(np.ones(shape), 2)
 
 
 def test_acf_constant_chain_convention():
-    with pytest.warns(DegenerateChainWarning):
-        acf = autocorrelation(np.full(50, 3.2), 4)
-    assert acf[0] == 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the convention is not warned about
+        acf = autocorrelation(np.full((50, 1), 3.2), 4)
+    assert acf[0, 0] == 1.0
     assert np.all(acf[1:] == 0.0)
 
 
@@ -109,8 +119,8 @@ def test_acf_constant_chain_convention():
 
 def test_ess_iid_close_to_n():
     n = 10_000
-    x = np.random.default_rng(2).standard_normal(n)
-    ess = effective_sample_size(x)
+    x = np.random.default_rng(2).standard_normal((n, 1))
+    ess = _ess(x)[0]
     assert abs(ess - n) < 0.10 * n
 
 
@@ -118,33 +128,34 @@ def test_ess_ar1_half_close_to_n_over_three():
     # AR(1) with rho=0.5: tau = (1+rho)/(1-rho) = 3
     n = 50_000
     x = ar1_chain(n, 0.5, seed=3)
-    ess = effective_sample_size(x)
+    ess = _ess(x[:, None])[0]
     assert abs(ess - n / 3) < 0.15 * (n / 3)
 
 
 def test_ess_never_exceeds_n():
     # antithetic chain: clamp rather than report superefficiency
     x = np.tile([1.0, -1.0], 100) + 1e-3 * np.random.default_rng(4).standard_normal(200)
-    ess = effective_sample_size(x)
+    ess = _ess(x[:, None])[0]
     assert ess == pytest.approx(200.0)
 
 
 def test_ess_of_fewer_than_ten_points_is_n():
-    assert effective_sample_size(np.arange(9, dtype=float)) == 9.0
+    assert _ess(np.arange(9.0)[:, None])[0] == 9.0
 
 
 def test_ess_constant_chain_reports_n():
-    with pytest.warns(DegenerateChainWarning):
-        ess = effective_sample_size(np.full(64, 1.5))
-    assert ess == 64.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the convention is not warned about
+        ess = _ess(np.full((64, 1), 1.5))
+    assert ess.tolist() == [64.0]
 
 
 def test_ess_doubled_chain_does_not_gain_information():
     # duplicating draws cannot meaningfully exceed twice the original ESS
     for seed in (21, 22, 23):
-        x = ar1_chain(2000, 0.5, seed=seed)
-        e1 = effective_sample_size(x)
-        e2 = effective_sample_size(np.concatenate([x, x]))
+        x = ar1_chain(2000, 0.5, seed=seed)[:, None]
+        e1 = _ess(x)[0]
+        e2 = _ess(np.concatenate([x, x]))[0]
         assert e2 <= 2.0 * e1 * 1.05
         assert e2 <= 4000.0
 
@@ -232,7 +243,7 @@ def test_summarize_takes_constant_columns_without_warning():
     assert out["a"].ci95_low == out["a"].ci95_high == 0.0
     assert out["a"].ess == 20.0
     assert out["a"].mean == 0.0
-    assert out["b"].ess == effective_sample_size(values[:, 1])
+    assert out["b"].ess == _ess(values[:, [1]])[0]
 
 
 def test_summarize_fit_output_is_coherent(small_fit):
@@ -362,50 +373,54 @@ def test_write_trace_csv_rejects_rows_of_unequal_length(tmp_path, small_fit, dam
 
 def test_split_rhat_agreeing_chains():
     rng = np.random.default_rng(9)
-    chains = [rng.standard_normal(4000), rng.standard_normal(4000)]
-    r = split_rhat([chain_moments(c) for c in chains])
-    assert abs(r - 1.0) < 0.05
+    chains = [rng.standard_normal((4000, 1)), rng.standard_normal((4000, 1))]
+    r = split_rhat([_moments(c) for c in chains])
+    assert r.shape == (1,) and abs(r[0] - 1.0) < 0.05
 
 
 def test_split_rhat_detects_disagreement():
     rng = np.random.default_rng(10)
-    a = rng.standard_normal(2000)
-    b = rng.standard_normal(2000) + 5.0
-    assert split_rhat([chain_moments(a), chain_moments(b)]) > 1.3
+    a = rng.standard_normal((2000, 1))
+    b = rng.standard_normal((2000, 1)) + 5.0
+    assert split_rhat([_moments(a), _moments(b)])[0] > 1.3
 
 
 def test_split_rhat_detects_trend_within_one_chain():
     # split halves disagree even though only one chain is supplied
     drift = np.linspace(0.0, 6.0, 2000) + np.random.default_rng(11).standard_normal(2000)
-    assert split_rhat([chain_moments(drift)]) > 1.3
+    assert split_rhat([_moments(drift[:, None])])[0] > 1.3
 
 
 def test_split_rhat_validation():
     with pytest.raises(ValueError, match="at least one"):
         split_rhat([])
     with pytest.raises(ValueError, match="equal length"):
-        split_rhat([chain_moments(np.zeros(10)), chain_moments(np.zeros(12))])
+        split_rhat([_moments(np.zeros((10, 1))), _moments(np.zeros((12, 1)))])
     with pytest.raises(ValueError, match="equal length"):  # equal halves, unequal chains
-        multichain_ess([chain_moments(np.zeros(10)), chain_moments(np.zeros(11))])
+        multichain_ess([_moments(np.zeros((10, 1))), _moments(np.zeros((11, 1)))])
+    with pytest.raises(ValueError, match="equal length and shape"):
+        split_rhat([_moments(np.zeros((10, 1))), _moments(np.zeros((10, 2)))])
     with pytest.raises(ValueError, match="too short"):
-        split_rhat([chain_moments(np.zeros(3))])
+        split_rhat([_moments(np.zeros((3, 1)))])
+    with pytest.raises(ValueError, match=r"\(n, k\) draws matrix"):
+        chain_moments(np.zeros(10), [10.0])
 
 
 def test_split_rhat_constant_chains():
-    same = [chain_moments(np.full(10, 2.0)), chain_moments(np.full(10, 2.0))]
-    apart = [chain_moments(np.full(10, 1.0)), chain_moments(np.full(10, 2.0))]
-    assert split_rhat(same) == 1.0
-    assert split_rhat(apart) == np.inf
+    same = [_moments(np.full((10, 1), 2.0)), _moments(np.full((10, 1), 2.0))]
+    apart = [_moments(np.full((10, 1), 1.0)), _moments(np.full((10, 1), 2.0))]
+    assert split_rhat(same).tolist() == [1.0]
+    assert split_rhat(apart).tolist() == [np.inf]
 
 
 def test_multichain_ess_sums_over_chains():
     rng = np.random.default_rng(12)
-    a = rng.standard_normal(5000)
-    b = rng.standard_normal(5000)
-    total = multichain_ess([chain_moments(a), chain_moments(b)])
-    assert total == pytest.approx(
-        effective_sample_size(a) + effective_sample_size(b))
-    assert abs(total - 10_000) < 1_000
+    a = rng.standard_normal((5000, 1))
+    b = rng.standard_normal((5000, 1))
+    total = multichain_ess([_moments(a), _moments(b)])
+    assert total.shape == (1,)
+    assert total[0] == pytest.approx(_ess(a)[0] + _ess(b)[0])
+    assert abs(total[0] - 10_000) < 1_000
 
 
 # ---------------------------------------------------------------- column-wise
@@ -422,20 +437,6 @@ def _probe_columns(n, seed):
     ])
 
 
-def _degenerate_warnings(fn, *args):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = fn(*args)
-    return result, sum(issubclass(w.category, DegenerateChainWarning) for w in caught)
-
-
-def _quiet(fn, *args):
-    # the 1-d reference calls warn on the constant column by design
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateChainWarning)
-        return fn(*args)
-
-
 # 1 byte: one column per FFT block; 20,000 bytes: two columns at 600 draws
 # (FFT length 1,200), one at 2,500 (5,000); default: one block.
 # 2,500 draws, the benchmark's posthoc chains, is FFT-transformed at 5,000
@@ -446,15 +447,15 @@ def test_columnwise_functions_equal_their_one_column_calls(monkeypatch, block_by
     monkeypatch.setattr(diagnostics, "FFT_BLOCK_BYTES", block_bytes)
     x = _probe_columns(n, seed=40)
     max_lag = min(20, n - 1)
-    acf, warned_acf = _degenerate_warnings(autocorrelation, x, max_lag)
-    ess, warned_ess = _degenerate_warnings(effective_sample_size, x)
-    assert warned_acf == warned_ess == 1  # once per call, not once per column
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the constant column is not warned about
+        acf, ess = autocorrelation(x, max_lag), _ess(x)
     assert acf.shape == (max_lag + 1, x.shape[1]) and ess.shape == (x.shape[1],)
     for j in range(x.shape[1]):
         # autocorrelations are relative to lag 0's exact 1
-        np.testing.assert_allclose(acf[:, j], _quiet(autocorrelation, x[:, j], max_lag),
+        np.testing.assert_allclose(acf[:, j], autocorrelation(x[:, [j]], max_lag)[:, 0],
                                    rtol=0.0, atol=1e-12)
-        assert ess[j] == pytest.approx(_quiet(effective_sample_size, x[:, j]), rel=1e-12)
+        assert ess[j] == pytest.approx(_ess(x[:, [j]])[0], rel=1e-12)
     assert np.array_equal(acf[:, 0], np.eye(max_lag + 1)[0])
     assert ess[0] == n
     if n < 10:
@@ -469,17 +470,17 @@ def test_columnwise_functions_equal_their_one_column_calls(monkeypatch, block_by
 @pytest.mark.parametrize("block_bytes", [1, diagnostics.FFT_BLOCK_BYTES])
 @pytest.mark.parametrize("n", [5, 600, 2500])
 def test_ess_and_rho1_equal_the_separate_calls_bit_for_bit(monkeypatch, block_bytes, n):
-    # one FFT pass gives what effective_sample_size and autocorrelation give
-    # on the non-constant columns, lag 1 whatever the longest lag asked for
+    # one FFT pass gives what the ESS of the non-constant columns alone and
+    # their autocorrelation give, lag 1 whatever the longest lag asked for
     monkeypatch.setattr(diagnostics, "FFT_BLOCK_BYTES", block_bytes)
     x = _probe_columns(n, seed=41)
     constant = constant_columns(x)
     free = ~constant
     assert constant[0] and free[1:].all()
     with warnings.catch_warnings():
-        warnings.simplefilter("error", DegenerateChainWarning)
+        warnings.simplefilter("error")
         ess, rho1 = ess_and_rho1(x, constant)
-        assert np.array_equal(ess[free], effective_sample_size(x[:, free]))
+        assert np.array_equal(ess[free], _ess(x[:, free]))
         for max_lag in (1, n - 1):
             assert np.array_equal(rho1[free], autocorrelation(x[:, free], max_lag)[1])
     assert ess[0] == n and rho1[0] == 0.0
@@ -491,39 +492,40 @@ def test_ess_and_rho1_equal_the_separate_calls_bit_for_bit(monkeypatch, block_by
 def test_multichain_columnwise_equals_per_column_calls(stack):
     a, b = _probe_columns(600, seed=50), _probe_columns(600, seed=60)
     b[:, 0] = 7.0  # constant in each chain, but the chains disagree
-    records = [chain_moments(c) for c in stack([a, b])]
+    records = [_moments(c) for c in stack([a, b])]
     rhat, ess = split_rhat(records), multichain_ess(records)
     for j in range(a.shape[1]):
+        col_records = [_moments(c[:, [j]]) for c in (a, b)]
+        assert rhat[j] == pytest.approx(split_rhat(col_records)[0], rel=1e-12)
         cols = [a[:, j], b[:, j]]
-        col_records = [chain_moments(c) for c in cols]
-        assert rhat[j] == pytest.approx(split_rhat(col_records), rel=1e-12)
         assert rhat[j] == pytest.approx(split_rhat_reference(cols), rel=1e-12)
-        assert ess[j] == pytest.approx(multichain_ess(col_records), rel=1e-12)
+        assert ess[j] == pytest.approx(multichain_ess(col_records)[0], rel=1e-12)
         assert ess[j] == pytest.approx(sum(map(ess_reference, cols)), rel=1e-12)
     assert rhat[0] == np.inf and ess[0] == 1200.0
     # constant, and the chains agree
-    assert split_rhat([chain_moments(c) for c in stack([a, a])])[0] == 1.0
+    assert split_rhat([_moments(c) for c in stack([a, a])])[0] == 1.0
 
 
 def test_split_rhat_in_column_blocks_equals_one_block(monkeypatch):
     rng = np.random.default_rng(70)
     chains = [rng.standard_normal((1000, 7)).cumsum(axis=0) for _ in range(2)]
-    whole = split_rhat([chain_moments(c) for c in chains])
+    whole = split_rhat([_moments(c) for c in chains])
     # 1 byte: blocks of 2, 2 and 3 columns; numpy sums a lone column's
     # deviations pairwise, a wider block's row by row as the whole matrix
     monkeypatch.setattr(diagnostics, "FFT_BLOCK_BYTES", 1)
-    assert np.array_equal(split_rhat([chain_moments(c) for c in chains]), whole)
+    assert np.array_equal(split_rhat([_moments(c) for c in chains]), whole)
 
 
 def test_chain_moments_is_small_and_keeps_the_given_ess():
     # what a chain worker sends back instead of its 2,500 x 223 draws (4.46 MB)
     draws = np.random.default_rng(71).standard_normal((2500, 223))
-    ess = effective_sample_size(draws)
+    ess = _ess(draws)
     record = chain_moments(draws, ess.tolist())
     assert len(pickle.dumps(record)) < 64 * 1024
-    assert record.n == 2500 and record.half == 1250 and not record.one_d
+    assert record.n == 2500 and record.half == 1250
     assert record.means.shape == record.variances.shape == (2, 223)
     assert np.array_equal(record.ess, ess)
-    assert np.array_equal(chain_moments(draws).ess, ess)
-    one = chain_moments(draws[:, 0])
-    assert one.one_d and isinstance(multichain_ess([one, one]), float)
+    assert np.array_equal(multichain_ess([record, record]), 2 * ess)
+    # one column gives arrays of one value, as any other width does
+    one = chain_moments(draws[:, [0]], ess[:1])
+    assert split_rhat([one, one]).shape == multichain_ess([one, one]).shape == (1,)

@@ -60,7 +60,7 @@ def test_prior_config_validation():
         PriorConfig(a_phi=2.0, b_phi=1.0).validate()
     with pytest.raises(ConfigError, match="unknown prior fields"):
         PriorConfig.from_dict({"nonsense": 1.0})
-    round_tripped = PriorConfig.from_dict(PriorConfig().to_dict())
+    round_tripped = PriorConfig.from_dict(dataclasses.asdict(PriorConfig()))
     assert round_tripped == PriorConfig()
 
 
